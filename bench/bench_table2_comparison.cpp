@@ -21,9 +21,11 @@ int main() {
   Framework fw{opts};
 
   std::printf("=== Table II: FTDL vs prior works ===\n");
-  std::printf("FTDL config: %s on %s, post-P&R fmax %s\n\n",
+  std::printf("FTDL config: %s on %s, post-P&R fmax %s\n",
               fw.config().to_string().c_str(), fw.device().name.c_str(),
               format_hz(fw.timing().clk_h_fmax_hz).c_str());
+  std::printf("Mapping search budget: %lld candidates per layer\n\n",
+              static_cast<long long>(opts.search_budget_per_layer));
 
   const nn::Network googlenet = nn::googlenet();
   const nn::Network resnet = nn::resnet50();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 
@@ -37,12 +38,13 @@ std::vector<std::int64_t> divisors(std::int64_t n) {
   return lo;
 }
 
-std::vector<std::int64_t> tile_candidates(std::int64_t n) {
+const std::vector<std::int64_t>& tile_candidates(std::int64_t n) {
   FTDL_ASSERT(n >= 1);
   // Memoized: the mapping search queries the same trip counts millions of
   // times. thread_local keeps the hot path lock-free now that compile_layer
   // runs on CompilerSession pool threads; the few distinct trip counts per
-  // network keep the per-thread copies tiny.
+  // network keep the per-thread copies tiny. Entries are never erased and
+  // unordered_map nodes never move, so returned references stay valid.
   thread_local std::unordered_map<std::int64_t, std::vector<std::int64_t>> cache;
   if (auto it = cache.find(n); it != cache.end()) return it->second;
 
@@ -57,8 +59,7 @@ std::vector<std::int64_t> tile_candidates(std::int64_t n) {
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  cache.emplace(n, out);
-  return out;
+  return cache.emplace(n, std::move(out)).first->second;
 }
 
 std::int64_t product(const std::vector<std::int64_t>& v) {

@@ -32,7 +32,9 @@ std::vector<std::int64_t> divisors(std::int64_t n);
 /// plus all divisors of the next few padded sizes, deduplicated and capped to
 /// values <= n. Padding candidates let the scheduler trade a few invalid
 /// (padded) iterations for a much better fit, per Eqn. 11 of the paper.
-std::vector<std::int64_t> tile_candidates(std::int64_t n);
+/// Returns a reference into a thread-local memo: it stays valid, unchanged,
+/// for the life of the calling thread.
+const std::vector<std::int64_t>& tile_candidates(std::int64_t n);
 
 /// Product of a vector of trip counts (empty product = 1).
 std::int64_t product(const std::vector<std::int64_t>& v);

@@ -1,5 +1,7 @@
 #include "compiler/mapping.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/str_util.h"
 
@@ -18,21 +20,30 @@ const char* to_string(HwLevel level) {
 }
 
 Mapping Mapping::identity(int k) {
-  FTDL_ASSERT(k > 0);
+  FTDL_ASSERT(k > 0 && k <= kMaxLoops);
   Mapping m;
-  for (auto& v : m.t) v.assign(static_cast<std::size_t>(k), 1);
+  m.k_ = k;
+  for (auto& v : m.t_) std::fill_n(v.begin(), k, 1);
   return m;
+}
+
+bool operator==(const Mapping& a, const Mapping& b) {
+  if (a.k_ != b.k_) return false;
+  for (HwLevel level : kAllLevels) {
+    if (!std::ranges::equal(a.level(level), b.level(level))) return false;
+  }
+  return true;
 }
 
 std::int64_t Mapping::level_product(HwLevel level) const {
   std::int64_t p = 1;
-  for (std::int64_t v : t[static_cast<int>(level)]) p *= v;
+  for (std::int64_t v : this->level(level)) p *= v;
   return p;
 }
 
 std::int64_t Mapping::loop_coverage(int loop) const {
   std::int64_t p = 1;
-  for (const auto& level : t) p *= level[static_cast<std::size_t>(loop)];
+  for (const auto& level : t_) p *= level[static_cast<std::size_t>(loop)];
   return p;
 }
 
@@ -78,8 +89,8 @@ bool satisfies_logical_constraints(const Mapping& m, const Workload& w, int d1,
     if (m.loop_coverage(i) < w.loops[i].trip) return false;
   }
   // Tiles are positive by construction; reject degenerate values anyway.
-  for (const auto& level : m.t) {
-    for (std::int64_t v : level) {
+  for (HwLevel level : kAllLevels) {
+    for (std::int64_t v : m.level(level)) {
       if (v < 1) return false;
     }
   }

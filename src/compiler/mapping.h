@@ -9,8 +9,8 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "compiler/workload.h"
 
@@ -23,21 +23,32 @@ inline constexpr std::array<HwLevel, kHwLevels> kAllLevels = {
 
 const char* to_string(HwLevel level);
 
-struct Mapping {
-  /// t[level][k]: tile size of workload loop k at hardware level `level`.
-  std::array<std::vector<std::int64_t>, kHwLevels> t;
+/// Most workload loops any overlay layer lowers to (CONV: M N E F R S).
+inline constexpr int kMaxLoops = 6;
 
-  /// Identity mapping (all tiles 1) for a K-loop workload.
+/// The tiles live inline (no heap), so the mapping search can copy, hash
+/// and compare candidates without touching the allocator.
+class Mapping {
+ public:
+  /// Identity mapping (all tiles 1) for a K-loop workload, 1 <= K <= 6.
   static Mapping identity(int k);
 
-  int k() const { return static_cast<int>(t[0].size()); }
+  int k() const { return k_; }
 
   std::int64_t tile(HwLevel level, int loop) const {
-    return t[static_cast<int>(level)][static_cast<std::size_t>(loop)];
+    return t_[static_cast<int>(level)][static_cast<std::size_t>(loop)];
   }
   std::int64_t& tile(HwLevel level, int loop) {
-    return t[static_cast<int>(level)][static_cast<std::size_t>(loop)];
+    return t_[static_cast<int>(level)][static_cast<std::size_t>(loop)];
   }
+
+  /// The K tiles of one hardware level, in workload-loop order.
+  std::span<const std::int64_t> level(HwLevel level) const {
+    return {t_[static_cast<int>(level)].data(), static_cast<std::size_t>(k_)};
+  }
+
+  /// Same K and the same tiles at every level.
+  friend bool operator==(const Mapping& a, const Mapping& b);
 
   /// Product of the mapping vector at `level` (Eqn. 6 for X/L/T; the
   /// spatial-resource demand for D1/D2/D3, Eqn. 10 left-hand sides).
@@ -57,6 +68,12 @@ struct Mapping {
   std::int64_t padded_macs() const;
 
   std::string to_string(const Workload& w) const;
+
+ private:
+  /// t_[level][k]: tile size of workload loop k at hardware level `level`.
+  /// Entries at k >= k() stay 0.
+  std::array<std::array<std::int64_t, kMaxLoops>, kHwLevels> t_{};
+  int k_ = 0;
 };
 
 /// Checks Eqns. 10-11 against a hardware shape: spatial products within

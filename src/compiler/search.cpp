@@ -4,7 +4,7 @@
 #include <array>
 #include <optional>
 #include <queue>
-#include <unordered_set>
+#include <utility>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -40,10 +40,11 @@ const Solution& SearchResult::best() const {
 
 namespace {
 
+/// FNV-1a over the K tiles of each level, in level order.
 std::uint64_t mapping_hash(const Mapping& m) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  for (const auto& level : m.t) {
-    for (std::int64_t v : level) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (HwLevel level : kAllLevels) {
+    for (std::int64_t v : m.level(level)) {
       h ^= static_cast<std::uint64_t>(v);
       h *= 1099511628211ULL;
     }
@@ -51,38 +52,119 @@ std::uint64_t mapping_hash(const Mapping& m) {
   return h;
 }
 
-/// Keeps `all` down to at most `cap` values, always retaining the smallest
-/// and largest, thinning geometrically in between.
-std::vector<std::int64_t> thin(std::vector<std::int64_t> all, std::size_t cap) {
-  if (all.size() <= cap) return all;
-  std::vector<std::int64_t> out;
-  out.push_back(all.front());
-  const double step = double(all.size() - 1) / double(cap - 1);
-  for (std::size_t i = 1; i + 1 < cap; ++i) {
-    const auto idx = static_cast<std::size_t>(i * step);
-    if (all[idx] != out.back()) out.push_back(all[idx]);
+/// A short list of tile candidates, stored inline.
+class CandList {
+ public:
+  static constexpr std::size_t kCap = 8;
+
+  /// The single tile 1: what a level the adjacency matrix pins offers.
+  static CandList unit() {
+    CandList c;
+    c.push(1);
+    return c;
   }
-  if (all.back() != out.back()) out.push_back(all.back());
+
+  void push(std::int64_t v) { v_[n_++] = v; }
+  std::size_t size() const { return n_; }
+  std::int64_t operator[](std::size_t i) const { return v_[i]; }
+  std::int64_t back() const { return v_[n_ - 1]; }
+  const std::int64_t* begin() const { return v_.data(); }
+  const std::int64_t* end() const { return v_.data() + n_; }
+
+ private:
+  std::array<std::int64_t, kCap> v_{};
+  std::size_t n_ = 0;
+};
+
+/// Tile candidates for one loop at one level: the memoized candidates of
+/// `trip` that fit `limit` (the remaining hardware extent; a prefix, since
+/// the memo is sorted), thinned to at most `cap` entries. Thinning always
+/// keeps the smallest and largest and samples evenly spaced indices between.
+CandList level_cands(std::int64_t trip, std::int64_t limit, std::size_t cap) {
+  FTDL_ASSERT(cap >= 2 && cap <= CandList::kCap);
+  const std::vector<std::int64_t>& all = tile_candidates(trip);
+  const auto n = static_cast<std::size_t>(
+      std::upper_bound(all.begin(), all.end(), limit) - all.begin());
+  CandList out;
+  if (n == 0) {
+    out.push(1);
+  } else if (n <= cap) {
+    for (std::size_t i = 0; i < n; ++i) out.push(all[i]);
+  } else {
+    out.push(all[0]);
+    const double step = double(n - 1) / double(cap - 1);
+    for (std::size_t i = 1; i + 1 < cap; ++i) {
+      const auto idx = static_cast<std::size_t>(i * step);
+      if (all[idx] != out.back()) out.push(all[idx]);
+    }
+    if (all[n - 1] != out.back()) out.push(all[n - 1]);
+  }
   return out;
 }
 
-/// Tile candidates for one loop at one level, capped by `limit` (the
-/// remaining hardware extent) and thinned to `cap` entries.
-std::vector<std::int64_t> level_cands(std::int64_t trip, std::int64_t limit,
-                                      std::size_t cap) {
-  std::vector<std::int64_t> out;
-  for (std::int64_t c : tile_candidates(trip)) {
-    if (c <= limit) out.push_back(c);
+/// The set of mapping hashes already considered: open addressing with
+/// linear probing over a power-of-two table. Sized from the evaluation
+/// budget (a search inserts about one hash per evaluation), so it normally
+/// never rehashes; past half load it doubles.
+class HashSet {
+ public:
+  explicit HashSet(std::int64_t expected) {
+    const std::int64_t want =
+        std::clamp<std::int64_t>(2 * expected, 64, std::int64_t{1} << 20);
+    slots_.assign(static_cast<std::size_t>(next_pow2(want)), kEmpty);
+    shift_ = 64 - ilog2(static_cast<std::int64_t>(slots_.size()));
   }
-  if (out.empty()) out.push_back(1);
-  return thin(std::move(out), cap);
-}
+
+  /// Adds `h`; false when it was already present.
+  bool insert(std::uint64_t h) {
+    if (h == kEmpty) return !std::exchange(has_empty_key_, true);
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    return place(h);
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = 0;
+
+  bool place(std::uint64_t h) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: FNV-1a's low bits depend only on the tiles' low
+    // bits, so index by the well-mixed high bits.
+    for (std::size_t i = (h * 0x9E3779B97F4A7C15ULL) >> shift_;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == h) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = h;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> old(slots_.size() * 2, kEmpty);
+    old.swap(slots_);
+    --shift_;
+    size_ = 0;
+    for (std::uint64_t h : old) {
+      if (h != kEmpty) place(h);
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  int shift_ = 0;
+  std::size_t size_ = 0;
+  bool has_empty_key_ = false;
+};
 
 class SearchEngine {
  public:
   SearchEngine(const Workload& w, const arch::OverlayConfig& cfg,
                const SearchOptions& opt)
-      : w_(w), cfg_(cfg), opt_(opt), c_min_(min_execution_cycles(w, cfg)) {}
+      : w_(w),
+        cfg_(cfg),
+        opt_(opt),
+        c_min_(min_execution_cycles(w, cfg)),
+        seen_(opt.max_candidates) {}
 
   SearchResult run() {
     run_canonicals();
@@ -113,34 +195,34 @@ class SearchEngine {
 
   /// Evaluates one candidate mapping and feeds the top-k heap.
   void consider(const Mapping& m) {
-    if (!seen_.insert(mapping_hash(m)).second) return;
+    if (!seen_.insert(mapping_hash(m))) return;
     if (!satisfies_adjacency(m, w_)) return;
     if (!satisfies_logical_constraints(m, w_, cfg_.d1, cfg_.d2, cfg_.d3)) return;
     ++result_.evaluated;
 
-    Solution s;
-    s.mapping = m;
-    s.perf = evaluate(w_, m, cfg_);
-    if (s.perf.feasible) ++result_.feasible;
-    if (!s.perf.feasible && !opt_.keep_infeasible) return;
-    s.score = objective_score(s.perf, opt_.objective, c_min_);
+    const Performance perf = evaluate(w_, m, cfg_);
+    if (perf.feasible) ++result_.feasible;
+    if (!perf.feasible && !opt_.keep_infeasible) return;
+    const double score = objective_score(perf, opt_.objective, c_min_);
 
     if (static_cast<int>(heap_.size()) < opt_.top_k) {
-      heap_.push(std::move(s));
-    } else if (s.score > heap_.top().score) {
+      heap_.push(Solution{m, perf, score});
+    } else if (score > heap_.top().score) {
       heap_.pop();
-      heap_.push(std::move(s));
+      heap_.push(Solution{m, perf, score});
     }
   }
 
   // ---- generator 1: canonical greedy constructions -------------------------
 
-  /// Greedy fill of one spatial level: assign each loop (in the given
-  /// order) the largest candidate tile that fits the remaining extent.
-  void greedy_fill(Mapping& m, HwLevel level, const std::vector<int>& order,
+  /// Greedy fill of one spatial level: assign each loop in `loops` (a bit
+  /// set over loop indices, taken in ascending order) the largest candidate
+  /// tile that fits the remaining extent.
+  void greedy_fill(Mapping& m, HwLevel level, unsigned loops,
                    std::int64_t extent) {
     std::int64_t left = extent;
-    for (int loop : order) {
+    for (int loop = 0; loop < w_.k(); ++loop) {
+      if ((loops >> loop & 1U) == 0) continue;
       if (!adjacency_allows(w_, level, loop)) continue;
       const std::int64_t covered = m.spatial_extent(loop);
       const std::int64_t rem =
@@ -158,30 +240,23 @@ class SearchEngine {
   void run_canonicals() {
     // Loop-priority orders. Reduction loops feed D1; the weight-only loop
     // feeds D2; output loops feed D3. Enumerate every non-empty subset of
-    // the D1 and D3 candidate loop sets as a fill order.
-    std::vector<int> reduction, output, weight_only;
+    // the D1 and D3 candidate loop sets (bit i = loop i) as a fill order.
+    unsigned reduction = 0, output = 0, weight_only = 0;
     for (int i = 0; i < w_.k(); ++i) {
       const WorkloadLoop& l = w_.loops[static_cast<std::size_t>(i)];
-      if (l.is_reduction) reduction.push_back(i);
-      if (!l.is_reduction) output.push_back(i);
-      if (l.indexes_weight && !l.indexes_act) weight_only.push_back(i);
+      const unsigned bit = 1U << i;
+      if (l.is_reduction) reduction |= bit;
+      if (!l.is_reduction) output |= bit;
+      if (l.indexes_weight && !l.indexes_act) weight_only |= bit;
     }
 
-    auto subsets = [](const std::vector<int>& v) {
-      std::vector<std::vector<int>> out;
-      const int n = static_cast<int>(v.size());
-      for (int mask = 1; mask < (1 << n); ++mask) {
-        std::vector<int> s;
-        for (int b = 0; b < n; ++b) {
-          if (mask & (1 << b)) s.push_back(v[static_cast<std::size_t>(b)]);
-        }
-        out.push_back(std::move(s));
-      }
-      return out;
-    };
+    // The next larger non-empty subset of `set` after `s`; 0 past the last.
+    auto next_subset = [](unsigned s, unsigned set) { return (s - set) & set; };
 
-    for (const auto& d1_set : subsets(reduction)) {
-      for (const auto& d3_set : subsets(output)) {
+    for (unsigned d1_set = next_subset(0, reduction); d1_set != 0;
+         d1_set = next_subset(d1_set, reduction)) {
+      for (unsigned d3_set = next_subset(0, output); d3_set != 0;
+           d3_set = next_subset(d3_set, output)) {
         if (!budget_left()) return;
         Mapping m = Mapping::identity(w_.k());
         greedy_fill(m, HwLevel::D1, d1_set, cfg_.d1);
@@ -273,28 +348,28 @@ class SearchEngine {
     if (result_.evaluated >= budget || !budget_left()) return false;
 
     const std::int64_t trip = w_.loops[static_cast<std::size_t>(loop)].trip;
-    const auto s1s = adjacency_allows(w_, HwLevel::D1, loop)
-                         ? level_cands(trip, d1_left, 3)
-                         : std::vector<std::int64_t>{1};
+    const CandList s1s = adjacency_allows(w_, HwLevel::D1, loop)
+                             ? level_cands(trip, d1_left, 3)
+                             : CandList::unit();
     bool complete = true;
     for (std::int64_t s1 : s1s) {
       const std::int64_t rem1 = ceil_div(trip, s1);
-      const auto s2s = adjacency_allows(w_, HwLevel::D2, loop)
-                           ? level_cands(rem1, d2_left, 3)
-                           : std::vector<std::int64_t>{1};
+      const CandList s2s = adjacency_allows(w_, HwLevel::D2, loop)
+                               ? level_cands(rem1, d2_left, 3)
+                               : CandList::unit();
       for (std::int64_t s2 : s2s) {
         const std::int64_t rem2 = ceil_div(rem1, s2);
-        const auto s3s = adjacency_allows(w_, HwLevel::D3, loop)
-                             ? level_cands(rem2, d3_left, 3)
-                             : std::vector<std::int64_t>{1};
+        const CandList s3s = adjacency_allows(w_, HwLevel::D3, loop)
+                                 ? level_cands(rem2, d3_left, 3)
+                                 : CandList::unit();
         for (std::int64_t s3 : s3s) {
           const std::int64_t rem3 = ceil_div(rem2, s3);
-          const auto tts = level_cands(rem3, rem3, 4);
+          const CandList tts = level_cands(rem3, rem3, 4);
           for (std::int64_t tt : tts) {
             const std::int64_t rem4 = ceil_div(rem3, tt);
-            const auto tls = adjacency_allows(w_, HwLevel::L, loop)
-                                 ? level_cands(rem4, rem4, 3)
-                                 : std::vector<std::int64_t>{1};
+            const CandList tls = adjacency_allows(w_, HwLevel::L, loop)
+                                     ? level_cands(rem4, rem4, 3)
+                                     : CandList::unit();
             for (std::int64_t tl : tls) {
               m.tile(HwLevel::D1, loop) = s1;
               m.tile(HwLevel::D2, loop) = s2;
@@ -339,22 +414,21 @@ class SearchEngine {
     std::int64_t d1_left = cfg_.d1, d2_left = cfg_.d2, d3_left = cfg_.d3;
 
     // Visit loops in a random order so spatial budget is shared fairly.
-    std::vector<int> order(static_cast<std::size_t>(w_.k()));
+    std::array<int, kMaxLoops> order{};
     for (int i = 0; i < w_.k(); ++i) order[static_cast<std::size_t>(i)] = i;
     for (int i = w_.k() - 1; i > 0; --i) {
       std::swap(order[static_cast<std::size_t>(i)],
                 order[static_cast<std::size_t>(rng.uniform(0, i))]);
     }
 
-    auto pick = [&rng](const std::vector<std::int64_t>& cands,
-                       double max_bias) {
-      if (cands.empty()) return std::int64_t{1};
+    auto pick = [&rng](const CandList& cands, double max_bias) {
       if (rng.uniform01() < max_bias) return cands.back();
       return cands[static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::int64_t>(cands.size()) - 1))];
     };
 
-    for (int loop : order) {
+    for (int i = 0; i < w_.k(); ++i) {
+      const int loop = order[static_cast<std::size_t>(i)];
       std::int64_t rem = w_.loops[static_cast<std::size_t>(loop)].trip;
       if (adjacency_allows(w_, HwLevel::D1, loop) && d1_left > 1) {
         const std::int64_t s = pick(level_cands(rem, d1_left, 8), 0.5);
@@ -474,7 +548,7 @@ class SearchEngine {
 
   SearchResult result_;
   std::priority_queue<Solution, std::vector<Solution>, WorseScore> heap_;
-  std::unordered_set<std::uint64_t> seen_;
+  HashSet seen_;
 };
 
 }  // namespace

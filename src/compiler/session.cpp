@@ -21,12 +21,11 @@ namespace {
 /// from an older layout can never alias a new one.
 constexpr std::uint64_t kKeyFormatVersion = 1;
 
-/// Approximate resident size of a cached program (heap payloads + struct).
+/// Approximate resident size of a cached program (heap payloads + struct;
+/// the mapping's tiles are inline in the struct).
 std::int64_t approx_program_bytes(const LayerProgram& p) {
   std::int64_t b = static_cast<std::int64_t>(sizeof(LayerProgram));
   b += static_cast<std::int64_t>(p.row_stream.size() * sizeof(arch::Instruction));
-  for (const auto& level : p.mapping.t)
-    b += static_cast<std::int64_t>(level.size() * sizeof(std::int64_t));
   b += static_cast<std::int64_t>(p.workload.loops.size() * sizeof(WorkloadLoop));
   b += static_cast<std::int64_t>(p.layer.name.size() + p.workload.name.size());
   return b;

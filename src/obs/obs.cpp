@@ -388,7 +388,11 @@ std::string render_chrome_trace(const std::vector<TrackNames>& tracks,
       for (const auto& [k, v] : e.args) {
         if (!afirst) out += ",";
         afirst = false;
-        out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+        out += '"';
+        out += json_escape(k);
+        out += "\":\"";
+        out += json_escape(v);
+        out += '"';
       }
       out += "}";
     }

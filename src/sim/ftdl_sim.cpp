@@ -28,7 +28,7 @@ using compiler::WorkloadKind;
 class Odometer {
  public:
   Odometer(const Mapping& m, HwLevel level)
-      : radix_(m.t[static_cast<int>(level)]),
+      : radix_(m.level(level).begin(), m.level(level).end()),
         digits_(radix_.size(), 0) {}
 
   const std::vector<std::int64_t>& digits() const { return digits_; }

@@ -36,7 +36,7 @@ constexpr int kMaxLoops = 8;
 /// most significant digit, the last loop advances fastest).
 std::vector<std::int64_t> level_digits(const Mapping& m, HwLevel level,
                                        std::int64_t states) {
-  const auto& radix = m.t[static_cast<int>(level)];
+  const auto radix = m.level(level);
   const int k = static_cast<int>(radix.size());
   std::vector<std::int64_t> out(static_cast<std::size_t>(k) *
                                 static_cast<std::size_t>(states));

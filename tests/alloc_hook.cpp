@@ -1,10 +1,11 @@
-// Counting global allocator for the zero-alloc steady-state serving test.
+// Counting global allocator for the zero-alloc tests.
 //
-// Linked into test_serve only: replaces ::operator new/delete with malloc
-// wrappers that report every allocation to ftdl::alloc_stats (which counts
-// it only while the calling thread is inside an ArmScope — the serve
-// worker's per-request window). Sanitizer builds own the allocator, so the
-// replacements are compiled out there and the test skips via
+// Linked into test_serve (the steady-state serving test) and test_compiler
+// (the mapping-search allocation pin): replaces ::operator new/delete with
+// malloc wrappers that report every allocation to ftdl::alloc_stats (which
+// counts it only while the calling thread is inside an ArmScope, e.g. the
+// serve worker's per-request window). Sanitizer builds own the allocator,
+// so the replacements are compiled out there and the tests skip via
 // alloc_stats::hook_installed().
 #include "common/alloc_stats.h"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/overlay_config.h"
+#include "common/alloc_stats.h"
 #include "common/error.h"
 #include "compiler/adjacency.h"
 #include "compiler/codegen.h"
@@ -326,6 +327,95 @@ TEST(Search, MatMulLayerSchedules) {
   EXPECT_FALSE(s.perf.weight_reuse_ok);
 }
 
+// The search is a fixed trajectory: for a given workload, config and
+// options it visits the same candidates in the same order, draws the same
+// random numbers and makes the same dedup and budget decisions. These
+// goldens pin that trajectory (counters and the winning mapping) for one
+// workload of each shape class at budget 8000 on the Table II overlay, so
+// any change to the search's speed must leave every schedule unchanged.
+TEST(Search, GoldenTrajectoryAtBudget8000) {
+  struct Golden {
+    nn::Layer layer;
+    std::int64_t evaluated, feasible;
+    bool dfs_exhausted;
+    std::int64_t refinement_improvements;
+    std::vector<std::vector<std::int64_t>> tiles;  ///< D1, D2, D3, X, L, T
+    std::int64_t c_exe;
+  };
+  const Golden goldens[] = {
+      {nn::make_conv("stem7x7s2", 3, 224, 224, 64, 7, 2, 3), 8000, 432, false,
+       0,
+       {{1, 3, 1, 1, 2, 2}, {5, 1, 1, 1, 1, 1}, {1, 1, 1, 20, 1, 1},
+        {1, 1, 13, 1, 1, 2}, {1, 1, 9, 1, 1, 1}, {13, 1, 1, 6, 4, 2}},
+       182520},
+      {nn::make_conv("conv1x1", 256, 56, 56, 64, 1, 1, 0), 8000, 312, false, 0,
+       {{1, 12, 1, 1, 1, 1}, {5, 1, 1, 1, 1, 1}, {1, 1, 3, 6, 1, 1},
+        {1, 1, 4, 1, 1, 1}, {1, 22, 5, 5, 1, 1}, {13, 1, 1, 2, 1, 1}},
+       57272},
+      {nn::make_conv("conv3x3", 128, 28, 28, 128, 3, 1, 1), 8000, 149, false,
+       0,
+       {{1, 12, 1, 1, 1, 1}, {5, 1, 1, 1, 1, 1}, {1, 1, 1, 6, 1, 3},
+        {1, 1, 28, 1, 1, 1}, {1, 11, 1, 1, 1, 1}, {26, 1, 1, 5, 3, 1}},
+       120624},
+      {nn::make_depthwise("dw3x3", 256, 28, 28, 3, 1, 1), 8000, 1321, false, 0,
+       {{1, 1, 1, 1, 3}, {1, 1, 1, 1, 1}, {20, 1, 1, 1, 1}, {1, 1, 14, 1, 1},
+        {13, 1, 1, 1, 1}, {1, 28, 2, 3, 1}},
+       101920},
+      {nn::make_matmul("fc", 1024, 1000, 1), 8000, 162, true, 0,
+       {{12, 1, 1}, {1, 5, 1}, {1, 20, 1}, {1, 1, 1}, {86, 1, 1}, {1, 10, 1}},
+       1738},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.layer.name);
+    SearchOptions opt;
+    opt.max_candidates = 8'000;
+    const SearchResult r =
+        search_mappings(Workload::from_layer(g.layer), paper_config(), opt);
+    EXPECT_EQ(r.evaluated, g.evaluated);
+    EXPECT_EQ(r.feasible, g.feasible);
+    EXPECT_EQ(r.dfs_exhausted, g.dfs_exhausted);
+    EXPECT_EQ(r.refinement_improvements, g.refinement_improvements);
+    ASSERT_EQ(r.top.size(), 1u);
+    const Mapping& m = r.best().mapping;
+    for (HwLevel level : kAllLevels) {
+      const auto tiles = m.level(level);
+      EXPECT_EQ(std::vector<std::int64_t>(tiles.begin(), tiles.end()),
+                g.tiles[static_cast<std::size_t>(level)])
+          << to_string(level);
+    }
+    EXPECT_EQ(r.best().perf.c_exe, g.c_exe);
+  }
+}
+
+// The search's heap traffic is a handful of per-call buffers (the seen-set,
+// the top-k heap, the result), independent of how many candidates it
+// evaluates: candidate lists, mappings and hashes all stay on the stack.
+TEST(Search, AllocationCountIndependentOfBudget) {
+  if (!alloc_stats::hook_installed()) {
+    GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+  }
+  const Workload w = Workload::from_layer(example_conv());
+  auto allocs_of = [&w](std::int64_t budget) {
+    SearchOptions opt;
+    opt.max_candidates = budget;
+    const std::int64_t before = alloc_stats::armed();
+    {
+      const alloc_stats::ArmScope arm;
+      const SearchResult r = search_mappings(w, paper_config(), opt);
+      EXPECT_EQ(r.evaluated, budget);
+    }
+    return alloc_stats::armed() - before;
+  };
+  // Fill this thread's tile_candidates memo: its first sight of a trip
+  // count allocates once, for the life of the thread.
+  allocs_of(2'000);
+  allocs_of(32'000);
+
+  constexpr std::int64_t kMaxAllocsPerSearch = 16;
+  EXPECT_LE(allocs_of(2'000), kMaxAllocsPerSearch);
+  EXPECT_LE(allocs_of(32'000), kMaxAllocsPerSearch);
+}
+
 // ---- codegen ----------------------------------------------------------------
 
 TEST(Codegen, StreamMatchesMapping) {
@@ -369,7 +459,9 @@ TEST(Scheduler, SmallNetworkEndToEnd) {
 TEST(Scheduler, RepeatedShapesShareOneSearch) {
   nn::Network net("repeat");
   for (int i = 0; i < 4; ++i) {
-    net.add(nn::make_conv("c" + std::to_string(i), 32, 14, 14, 32, 3, 1, 1));
+    std::string name = "c";
+    name += std::to_string(i);
+    net.add(nn::make_conv(name, 32, 14, 14, 32, 3, 1, 1));
   }
   const NetworkSchedule s =
       schedule_network(net, paper_config(), Objective::Performance, 10'000);

@@ -28,7 +28,7 @@ TEST(ProgramIo, RoundTripPreservesEverything) {
   EXPECT_EQ(back.layer.name, orig.layer.name);
   EXPECT_EQ(back.layer.out_c, orig.layer.out_c);
   EXPECT_EQ(back.weight_groups, orig.weight_groups);
-  EXPECT_EQ(back.mapping.t, orig.mapping.t);
+  EXPECT_EQ(back.mapping, orig.mapping);
   EXPECT_EQ(back.perf.c_exe, orig.perf.c_exe);
   EXPECT_EQ(back.perf.hardware_efficiency, orig.perf.hardware_efficiency);
   EXPECT_EQ(back.encoded_stream(), orig.encoded_stream());
@@ -54,7 +54,7 @@ TEST(ProgramIo, DepthwiseRoundTrip) {
       compiler::deserialize_program(compiler::serialize_program(orig), cfg());
   EXPECT_EQ(back.layer.kind, nn::LayerKind::Depthwise);
   EXPECT_EQ(back.perf.c_exe, orig.perf.c_exe);
-  EXPECT_EQ(back.mapping.t, orig.mapping.t);
+  EXPECT_EQ(back.mapping, orig.mapping);
 }
 
 TEST(ProgramIo, FileRoundTrip) {

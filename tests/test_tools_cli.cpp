@@ -87,6 +87,18 @@ TEST(ToolsCli, FtdlProfRejectsGarbageNumericFlags) {
   }
 }
 
+// The search budget moves modeled FPS, so a profile must say which it used.
+TEST(ToolsCli, FtdlProfReportsSearchBudget) {
+  TempDir out;
+  const RunResult r =
+      run(std::string(FTDL_PROF_PATH) + " Sentimental-seqCNN --no-sim " +
+          "--budget 1500 --trace " + out.path + "/trace.json --metrics " +
+          out.path + "/metrics.json");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("(search budget 1500 per layer)"), std::string::npos)
+      << r.output;
+}
+
 TEST(ToolsCli, FtdlInfoRejectsGarbageConfigDims) {
   for (const char* dims : {"x12 5 20", "12 5x 20", "12 5 0"}) {
     const RunResult r = run(std::string(FTDL_INFO_PATH) + " config " +

@@ -194,8 +194,10 @@ int main(int argc, char** argv) {
     const compiler::NetworkSchedule sched = compiler::schedule_network(
         net, arch::paper_config(), compiler::Objective::Performance,
         args.budget);
-    std::printf("  schedule: %.1f FPS, %.1f%% hardware efficiency\n",
-                sched.fps(), 100.0 * sched.hardware_efficiency);
+    std::printf("  schedule: %.1f FPS, %.1f%% hardware efficiency "
+                "(search budget %lld per layer)\n",
+                sched.fps(), 100.0 * sched.hardware_efficiency,
+                static_cast<long long>(args.budget));
 
     // Phase 2 — host EWOP pipeline + multi-FPGA plan.
     const host::PipelineReport pipe =
