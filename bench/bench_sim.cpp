@@ -4,10 +4,12 @@
 // (functional = false) path, with MACCs/s reported per run.
 //
 // The sweep covers the shapes that stress different engine paths: the
-// pad-heavy 7x7 stride-2 stem (guarded edge bursts), a 1x1 bottleneck
-// reduce (pure dense interior), a 3x3 mid-stage conv (mixed), and the
-// fc1000 matmul. Outputs are bit-identical across every variant (pinned by
-// tests/test_sim_engine.cpp); these benchmarks measure only speed.
+// pad-heavy 7x7 stride-2 stem (strided rows), a 1x1 bottleneck reduce
+// (one whole-plane sweep per channel pair), a 3x3 mid-stage conv (row-fused
+// sweeps across the pad-clipped columns), and the fc1000 matmul. Layers
+// the compiler splits into weight groups run one group slice. Outputs are
+// bit-identical across every variant (pinned by tests/test_sim_engine.cpp);
+// these benchmarks measure only speed.
 //
 // Unless the caller passes --benchmark_out themselves, results are also
 // written to BENCH_sim.json (google-benchmark's JSON reporter); CI uploads
@@ -37,12 +39,19 @@ struct LayerCase {
   nn::Tensor16 weights, input;
 };
 
-LayerCase make_case(const std::string& label, const nn::Layer& layer) {
+LayerCase make_case(const std::string& label, const nn::Layer& full) {
   const arch::OverlayConfig cfg = arch::paper_config();
   LayerCase c;
   c.label = label;
-  c.prog = compiler::compile_layer(layer, cfg, compiler::Objective::Performance,
+  c.prog = compiler::compile_layer(full, cfg, compiler::Objective::Performance,
                                    kBudget);
+  // A layer split into weight groups is simulated one group slice at a
+  // time, as the runtime executes it.
+  const nn::Layer layer =
+      compiler::weight_group_slice(full, c.prog.weight_groups);
+  if (c.prog.weight_groups > 1)
+    c.prog = compiler::compile_layer(layer, cfg,
+                                     compiler::Objective::Performance, kBudget);
   Rng rng(0x5eedULL + std::hash<std::string>{}(label));
   if (layer.kind == nn::LayerKind::MatMul) {
     c.input = nn::Tensor16({static_cast<int>(layer.mm_m),

@@ -1,10 +1,10 @@
 // ftdl::simd — portable vectorized int16 MACC kernels with runtime dispatch.
 //
-// The fast simulation engine's dense bursts reduce to two inner-loop shapes
-// over contiguous int16 data:
+// The fast simulation engine's sweeps reduce to two inner-loop shapes over
+// contiguous int16 data:
 //
-//   dot:  acc      += sum_j w[j] * in[j]          (reduction column loop)
-//   axpy: out[j]   += w * in[j]   for every j     (broadcast-weight column)
+//   dot:  acc      += sum_j w[j] * in[j]          (MatMul P = 1 reduction)
+//   axpy: out[j]   += w * in[j]   for every j     (broadcast-weight row)
 //
 // Both are EXACT integer kernels: every int16*int16 product is formed as a
 // full 32-bit value and accumulated in 64-bit (acc_t) lanes, so the SIMD

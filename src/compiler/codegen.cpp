@@ -56,10 +56,6 @@ LayerProgram lower_solution(const nn::Layer& layer, const Workload& w,
   return p;
 }
 
-namespace {
-
-/// The layer restricted to one of `groups` slices of its weight-only
-/// dimension (conv output channels / MM output features).
 nn::Layer weight_group_slice(const nn::Layer& layer, int groups) {
   nn::Layer part = layer;
   switch (layer.kind) {
@@ -75,6 +71,8 @@ nn::Layer weight_group_slice(const nn::Layer& layer, int groups) {
   }
   return part;
 }
+
+namespace {
 
 int weight_only_extent(const nn::Layer& layer) {
   switch (layer.kind) {

@@ -59,6 +59,12 @@ LayerProgram compile_layer(const nn::Layer& layer,
                            Objective objective = Objective::Performance,
                            std::int64_t max_candidates = 200'000);
 
+/// The layer restricted to one of `groups` slices of its weight-only
+/// dimension (conv output channels, depthwise channels, MM output
+/// features): the layer a program of `weight_groups == groups` maps. The
+/// functional simulator runs one such slice at a time.
+nn::Layer weight_group_slice(const nn::Layer& layer, int groups);
+
 /// Lowers an explicit solution (used by tests and the simulator harness).
 LayerProgram lower_solution(const nn::Layer& layer, const Workload& w,
                             const Solution& solution);

@@ -337,6 +337,10 @@ struct ExecContext::Impl {
                                      static_cast<int>(layer.mm_p)})
                         : AccTensor({layer.out_c, layer.out_h(), layer.out_w()});
 
+    // A group owns a contiguous channel range [offset, offset + n), and a
+    // channel range is one contiguous block in both the CHW and the [N, P]
+    // layouts: each slice and each stitch is a single copy.
+    const std::int64_t out_per_channel = acc.size() / acc.dims()[0];
     for (Group& g : lc.groups) {
       // Depthwise groups split the channel dimension of the *activations*
       // too; slice the input accordingly.
@@ -344,27 +348,15 @@ struct ExecContext::Impl {
       Tensor16 act_slice;
       if (layer.kind == LayerKind::Depthwise && lc.weight_groups > 1) {
         act_slice = Tensor16({g.layer.in_c, layer.in_h, layer.in_w});
-        for (int c = 0; c < g.layer.in_c; ++c)
-          for (int y = 0; y < layer.in_h; ++y)
-            for (int x = 0; x < layer.in_w; ++x)
-              act_slice.at(c, y, x) = act.at(g.offset + c, y, x);
+        const std::int16_t* src =
+            act.data() + std::int64_t{g.offset} * layer.in_h * layer.in_w;
+        std::copy(src, src + act_slice.size(), act_slice.data());
         group_act = &act_slice;
       }
       g.sim->run(g.weights, *group_act, g.out, pool());
       run.sim_cycles += g.sim->stats().cycles;
-      // Stitch the group's output slice into the full tensor.
-      if (layer.kind == LayerKind::MatMul) {
-        for (int o = 0; o < static_cast<int>(g.layer.mm_n); ++o)
-          for (int p = 0; p < static_cast<int>(layer.mm_p); ++p)
-            acc.at(g.offset + o, p) = g.out.at(o, p);
-      } else {
-        const int oc = layer.kind == LayerKind::Depthwise ? g.layer.in_c
-                                                          : g.layer.out_c;
-        for (int o = 0; o < oc; ++o)
-          for (int y = 0; y < layer.out_h(); ++y)
-            for (int x = 0; x < layer.out_w(); ++x)
-              acc.at(g.offset + o, y, x) = g.out.at(o, y, x);
-      }
+      std::copy(g.out.data(), g.out.data() + g.out.size(),
+                acc.data() + g.offset * out_per_channel);
     }
     return acc;
   }

@@ -58,8 +58,8 @@ class Odometer {
 
 /// Per-TPE spatial digits, enumerated once (the hardware runs these in
 /// parallel every cycle). Only the Reference interpreter walks these
-/// vectors; the Fast engine flattens them into the contiguous tables of
-/// sim_engine.h.
+/// vectors; the Fast engine walks the layer in workload-loop order instead
+/// (sim_engine.h).
 std::vector<std::vector<std::int64_t>> enumerate_spatial(const Mapping& m,
                                                          int k) {
   Odometer d3(m, HwLevel::D3), d2(m, HwLevel::D2), d1(m, HwLevel::D1);
@@ -459,8 +459,31 @@ void run_reference(const compiler::LayerProgram& program, const Shape& shape,
   }
 }
 
-/// Fast-engine functional pass: precomputed tables + dense/guarded kernels,
-/// fanned across the resolved worker pool (SimOptions::jobs).
+/// A functional run computes one layer slice: a program split into weight
+/// groups maps only one group's slice, so it is refused up front rather
+/// than computing part of the layer.
+void check_single_group(const compiler::LayerProgram& program) {
+  if (program.weight_groups != 1)
+    throw ConfigError(program.layer.name + ": the program runs as " +
+                      std::to_string(program.weight_groups) +
+                      " weight groups; simulate each group's compiled slice "
+                      "(compiler::weight_group_slice)");
+}
+
+/// The coverage cross-check of every Fast functional run: the engine
+/// executes the layer's true MACs, count_valid_maccs counts the valid
+/// points of the mapping's padded space, and the two differ exactly when the
+/// mapping leaves part of a loop uncovered.
+void check_coverage(const std::string& layer_name, std::int64_t executed,
+                    std::int64_t mapped) {
+  if (executed != mapped)
+    throw InternalError(layer_name + ": the mapping covers " +
+                        std::to_string(mapped) + " of the layer's " +
+                        std::to_string(executed) + " MACCs");
+}
+
+/// Fast-engine functional pass, fanned across the resolved worker pool
+/// (SimOptions::jobs).
 void run_engine(const compiler::LayerProgram& program,
                 const nn::Tensor16& weights, const nn::Tensor16& input,
                 const SimOptions& options, SimStats& st,
@@ -479,6 +502,7 @@ void run_engine(const compiler::LayerProgram& program,
     ThreadPool pool(options.jobs);
     valid = detail::run_functional(tables, wp, ip, op, &pool);
   }
+  check_coverage(program.layer.name, valid, detail::count_valid_maccs(tables));
   st.valid_maccs = valid;
   st.padded_maccs = program.mapping.padded_macs();
 }
@@ -505,6 +529,7 @@ SimResult simulate_impl(const compiler::LayerProgram& program,
   const Shape shape = shape_from_layer(program.layer);
   if (options.functional) {
     FTDL_ASSERT(weights != nullptr && input != nullptr);
+    check_single_group(program);
     check_tensors(program.layer, shape, *weights, *input);
   }
 
@@ -600,6 +625,7 @@ CachedLayerSim::CachedLayerSim(const compiler::LayerProgram& program,
   const Workload& w = program.workload;
   const Mapping& m = program.mapping;
   FTDL_ASSERT(m.k() == w.k());
+  check_single_group(program);
   if (m.padded_macs() > options.max_padded_macs)
     throw Error(w.name + ": padded iteration space too large to simulate (" +
                 std::to_string(m.padded_macs()) + " padded MACCs > " +
@@ -664,10 +690,10 @@ void CachedLayerSim::run(const nn::Tensor16& weights, const nn::Tensor16& input,
   else
     std::fill(out.data(), out.data() + out.size(), acc_t{0});
 
-  const std::int64_t valid =
-      detail::run_functional(im.tables, weights.data(), input.data(),
-                             out.data(), pool);
-  FTDL_ASSERT(valid == im.stats.valid_maccs);
+  check_coverage(im.name,
+                 detail::run_functional(im.tables, weights.data(),
+                                        input.data(), out.data(), pool),
+                 im.stats.valid_maccs);
 
   if (obs::enabled()) {
     const SimStats& st = im.stats;

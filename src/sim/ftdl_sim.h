@@ -30,11 +30,14 @@ namespace ftdl::sim {
 
 /// Functional-simulation implementation (docs/simulator.md).
 enum class SimEngine {
-  /// Tiled engine: per-layer index/offset precomputation, dense
-  /// auto-vectorizable MACC kernels on interior bursts, guarded table-driven
-  /// loop on edge bursts, ThreadPool fan-out over output-disjoint spatial
-  /// chunks. Bit-identical to Reference at any jobs count (pinned by
-  /// tests/test_sim_engine.cpp). The default.
+  /// Loop-order-free engine: walks the layer in workload-loop order (exact,
+  /// because integer accumulation does not depend on the enumeration
+  /// order), sweeping the unit-stride output loop over its whole
+  /// pad-clipped range with the SIMD kernels of common/simd.h and fanning
+  /// output-channel ranges across the ThreadPool. Every run cross-checks its
+  /// MACC count against the mapping's coverage and refuses a mapping that
+  /// leaves part of a loop uncovered. Bit-identical to Reference at any jobs
+  /// count (pinned by tests/test_sim_engine.cpp). The default.
   Fast,
   /// The original scalar interpreter: per-MACC odometer arithmetic and
   /// bounds-checked tensor accessors. An order of magnitude slower; kept as
@@ -66,14 +69,14 @@ struct SimOptions {
   /// the Reference interpreter: the footprint sets are tied to its serial
   /// walk and the mode exists for verification, not speed.
   SimEngine engine = SimEngine::Fast;
-  /// When false, skip the functional bursts entirely: no tensor is read or
-  /// written (SimResult::output stays empty) and valid_maccs is counted by
-  /// interval arithmetic on the loop bounds instead. SimStats and the DRAM
+  /// When false, skip the functional pass entirely: no tensor is read or
+  /// written (SimResult::output stays empty) and valid_maccs is counted
+  /// from the mapping's loop coverage instead. SimStats and the DRAM
   /// trace are bit-identical to a functional run — the cheap path for
   /// Table II / Fig. 7 / roofline sweeps that never look at the output.
   /// Incompatible with check_buffers (throws ftdl::ConfigError).
   bool functional = true;
-  /// Worker-pool parallelism of the Fast engine's functional bursts:
+  /// Worker-pool parallelism of the Fast engine's functional pass:
   /// 0 uses the shared CompilerSession pool (FTDL_JOBS / hardware threads),
   /// 1 runs serially on the caller, N > 1 runs on a transient pool of N.
   /// Outputs and SimStats are bit-identical at every value — each output
@@ -129,8 +132,12 @@ struct SimResult {
 
 /// Simulates one compiled layer. `weights` / `input` use the reference
 /// layouts (conv: {out_c, in_c, kh, kw} and {in_c, h, w}; MM: {N, M} and
-/// {M, P}). Throws ftdl::ConfigError on layout mismatch and ftdl::Error when
-/// the padded iteration space exceeds options.max_padded_macs.
+/// {M, P}). `program` must map the whole layer (weight_groups == 1; run a
+/// split layer one compiler::weight_group_slice at a time). Throws
+/// ftdl::ConfigError on layout mismatch or a split program, ftdl::Error
+/// when the padded iteration space exceeds options.max_padded_macs, and
+/// (Fast engine) ftdl::InternalError when the mapping leaves part of a loop
+/// uncovered.
 SimResult simulate_layer(const compiler::LayerProgram& program,
                          const arch::OverlayConfig& config,
                          const nn::Tensor16& weights, const nn::Tensor16& input,
@@ -149,7 +156,7 @@ SimResult simulate_layer_stats(const compiler::LayerProgram& program,
 /// path of the serving runtime. All input-independent work (instruction
 /// stream decode and cross-check, engine tables, the timing pass, the
 /// valid-MACC count) happens once at construction; run() executes only the
-/// functional bursts, so a warm runner performs no heap allocations of its
+/// functional pass, so a warm runner performs no heap allocations of its
 /// own. SimStats are input-independent, hence cached and identical to what
 /// simulate_layer would report on every call.
 class CachedLayerSim {
@@ -172,6 +179,8 @@ class CachedLayerSim {
   /// allocation — pooled under an installed TensorArena), zeroes it and
   /// accumulates the layer. `pool` as in SimOptions::jobs: nullptr runs
   /// serially on the caller. Bit-identical to simulate_layer's output.
+  /// Throws ftdl::InternalError when the mapping leaves part of a loop
+  /// uncovered (the coverage cross-check, docs/simulator.md).
   void run(const nn::Tensor16& weights, const nn::Tensor16& input,
            nn::AccTensor& out, ThreadPool* pool = nullptr) const;
 

@@ -1,41 +1,41 @@
 // Internal engine of the fast cycle-level simulator (ftdl_sim.cpp).
 //
-// The reference interpreter in ftdl_sim.cpp re-derives the full Eqn. 2
-// index nest per padded MACC; this layer replaces that arithmetic with
-// tables computed once per layer:
+// The functional pass walks the layer in workload-loop order, not in the
+// hardware-level order of Eqn. 2. That is exact: every loop's global index
+// decomposes over the six levels on its own, gidx_k = ((sp_k*TX_k + x_k)
+// *TL_k + l_k)*TT_k + t_k, a bijection from loop k's digits onto [0, P_k)
+// with P_k = Mapping::loop_coverage(k), independent of every other loop.
+// The padded iteration space is therefore exactly prod_k [0, P_k), its
+// valid points are exactly the layer's MACs when P_k >= W_k for every loop,
+// and int64 accumulation is exact, so any enumeration order produces
+// bit-identical accumulators. The engine exploits that freedom:
 //
-//   * every workload loop's global index decomposes positionally over the
-//     hardware levels, gidx_k = sp_k*(TX*TL*TT)_k + (x_k*TL_k + l_k)*TT_k
-//     + t_k, so the per-state contributions of each level are precomputed
-//     into flat digit arrays (the spatial levels D3/D2/D1 flatten into one
-//     contiguous array instead of enumerate_spatial's vector-per-TPE);
-//   * the flat tensor offsets (weight / activation / output) are linear in
-//     the global loop indices, so they decompose into per-level
-//     contribution arrays too — the inner loop is lookups and adds only;
-//   * bursts whose whole (spatial, t) sub-space is in-trip and free of pad
-//     clipping are detected by interval arithmetic on the precomputed
-//     digit ranges and run through a branch-free dense MACC kernel; edge
-//     bursts fall back to a guarded (but still table-driven) loop;
-//   * both kernels restructure around a *vector plan* (EngineTables docs
-//     below): a unit-coefficient column loop — fused with its contiguous
-//     spatial digits when possible — turns the inner sweep into one long
-//     contiguous dot/axpy fed to the runtime-dispatched SIMD kernels of
-//     common/simd.h, with the scalar oracles as the exactness baseline;
-//   * the spatial states are regrouped by their output-projection digits
-//     (the loops with a non-zero output-offset coefficient), so each group
-//     writes a disjoint set of output accumulators — the unit of parallel
-//     fan-out across the ThreadPool, deterministic at any jobs count;
-//   * the same interval arithmetic counts valid MACCs per burst without
-//     touching tensors — the stats-only path (SimOptions::functional =
-//     false).
+//   * fan-out: the output channels (conv M, depthwise channel, MatMul N)
+//     split into contiguous ranges across the ThreadPool — each output
+//     accumulator has exactly one owner, so the result is the same at any
+//     jobs count;
+//   * inner sweep: the unit-stride output loop (conv F, MatMul P) runs over
+//     its whole pad-clipped range in one simd::axpy_i16 call. When
+//     ow == in_w (1x1 and same-padded convs, kh x 1 convs over a 1-wide
+//     image) both tensors share one row pitch, so a kernel tap's whole
+//     window is one sweep across rows; the few pad-clipped columns it passes
+//     between rows are subtracted back out, which is exact in integer
+//     arithmetic. MatMul with P = 1 is one simd::dot_i16 over M per output;
+//     stride > 1 runs a strided scalar row.
 //
-// Everything here is deterministic and bit-identical to the reference
-// interpreter (pinned by tests/test_sim_engine.cpp). Internal header: only
-// ftdl_sim.cpp and the tests include it.
+// The mapping is not consulted by the walk. It is consulted by
+// count_valid_maccs, which counts the valid points of prod_k [0, P_k)
+// without touching tensors (the stats-only path, SimOptions::functional =
+// false). Every functional run asserts the two counts agree: coverage is the
+// one mapping property a functional run can observe, and a mapping that
+// drops part of a loop is refused instead of silently computed.
+//
+// Pinned bit-identical to the Reference interpreter and the nn:: reference
+// kernels by tests/test_sim_engine.cpp. Internal header: only ftdl_sim.cpp
+// and the tests include it.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/fixed_point.h"
 #include "common/thread_pool.h"
@@ -43,141 +43,44 @@
 
 namespace ftdl::sim::detail {
 
-/// Per-layer precomputed index/offset tables (see file comment).
+/// Layer geometry for the walk plus the mapping's per-loop coverage for the
+/// valid-MACC count. Conv and depthwise use the conv fields; MatMul the mm_
+/// fields.
 struct EngineTables {
-  int k = 0;  ///< workload loop count (3 for MM, 5/6 for conv)
+  compiler::WorkloadKind kind = compiler::WorkloadKind::MatMul;
 
-  // Level state counts: spatial (D3*D2*D1 combined), T, X, L trip products.
-  std::int64_t S = 0, T = 0, X = 0, L = 0;
+  // Conv / depthwise: weights {out_c, in_c, kh, kw} (depthwise {in_c, kh,
+  // kw}), input {in_c, in_h, in_w}, output {out_c, oh, ow}.
+  std::int64_t out_c = 0, in_c = 0, in_h = 0, in_w = 0, oh = 0, ow = 0;
+  std::int64_t kh = 0, kw = 0, stride = 1, pad = 0;
+  // MatMul: weights {N, M}, input {M, P}, output {N, P}.
+  std::int64_t mm_m = 0, mm_n = 0, mm_p = 0;
 
-  // Per-loop geometry.
-  std::vector<std::int64_t> trip;     ///< workload trip counts W_k
-  std::vector<std::int64_t> sp_ext;   ///< spatial extent per loop (D3*D2*D1)
-  std::vector<std::int64_t> t_ext;    ///< T-level tile per loop
-  std::vector<std::int64_t> sp_stride;  ///< (TX*TL*TT)_k: weight of one
-                                        ///< spatial digit in gidx_k
-
-  // Digit-contribution tables, k-major and contiguous:
-  //   gidx_k(sp, x, l, t) = spd[k*S+sp] + xb[k*X+x] + lb[k*L+l] + td[k*T+t]
-  std::vector<std::int64_t> spd;  ///< k*S: spatial digit * sp_stride_k
-  std::vector<std::int64_t> xb;   ///< k*X: x digit * (TL*TT)_k
-  std::vector<std::int64_t> lb;   ///< k*L: l digit * TT_k
-  std::vector<std::int64_t> td;   ///< k*T: t digit
-
-  // Flat tensor-offset contributions (sum of coeff_k * digit contribution
-  // over all loops): offset = const + _sp[sp] + _x[x] + _l[l] + _t[t].
-  std::int64_t in_const = 0;  ///< conv: -pad*in_w - pad
-  std::vector<std::int64_t> in_sp, w_sp, out_sp;  ///< length S
-  std::vector<std::int64_t> in_x, w_x, out_x;     ///< length X
-  std::vector<std::int64_t> in_l, w_l, out_l;     ///< length L
-  std::vector<std::int64_t> in_t, w_t, out_t;     ///< length T
-
-  // T-level run structure: the fastest-varying T-level loop with a tile
-  // > 1 (t_run_loop) sweeps its digit 0..t_run_len-1 across consecutive t,
-  // so every tensor offset advances by a constant delta inside a run —
-  // in_t[r*len + j] = in_t[r*len] + j*din, and likewise dw/dout/dry/dcx.
-  // The kernels iterate (spatial, run, j) with the j loop branch-free.
-  // (Used by the legacy kernels when no vector plan applies.)
-  std::int64_t t_run_len = 1;
-  int t_run_loop = 0;
-  std::int64_t din = 0, dw = 0, dout = 0;
-  std::int64_t dry = 0, dcx = 0;  ///< conv only
-
-  // Tensor-offset coefficients per workload loop, in gidx space: one unit
-  // step of gidx_k moves the input / weight / output offsets by
-  // c_in/c_w/c_out[k] (and the conv image row/col by c_ry/c_cx[k]).
-  std::vector<std::int64_t> c_in, c_w, c_out;
-  std::vector<std::int64_t> c_ry, c_cx;  ///< conv only
-
-  // ---- vector plan ------------------------------------------------------
-  // The kernels pick one *column loop* ℓc whose unit coefficients make
-  // consecutive gidx steps contiguous in memory, so a whole sweep feeds one
-  // SIMD kernel (common/simd.h):
-  //   Dot  (c_in=1, c_w=1, c_out=0): reduction — the sweep folds into a
-  //        single accumulator via simd::dot_i16;
-  //   Axpy (c_in=1, c_w=0, c_out=1): broadcast weight — the sweep streams
-  //        into consecutive accumulators via simd::axpy_i16.
-  // The column sweep is ℓc's T tile, and when ℓc's spatial digits are
-  // contiguous in gidx too (sp_stride == t_ext, i.e. its X/L tiles are 1),
-  // `block` whole spatial states fuse into one sweep of `cols` steps. The
-  // group permutation sorts ℓc's spatial digit innermost (full mixed-radix
-  // key) to make those states adjacent; build_tables verifies the fused
-  // digit layout and falls back to block=1 — or no plan — if it does not
-  // hold. The *row loop* ℓr (largest remaining T tile) is hoisted above the
-  // sweep with constant per-row deltas; plan_t0 lists the T states where
-  // both ℓc's and ℓr's digits are zero, so (t0, row, col) enumerates every
-  // T state exactly once. Integer accumulation is exact and associative, so
-  // the reordered/reassociated sums stay bit-identical to the reference
-  // interpreter (and the SIMD kernels are bit-identical to their scalar
-  // oracles by construction).
-  enum class PlanKind : std::uint8_t { None, Dot, Axpy };
-  PlanKind plan_kind = PlanKind::None;
-  int col_loop = -1;       ///< ℓc (-1: no plan, legacy kernels)
-  std::int64_t block = 1;  ///< spatial states fused into one column sweep
-  std::int64_t cols = 1;   ///< sweep length = block * t_ext[col_loop]
-  int row_loop = -1;       ///< ℓr (-1: single row)
-  std::int64_t rows = 1;
-  std::int64_t row_din = 0, row_dw = 0, row_dout = 0;
-  std::int64_t row_dry = 0, row_dcx = 0;  ///< conv only
-  std::int64_t col_dry = 0, col_dcx = 0;  ///< conv only
-  std::vector<std::int64_t> plan_t0;  ///< T states with ℓc/ℓr digits zero
-
-  // Conv-only: input row/col indices, y = stride*E + R - pad and
-  // xc = stride*F + S - pad, decomposed the same way. Empty for MM.
-  bool conv = false;
-  std::int64_t in_h = 0, in_w = 0;
-  std::int64_t ry_const = 0, cx_const = 0;  ///< -pad
-  std::vector<std::int64_t> ry_sp, ry_x, ry_l, ry_t;
-  std::vector<std::int64_t> cx_sp, cx_x, cx_l, cx_t;
-  std::int64_t ry_t_max = 0, cx_t_max = 0;  ///< max over t of ry_t / cx_t
-
-  /// A contiguous range [begin, end) of the (group-reordered) spatial
-  /// arrays whose output accumulators are disjoint from every other
-  /// chunk's — the unit of parallel work.
-  struct Chunk {
-    std::int64_t begin = 0, end = 0;
-    // Per-loop max of spd over the range (dense-burst detection; the min is
-    // not needed for the trip check because every contribution is >= 0).
-    std::vector<std::int64_t> sp_max;
-    std::int64_t ry_sp_min = 0, ry_sp_max = 0;  ///< conv only
-    std::int64_t cx_sp_min = 0, cx_sp_max = 0;
-  };
-  std::vector<Chunk> chunks;
-
-  // Stats-only helpers: loops free of pad coupling, and the coupled
-  // (index loop, kernel loop, bound) pairs — (E, R, in_h) and (F, S, in_w)
-  // for conv, none for MM.
-  std::vector<int> free_loops;
-  struct CoupledPair {
-    int outer = 0;   ///< E or F
-    int kernel = 0;  ///< R or S
-    std::int64_t bound = 0;  ///< in_h / in_w
-  };
-  std::vector<CoupledPair> pairs;
-  std::int64_t conv_stride = 1, pad = 0;
+  /// min(P_k, W_k) per workload loop tag: the part of each loop the mapping
+  /// covers. Conv tags M N E F R S; depthwise N E F R S (cov_m unused);
+  /// MatMul M N P.
+  std::int64_t cov_m = 0, cov_n = 0, cov_e = 0, cov_f = 0, cov_r = 0,
+               cov_s = 0, cov_p = 0;
 };
 
-/// Builds the tables for one compiled layer. `max_chunks` bounds the
-/// parallel fan-out granularity (chunk boundaries never split an
-/// output-projection group, so any value is deterministic-safe).
-EngineTables build_tables(const compiler::LayerProgram& program,
-                          int max_chunks = 64);
+/// Reads the layer geometry and the mapping's loop coverage of one compiled
+/// layer.
+EngineTables build_tables(const compiler::LayerProgram& program);
 
-/// Runs the functional bursts over every (x, l) tile: dense kernel on
-/// interior bursts, guarded loop on edge bursts, fanned across `pool`
-/// (nullptr or jobs()==1 runs serially on the caller). Accumulates into
-/// `out` (raw pointer to the layer's AccTensor storage, zero-initialized by
-/// the caller) and returns the number of valid MACCs executed. Output
-/// writes are chunk-disjoint, so the result is bit-identical at any jobs
-/// count.
+/// Computes every MAC of the layer in workload-loop order, fanned across
+/// `pool` by output-channel range (nullptr or jobs()==1 runs serially on the
+/// caller, heap-free). Accumulates into `out` (the layer's AccTensor storage,
+/// zero-initialized by the caller) and returns the number of MACCs executed
+/// — the layer's true MAC count, which the callers cross-check against
+/// count_valid_maccs.
 std::int64_t run_functional(const EngineTables& tables,
                             const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool);
 
-/// Counts the valid MACCs of every burst by interval arithmetic on the loop
-/// bounds without touching tensors — exactly the count run_functional would
-/// produce (stats-only path).
+/// Counts the valid points of the mapping's padded space prod_k [0, P_k)
+/// without touching tensors. Equals run_functional's count exactly when the
+/// mapping covers every loop.
 std::int64_t count_valid_maccs(const EngineTables& tables);
 
 }  // namespace ftdl::sim::detail
