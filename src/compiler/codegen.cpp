@@ -1,7 +1,9 @@
 #include "compiler/codegen.h"
 
-#include "common/error.h"
+#include <algorithm>
 #include <cmath>
+
+#include "common/error.h"
 
 #include "common/math_util.h"
 #include "compiler/program_verify.h"
@@ -83,6 +85,27 @@ int weight_only_extent(const nn::Layer& layer) {
 }
 
 }  // namespace
+
+std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
+                                           int groups) {
+  const int total = weight_only_extent(layer);
+  const int size = weight_only_extent(weight_group_slice(layer, groups));
+  std::vector<nn::Layer> out;
+  for (int off = 0; off < total; off += size) {
+    const int n = std::min(size, total - off);
+    nn::Layer part = layer;
+    if (layer.kind == nn::LayerKind::Conv) {
+      part.out_c = n;
+    } else if (layer.kind == nn::LayerKind::Depthwise) {
+      part.in_c = n;
+      part.out_c = n;
+    } else {
+      part.mm_n = n;
+    }
+    out.push_back(std::move(part));
+  }
+  return out;
+}
 
 LayerProgram compile_layer(const nn::Layer& layer,
                            const arch::OverlayConfig& config,

@@ -8,6 +8,8 @@
 // cycle-level simulator needs.
 #pragma once
 
+#include <vector>
+
 #include "arch/isa.h"
 #include "compiler/analytical_model.h"
 #include "compiler/search.h"
@@ -61,9 +63,15 @@ LayerProgram compile_layer(const nn::Layer& layer,
 
 /// The layer restricted to one of `groups` slices of its weight-only
 /// dimension (conv output channels, depthwise channels, MM output
-/// features): the layer a program of `weight_groups == groups` maps. The
-/// functional simulator runs one such slice at a time.
+/// features): the layer a program of `weight_groups == groups` maps.
 nn::Layer weight_group_slice(const nn::Layer& layer, int groups);
+
+/// Every weight-group slice of `layer` split `groups` ways, in channel
+/// order: weight_group_slice's extent each, the last slice the rest. The
+/// runtime compiles each slice and runs the layer through one layer-level
+/// sim::CachedLayerSim over their programs.
+std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
+                                           int groups);
 
 /// Lowers an explicit solution (used by tests and the simulator harness).
 LayerProgram lower_solution(const nn::Layer& layer, const Workload& w,

@@ -103,6 +103,17 @@ Tensor16 requantize_output(const Layer& layer, const AccTensor& acc, int shift) 
 
 namespace {
 
+/// The input indices [lo, hi) one pooling window covers along an axis,
+/// clipped to [0, n); empty when hi <= lo.
+struct Window {
+  int lo = 0, hi = 0;
+};
+
+Window clip_window(int o, int stride, int pad, int k, int n) {
+  const int start = o * stride - pad;
+  return {std::max(start, 0), std::min(start + k, n)};
+}
+
 template <typename Reduce>
 Tensor16 pool_impl(const Layer& layer, const Tensor16& input, Reduce reduce,
                    std::int16_t init, bool average) {
@@ -111,23 +122,25 @@ Tensor16 pool_impl(const Layer& layer, const Tensor16& input, Reduce reduce,
               (std::vector<int>{layer.in_c, layer.in_h, layer.in_w}));
   const int oh = layer.out_h(), ow = layer.out_w();
   Tensor16 out({layer.in_c, oh, ow});
+  std::int16_t* o = out.data();
+  const std::int64_t in_plane = std::int64_t{layer.in_h} * layer.in_w;
   for (int c = 0; c < layer.in_c; ++c) {
+    const std::int16_t* plane = input.data() + c * in_plane;
     for (int y = 0; y < oh; ++y) {
+      const Window wy =
+          clip_window(y, layer.stride, layer.pad, layer.kh, layer.in_h);
       for (int x = 0; x < ow; ++x) {
+        const Window wx =
+            clip_window(x, layer.stride, layer.pad, layer.kw, layer.in_w);
         acc_t agg = init;
-        int count = 0;
-        for (int r = 0; r < layer.kh; ++r) {
-          const int iy = y * layer.stride + r - layer.pad;
-          if (iy < 0 || iy >= layer.in_h) continue;
-          for (int s = 0; s < layer.kw; ++s) {
-            const int ix = x * layer.stride + s - layer.pad;
-            if (ix < 0 || ix >= layer.in_w) continue;
-            agg = reduce(agg, input.at(c, iy, ix));
-            ++count;
-          }
+        for (int iy = wy.lo; iy < wy.hi; ++iy) {
+          const std::int16_t* row = plane + std::int64_t{iy} * layer.in_w;
+          for (int ix = wx.lo; ix < wx.hi; ++ix) agg = reduce(agg, row[ix]);
         }
+        const int count =
+            std::max(wy.hi - wy.lo, 0) * std::max(wx.hi - wx.lo, 0);
         if (average && count > 0) agg /= count;
-        out.at(c, y, x) = static_cast<std::int16_t>(agg);
+        *o++ = static_cast<std::int16_t>(agg);
       }
     }
   }

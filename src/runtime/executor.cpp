@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "compiler/session.h"
 #include "nn/reference.h"
@@ -54,56 +53,8 @@ Tensor16 flatten_for_mm(const Tensor16& t, const Layer& layer) {
   if (t.size() != layer.mm_m * layer.mm_p)
     throw ConfigError(layer.name + ": input element count mismatches MM shape");
   Tensor16 flat({static_cast<int>(layer.mm_m), static_cast<int>(layer.mm_p)});
-  for (std::int64_t i = 0; i < t.size(); ++i) flat[i] = t[i];
+  std::copy(t.data(), t.data() + t.size(), flat.data());
   return flat;
-}
-
-/// A weight-group slice of a conv/MM layer and its weights.
-struct GroupSlice {
-  Layer layer;
-  Tensor16 weights;
-  int offset = 0;  ///< first output channel / feature of this group
-};
-
-std::vector<GroupSlice> slice_groups(const Layer& layer, const Tensor16& w,
-                                     int groups) {
-  std::vector<GroupSlice> out;
-  const int total = layer.kind == LayerKind::Conv   ? layer.out_c
-                    : layer.kind == LayerKind::Depthwise
-                        ? layer.in_c
-                        : static_cast<int>(layer.mm_n);
-  const int gsz = static_cast<int>(ceil_div(total, groups));
-  for (int off = 0; off < total; off += gsz) {
-    GroupSlice gs;
-    gs.offset = off;
-    const int n = std::min(gsz, total - off);
-    gs.layer = layer;
-    if (layer.kind == LayerKind::Conv) {
-      gs.layer.out_c = n;
-      gs.weights = Tensor16({n, layer.in_c, layer.kh, layer.kw});
-      for (int o = 0; o < n; ++o)
-        for (int i = 0; i < layer.in_c; ++i)
-          for (int r = 0; r < layer.kh; ++r)
-            for (int s = 0; s < layer.kw; ++s)
-              gs.weights.at(o, i, r, s) = w.at(off + o, i, r, s);
-    } else if (layer.kind == LayerKind::Depthwise) {
-      gs.layer.in_c = n;
-      gs.layer.out_c = n;
-      gs.weights = Tensor16({n, layer.kh, layer.kw});
-      for (int o = 0; o < n; ++o)
-        for (int r = 0; r < layer.kh; ++r)
-          for (int s = 0; s < layer.kw; ++s)
-            gs.weights.at(o, r, s) = w.at(off + o, r, s);
-    } else {
-      gs.layer.mm_n = n;
-      gs.weights = Tensor16({n, static_cast<int>(layer.mm_m)});
-      for (int o = 0; o < n; ++o)
-        for (int m = 0; m < static_cast<int>(layer.mm_m); ++m)
-          gs.weights.at(o, m) = w.at(off + o, m);
-    }
-    out.push_back(std::move(gs));
-  }
-  return out;
 }
 
 /// Host-kernel layers (pool/concat/ewop): their wall time is covered by the
@@ -119,22 +70,13 @@ void note_host_kernel(const Layer& layer) {
 /// All state the context reuses across run() calls. Warm-up happens in the
 /// constructor; run() touches only the caches and the arena.
 struct ExecContext::Impl {
-  /// One weight-group slice with its sliced weights, cached runner and a
-  /// persistent output slot (reshaped once, then zero-filled in place).
-  struct Group {
-    Layer layer;
-    Tensor16 weights;  ///< sliced once at warm-up — weight-tile reuse
-    int offset = 0;
-    std::optional<sim::CachedLayerSim> sim;
-    AccTensor out;
-  };
-
   struct LayerCtx {
     const Layer* layer = nullptr;
     std::vector<std::string> inputs;       ///< resolved dataflow inputs
     const Tensor16* weights = nullptr;     ///< overlay layers only
     int weight_groups = 1;
-    std::vector<Group> groups;             ///< CycleSim overlay layers only
+    /// CycleSim overlay layers only: one runner over all weight groups.
+    std::optional<sim::CachedLayerSim> sim;
   };
 
   const nn::Network& net;
@@ -193,9 +135,9 @@ struct ExecContext::Impl {
     }
   }
 
-  /// CycleSim warm-up for one overlay layer: compile through the shared
-  /// session (repeated shapes reuse one search), slice the weight groups
-  /// once, and build a cached runner per group.
+  /// CycleSim warm-up for one overlay layer: compile the layer and each of
+  /// its weight-group slices through the shared session (repeated shapes
+  /// reuse one search), and build one runner over the whole layer.
   void warm_overlay(LayerCtx& lc) {
     const Layer& layer = *lc.layer;
     compiler::CompilerSession& session = compiler::CompilerSession::global();
@@ -203,22 +145,17 @@ struct ExecContext::Impl {
         layer, opt.config, compiler::Objective::Performance,
         opt.search_budget_per_layer);
     lc.weight_groups = master.weight_groups;
-    for (GroupSlice& gs : slice_groups(layer, *lc.weights,
-                                       master.weight_groups)) {
-      const compiler::LayerProgram prog = session.compile(
-          gs.layer, opt.config, compiler::Objective::Performance,
-          opt.search_budget_per_layer);
-      Group g;
-      g.layer = std::move(gs.layer);
-      g.weights = std::move(gs.weights);
-      g.offset = gs.offset;
-      // The context only consumes output accumulators and cycle counts;
-      // never collect a DRAM trace.
-      sim::SimOptions sim_opt;
-      sim_opt.collect_trace = false;
-      g.sim.emplace(prog, opt.config, sim_opt);
-      lc.groups.push_back(std::move(g));
-    }
+    std::vector<compiler::LayerProgram> groups;
+    for (const Layer& part :
+         compiler::weight_group_layers(layer, master.weight_groups))
+      groups.push_back(session.compile(part, opt.config,
+                                       compiler::Objective::Performance,
+                                       opt.search_budget_per_layer));
+    // The context only consumes output accumulators and cycle counts;
+    // never collect a DRAM trace.
+    sim::SimOptions sim_opt;
+    sim_opt.collect_trace = false;
+    lc.sim.emplace(layer, groups, opt.config, sim_opt);
   }
 
   ThreadPool* pool() {
@@ -326,38 +263,13 @@ struct ExecContext::Impl {
     return nn::requantize_output(layer, acc, run.requant_shift);
   }
 
-  /// Cycle-level path over the warm caches: run each group's cached runner
-  /// and stitch the output slices.
+  /// Cycle-level path over the warm cache: one engine call over the layer's
+  /// full weight tensor.
   AccTensor simulate(LayerCtx& lc, const Tensor16& act, LayerRun& run) {
-    const Layer& layer = *lc.layer;
     run.weight_groups = lc.weight_groups;
-
-    AccTensor acc = layer.kind == LayerKind::MatMul
-                        ? AccTensor({static_cast<int>(layer.mm_n),
-                                     static_cast<int>(layer.mm_p)})
-                        : AccTensor({layer.out_c, layer.out_h(), layer.out_w()});
-
-    // A group owns a contiguous channel range [offset, offset + n), and a
-    // channel range is one contiguous block in both the CHW and the [N, P]
-    // layouts: each slice and each stitch is a single copy.
-    const std::int64_t out_per_channel = acc.size() / acc.dims()[0];
-    for (Group& g : lc.groups) {
-      // Depthwise groups split the channel dimension of the *activations*
-      // too; slice the input accordingly.
-      const Tensor16* group_act = &act;
-      Tensor16 act_slice;
-      if (layer.kind == LayerKind::Depthwise && lc.weight_groups > 1) {
-        act_slice = Tensor16({g.layer.in_c, layer.in_h, layer.in_w});
-        const std::int16_t* src =
-            act.data() + std::int64_t{g.offset} * layer.in_h * layer.in_w;
-        std::copy(src, src + act_slice.size(), act_slice.data());
-        group_act = &act_slice;
-      }
-      g.sim->run(g.weights, *group_act, g.out, pool());
-      run.sim_cycles += g.sim->stats().cycles;
-      std::copy(g.out.data(), g.out.data() + g.out.size(),
-                acc.data() + g.offset * out_per_channel);
-    }
+    AccTensor acc;
+    lc.sim->run(*lc.weights, act, acc, pool());
+    run.sim_cycles = lc.sim->stats().cycles;
     return acc;
   }
 
@@ -374,14 +286,12 @@ struct ExecContext::Impl {
         throw ConfigError(layer.name + ": concat input shape mismatch at " + in);
       channels += t.dims()[0];
     }
+    // A CHW tensor's channels are one contiguous block: one copy per input.
     Tensor16 out({channels, h, w});
-    int c0 = 0;
+    std::int16_t* dst = out.data();
     for (const std::string& in : inputs) {
       const Tensor16& t = tensor(in);
-      for (int c = 0; c < t.dims()[0]; ++c)
-        for (int y = 0; y < h; ++y)
-          for (int x = 0; x < w; ++x) out.at(c0 + c, y, x) = t.at(c, y, x);
-      c0 += t.dims()[0];
+      dst = std::copy(t.data(), t.data() + t.size(), dst);
     }
     return out;
   }

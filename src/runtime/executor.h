@@ -2,8 +2,9 @@
 //
 // Runs a whole feed-forward network on int16 data: CONV/MM layers execute
 // either through the scalar reference (fast path) or through the compiled
-// cycle-level overlay simulator (exact hardware path, including weight-group
-// splitting); pooling / concat / residual EWOP run as host-side kernels.
+// cycle-level overlay simulator (exact hardware path: a layer split into
+// weight groups is timed group by group and computed in one pass);
+// pooling / concat / residual EWOP run as host-side kernels.
 // Between layers, wide accumulators are requantized back to int16 with a
 // per-layer shift chosen by a simple max-abs calibration — the host EWOP
 // stage of Sec. V-A.
@@ -79,10 +80,14 @@ int calibrate_shift(const nn::AccTensor& acc, int target_bits);
 ///
 /// Construction is the warm-up: the graph is validated, the sink and
 /// per-layer dataflow inputs are resolved, weights are looked up, and (on
-/// the CycleSim path) every layer is compiled, its weight-group slices
-/// materialized once (weight-tile reuse across requests) and wrapped in a
-/// sim::CachedLayerSim. run() then re-executes the network with all tensor
-/// storage drawn from an owned TensorArena, so a warm context performs zero
+/// the CycleSim path) every overlay layer and each of its weight-group
+/// slices is compiled. The group programs become one layer-level
+/// sim::CachedLayerSim: its cycles are the sum of the groups', and each
+/// request runs the whole layer as one engine call over the layer's own
+/// weight tensor — a weight group is a contiguous channel range of it, so
+/// no per-group weights or outputs exist. run() then re-executes the
+/// network with all tensor storage (the simulator's padded input copies
+/// included) drawn from an owned TensorArena, so a warm context performs zero
 /// heap allocations per request on the CycleSim path with collect_runs off
 /// and observability disabled (pinned by the allocation-counter test in
 /// tests/test_serve.cpp).

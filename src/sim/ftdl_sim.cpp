@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -90,6 +91,8 @@ struct Shape {
       pad = 0, oh = 0, ow = 0;
   // MM fields.
   int mm_m = 0, mm_n = 0, mm_p = 0;
+
+  bool operator==(const Shape&) const = default;
 };
 
 Shape shape_from_layer(const nn::Layer& layer) {
@@ -124,24 +127,32 @@ Shape shape_from_layer(const nn::Layer& layer) {
   return s;
 }
 
-void check_tensors(const nn::Layer& layer, const Shape& s,
-                   const nn::Tensor16& weights, const nn::Tensor16& input) {
-  if (layer.kind == nn::LayerKind::Depthwise) {
-    if (input.dims() != std::vector<int>{s.in_c, s.in_h, s.in_w})
-      throw ConfigError(layer.name + ": input tensor layout mismatch");
-    if (weights.dims() != std::vector<int>{s.in_c, s.kh, s.kw})
-      throw ConfigError(layer.name + ": weight tensor layout mismatch");
-  } else if (layer.kind == nn::LayerKind::Conv) {
-    if (input.dims() != std::vector<int>{s.in_c, s.in_h, s.in_w})
-      throw ConfigError(layer.name + ": input tensor layout mismatch");
-    if (weights.dims() != std::vector<int>{s.out_c, s.in_c, s.kh, s.kw})
-      throw ConfigError(layer.name + ": weight tensor layout mismatch");
-  } else {
-    if (input.dims() != std::vector<int>{s.mm_m, s.mm_p})
-      throw ConfigError(layer.name + ": input tensor layout mismatch");
-    if (weights.dims() != std::vector<int>{s.mm_n, s.mm_m})
-      throw ConfigError(layer.name + ": weight tensor layout mismatch");
+/// The tensor layouts a layer's functional run reads and writes.
+struct Layouts {
+  nn::Dims weights, input, output;
+};
+
+Layouts layouts_of(const nn::Layer& layer) {
+  const Shape s = shape_from_layer(layer);
+  switch (layer.kind) {
+    case nn::LayerKind::Depthwise:
+      return {{s.in_c, s.kh, s.kw}, {s.in_c, s.in_h, s.in_w},
+              {s.out_c, s.oh, s.ow}};
+    case nn::LayerKind::Conv:
+      return {{s.out_c, s.in_c, s.kh, s.kw}, {s.in_c, s.in_h, s.in_w},
+              {s.out_c, s.oh, s.ow}};
+    default:
+      return {{s.mm_n, s.mm_m}, {s.mm_m, s.mm_p}, {s.mm_n, s.mm_p}};
   }
+}
+
+/// Allocation-free on success.
+void check_tensors(const std::string& name, const Layouts& layouts,
+                   const nn::Tensor16& weights, const nn::Tensor16& input) {
+  if (input.dims() != layouts.input)
+    throw ConfigError(name + ": input tensor layout mismatch");
+  if (weights.dims() != layouts.weights)
+    throw ConfigError(name + ": weight tensor layout mismatch");
 }
 
 /// DRAM transfer time in whole CLKh cycles, in exact integer arithmetic:
@@ -459,15 +470,57 @@ void run_reference(const compiler::LayerProgram& program, const Shape& shape,
   }
 }
 
-/// A functional run computes one layer slice: a program split into weight
-/// groups maps only one group's slice, so it is refused up front rather
-/// than computing part of the layer.
+/// Publishes one simulated layer's stats as sim/* observability counters.
+void count_stats(const SimStats& st) {
+  if (!obs::enabled()) return;
+  obs::count("sim/layers_simulated");
+  obs::count("sim/cycles", st.cycles);
+  obs::count("sim/compute_cycles", st.compute_cycles);
+  obs::count("sim/act_stall_cycles", st.act_stall_cycles);
+  obs::count("sim/psum_stall_cycles", st.psum_stall_cycles);
+  obs::count("sim/valid_maccs", st.valid_maccs);
+  obs::count("sim/padded_maccs", st.padded_maccs);
+  obs::count("sim/act_refills", st.act_refills);
+  obs::count("sim/psum_drains", st.psum_drains);
+}
+
+/// A program split into weight groups maps only one group's slice, so a
+/// functional run refuses it up front rather than computing part of the
+/// layer.
 void check_single_group(const compiler::LayerProgram& program) {
   if (program.weight_groups != 1)
     throw ConfigError(program.layer.name + ": the program runs as " +
                       std::to_string(program.weight_groups) +
-                      " weight groups; simulate each group's compiled slice "
-                      "(compiler::weight_group_slice)");
+                      " weight groups; build the layer-level CachedLayerSim "
+                      "from the programs of compiler::weight_group_layers");
+}
+
+/// Refuses a program whose padded iteration space exceeds
+/// options.max_padded_macs.
+void check_padded_limit(const compiler::LayerProgram& program,
+                        const SimOptions& options) {
+  const std::int64_t padded = program.mapping.padded_macs();
+  if (padded > options.max_padded_macs)
+    throw Error(program.workload.name +
+                ": padded iteration space too large to simulate (" +
+                std::to_string(padded) + " padded MACCs > " +
+                "max_padded_macs = " +
+                std::to_string(options.max_padded_macs) + ")");
+}
+
+/// Consumes the controller's instruction stream the way the hardware would:
+/// decodes the encoded InstBUS words and takes the temporal configuration
+/// from the resulting controller state, cross-checking it against the
+/// mapping the compiler claims to have lowered.
+void check_stream(const compiler::LayerProgram& program) {
+  const Mapping& m = program.mapping;
+  const arch::ControllerState ctrl =
+      arch::interpret_stream(arch::decode_stream(program.encoded_stream()));
+  if (ctrl.x_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::X)) ||
+      ctrl.l_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::L)) ||
+      ctrl.t_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::T)))
+    throw Error(program.workload.name +
+                ": instruction stream disagrees with the mapping");
 }
 
 /// The coverage cross-check of every Fast functional run: the engine
@@ -520,39 +573,24 @@ SimResult simulate_impl(const compiler::LayerProgram& program,
                       ": check_buffers needs a functional run "
                       "(functional = false skips the bursts the footprints "
                       "are measured on)");
-  if (m.padded_macs() > options.max_padded_macs)
-    throw Error(w.name + ": padded iteration space too large to simulate (" +
-                std::to_string(m.padded_macs()) + " padded MACCs > " +
-                "max_padded_macs = " +
-                std::to_string(options.max_padded_macs) + ")");
+  check_padded_limit(program, options);
 
   const Shape shape = shape_from_layer(program.layer);
+  const Layouts layouts = layouts_of(program.layer);
   if (options.functional) {
     FTDL_ASSERT(weights != nullptr && input != nullptr);
     check_single_group(program);
-    check_tensors(program.layer, shape, *weights, *input);
+    check_tensors(program.layer.name, layouts, *weights, *input);
   }
 
-  // Consume the controller's instruction stream the way the hardware
-  // would: decode the encoded InstBUS words and take the temporal
-  // configuration from the resulting controller state, cross-checking it
-  // against the mapping the compiler claims to have lowered.
-  const arch::ControllerState ctrl =
-      arch::interpret_stream(arch::decode_stream(program.encoded_stream()));
-  if (ctrl.x_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::X)) ||
-      ctrl.l_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::L)) ||
-      ctrl.t_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::T))) {
-    throw Error(w.name + ": instruction stream disagrees with the mapping");
-  }
+  check_stream(program);
 
   SimResult result;
   SimStats& st = result.stats;
 
   // ---- functional pass (or interval-arithmetic stand-in) ----
   if (options.functional) {
-    result.output = (w.kind == WorkloadKind::MatMul)
-                        ? nn::AccTensor({shape.mm_n, shape.mm_p})
-                        : nn::AccTensor({shape.out_c, shape.oh, shape.ow});
+    result.output = nn::AccTensor(layouts.output);
     // check_buffers is tied to the reference walk: the footprint sets track
     // its serial LoopL/LoopX phases and the mode exists for verification,
     // not speed.
@@ -575,17 +613,7 @@ SimResult simulate_impl(const compiler::LayerProgram& program,
   // mapping's padded space.
   FTDL_ASSERT(st.padded_maccs == m.padded_macs());
 
-  if (obs::enabled()) {
-    obs::count("sim/layers_simulated");
-    obs::count("sim/cycles", st.cycles);
-    obs::count("sim/compute_cycles", st.compute_cycles);
-    obs::count("sim/act_stall_cycles", st.act_stall_cycles);
-    obs::count("sim/psum_stall_cycles", st.psum_stall_cycles);
-    obs::count("sim/valid_maccs", st.valid_maccs);
-    obs::count("sim/padded_maccs", st.padded_maccs);
-    obs::count("sim/act_refills", st.act_refills);
-    obs::count("sim/psum_drains", st.psum_drains);
-  }
+  count_stats(st);
   return result;
 }
 
@@ -615,59 +643,91 @@ struct CachedLayerSim::Impl {
   detail::EngineTables tables;
   SimStats stats;
   std::string name;
-  nn::Dims w_dims, in_dims, out_dims;
+  Layouts layouts;
 };
+
+namespace {
+
+/// Zeroes the weight-only extent a weight group splits (conv output
+/// channels, depthwise channels, MatMul output features) and returns it.
+int take_group_extent(Shape& s, nn::LayerKind kind) {
+  int& field = kind == nn::LayerKind::Conv        ? s.out_c
+               : kind == nn::LayerKind::Depthwise ? s.in_c
+                                                  : s.mm_n;
+  const int extent = field;
+  field = 0;
+  if (kind == nn::LayerKind::Depthwise) s.out_c = 0;
+  return extent;
+}
+
+/// Refuses a group list that does not tile `layer`: every group must equal
+/// the layer but for the split extent, and the extents must sum to the
+/// layer's.
+void check_tiling(const nn::Layer& layer,
+                  std::span<const compiler::LayerProgram> groups) {
+  Shape whole = shape_from_layer(layer);
+  const int extent = take_group_extent(whole, layer.kind);
+  std::int64_t covered = 0;
+  for (const compiler::LayerProgram& g : groups) {
+    Shape part = shape_from_layer(g.layer);
+    covered += take_group_extent(part, layer.kind);
+    if (g.layer.kind != layer.kind || part != whole)
+      throw ConfigError(layer.name + ": weight group " + g.layer.name +
+                        " is not a slice of the layer");
+  }
+  if (groups.empty() || covered != extent)
+    throw ConfigError(layer.name + ": " + std::to_string(groups.size()) +
+                      " weight groups cover " + std::to_string(covered) +
+                      " of the layer's " + std::to_string(extent) +
+                      " channels");
+}
+
+}  // namespace
 
 CachedLayerSim::CachedLayerSim(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options)
+    : CachedLayerSim(program.layer, std::span(&program, 1), config, options) {}
+
+CachedLayerSim::CachedLayerSim(const nn::Layer& layer,
+                               std::span<const compiler::LayerProgram> groups,
+                               const arch::OverlayConfig& config,
+                               const SimOptions& options)
     : impl_(std::make_unique<Impl>()) {
-  const Workload& w = program.workload;
-  const Mapping& m = program.mapping;
-  FTDL_ASSERT(m.k() == w.k());
-  check_single_group(program);
-  if (m.padded_macs() > options.max_padded_macs)
-    throw Error(w.name + ": padded iteration space too large to simulate (" +
-                std::to_string(m.padded_macs()) + " padded MACCs > " +
-                "max_padded_macs = " +
-                std::to_string(options.max_padded_macs) + ")");
+  for (const compiler::LayerProgram& g : groups) check_single_group(g);
+  check_tiling(layer, groups);
 
-  // Same controller-stream cross-check as simulate_layer: the cached runner
-  // must refuse exactly the programs the one-shot path refuses.
-  const arch::ControllerState ctrl =
-      arch::interpret_stream(arch::decode_stream(program.encoded_stream()));
-  if (ctrl.x_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::X)) ||
-      ctrl.l_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::L)) ||
-      ctrl.t_trip != static_cast<std::uint64_t>(m.level_product(HwLevel::T))) {
-    throw Error(w.name + ": instruction stream disagrees with the mapping");
-  }
+  impl_->name = layer.name;
+  impl_->layouts = layouts_of(layer);
+  impl_->tables = detail::build_tables(layer);
 
-  impl_->name = program.layer.name;
-  const Shape s = shape_from_layer(program.layer);
-  if (program.layer.kind == nn::LayerKind::Depthwise) {
-    impl_->in_dims = nn::Dims{s.in_c, s.in_h, s.in_w};
-    impl_->w_dims = nn::Dims{s.in_c, s.kh, s.kw};
-    impl_->out_dims = nn::Dims{s.out_c, s.oh, s.ow};
-  } else if (program.layer.kind == nn::LayerKind::Conv) {
-    impl_->in_dims = nn::Dims{s.in_c, s.in_h, s.in_w};
-    impl_->w_dims = nn::Dims{s.out_c, s.in_c, s.kh, s.kw};
-    impl_->out_dims = nn::Dims{s.out_c, s.oh, s.ow};
-  } else {
-    impl_->in_dims = nn::Dims{s.mm_m, s.mm_p};
-    impl_->w_dims = nn::Dims{s.mm_n, s.mm_m};
-    impl_->out_dims = nn::Dims{s.mm_n, s.mm_p};
-  }
-
-  impl_->tables = detail::build_tables(program);
-  impl_->stats.valid_maccs = detail::count_valid_maccs(impl_->tables);
-  impl_->stats.padded_maccs = m.padded_macs();
-
-  // Timing is input-independent: simulate the schedule once and cache it.
+  // The overlay runs the groups back to back, and a group's SimStats do not
+  // depend on the data: the layer's stats are the groups' sums, computed
+  // once here. Timing runs without a trace.
   SimOptions topt = options;
   topt.collect_trace = false;
-  dram::AccessTrace trace;
-  run_timing(make_timing(program, config), topt, impl_->name, impl_->stats,
-             trace);
+  SimStats& total = impl_->stats;
+  for (const compiler::LayerProgram& g : groups) {
+    const Mapping& m = g.mapping;
+    FTDL_ASSERT(m.k() == g.workload.k());
+    check_padded_limit(g, options);
+    // Same controller-stream cross-check as simulate_layer: the cached
+    // runner must refuse exactly the programs the one-shot path refuses.
+    check_stream(g);
+    SimStats st;
+    st.valid_maccs = detail::count_valid_maccs(detail::build_tables(g));
+    st.padded_maccs = m.padded_macs();
+    dram::AccessTrace trace;
+    run_timing(make_timing(g, config), topt, g.layer.name, st, trace);
+    total.cycles += st.cycles;
+    total.compute_cycles += st.compute_cycles;
+    total.act_stall_cycles += st.act_stall_cycles;
+    total.psum_stall_cycles += st.psum_stall_cycles;
+    total.valid_maccs += st.valid_maccs;
+    total.padded_maccs += st.padded_maccs;
+    total.act_refills += st.act_refills;
+    total.psum_drains += st.psum_drains;
+  }
 }
 
 CachedLayerSim::~CachedLayerSim() = default;
@@ -679,14 +739,9 @@ const SimStats& CachedLayerSim::stats() const { return impl_->stats; }
 void CachedLayerSim::run(const nn::Tensor16& weights, const nn::Tensor16& input,
                          nn::AccTensor& out, ThreadPool* pool) const {
   const Impl& im = *impl_;
-  // Layout checks against the cached Dims: allocation-free on success.
-  if (input.dims() != im.in_dims)
-    throw ConfigError(im.name + ": input tensor layout mismatch");
-  if (weights.dims() != im.w_dims)
-    throw ConfigError(im.name + ": weight tensor layout mismatch");
-
-  if (out.dims() != im.out_dims)
-    out = nn::AccTensor(im.out_dims);  // pooled under an installed arena
+  check_tensors(im.name, im.layouts, weights, input);
+  if (out.dims() != im.layouts.output)
+    out = nn::AccTensor(im.layouts.output);  // pooled under an installed arena
   else
     std::fill(out.data(), out.data() + out.size(), acc_t{0});
 
@@ -695,18 +750,7 @@ void CachedLayerSim::run(const nn::Tensor16& weights, const nn::Tensor16& input,
                                         input.data(), out.data(), pool),
                  im.stats.valid_maccs);
 
-  if (obs::enabled()) {
-    const SimStats& st = im.stats;
-    obs::count("sim/layers_simulated");
-    obs::count("sim/cycles", st.cycles);
-    obs::count("sim/compute_cycles", st.compute_cycles);
-    obs::count("sim/act_stall_cycles", st.act_stall_cycles);
-    obs::count("sim/psum_stall_cycles", st.psum_stall_cycles);
-    obs::count("sim/valid_maccs", st.valid_maccs);
-    obs::count("sim/padded_maccs", st.padded_maccs);
-    obs::count("sim/act_refills", st.act_refills);
-    obs::count("sim/psum_drains", st.psum_drains);
-  }
+  count_stats(im.stats);
 }
 
 }  // namespace ftdl::sim

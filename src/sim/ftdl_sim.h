@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "arch/overlay_config.h"
 #include "compiler/codegen.h"
@@ -32,9 +33,11 @@ namespace ftdl::sim {
 enum class SimEngine {
   /// Loop-order-free engine: walks the layer in workload-loop order (exact,
   /// because integer accumulation does not depend on the enumeration
-  /// order), sweeping the unit-stride output loop over its whole
-  /// pad-clipped range with the SIMD kernels of common/simd.h and fanning
-  /// output-channel ranges across the ThreadPool. Every run cross-checks its
+  /// order), running stride-1 convs on exact int32 register tiles when the
+  /// operands allow it and otherwise sweeping the unit-stride output loop
+  /// over its whole pad-clipped range with the SIMD kernels of
+  /// common/simd.h, and fanning output-channel ranges across the
+  /// ThreadPool. Every run cross-checks its
   /// MACC count against the mapping's coverage and refuses a mapping that
   /// leaves part of a loop uncovered. Bit-identical to Reference at any jobs
   /// count (pinned by tests/test_sim_engine.cpp). The default.
@@ -132,8 +135,9 @@ struct SimResult {
 
 /// Simulates one compiled layer. `weights` / `input` use the reference
 /// layouts (conv: {out_c, in_c, kh, kw} and {in_c, h, w}; MM: {N, M} and
-/// {M, P}). `program` must map the whole layer (weight_groups == 1; run a
-/// split layer one compiler::weight_group_slice at a time). Throws
+/// {M, P}). `program` must map the whole layer (weight_groups == 1): a
+/// program split into weight groups maps one group's slice, so run a split
+/// layer through the layer-level CachedLayerSim instead. Throws
 /// ftdl::ConfigError on layout mismatch or a split program, ftdl::Error
 /// when the padded iteration space exceeds options.max_padded_macs, and
 /// (Fast engine) ftdl::InternalError when the mapping leaves part of a loop
@@ -152,26 +156,46 @@ SimResult simulate_layer_stats(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options = {});
 
-/// Reusable functional runner for one compiled layer — the steady-state
+/// Reusable functional runner for one overlay layer — the steady-state
 /// path of the serving runtime. All input-independent work (instruction
 /// stream decode and cross-check, engine tables, the timing pass, the
 /// valid-MACC count) happens once at construction; run() executes only the
-/// functional pass, so a warm runner performs no heap allocations of its
-/// own. SimStats are input-independent, hence cached and identical to what
-/// simulate_layer would report on every call.
+/// functional pass, as one engine call over the whole layer, so a warm
+/// runner allocates nothing beyond what the calling thread's TensorArena
+/// pools. SimStats are input-independent, hence cached and identical to
+/// what simulate_layer would report on every call.
 class CachedLayerSim {
  public:
-  /// Analyses `program` as simulate_layer would (same validation and
-  /// throwing behaviour). `options.functional` / `check_buffers` are
-  /// ignored; the runner always executes the Fast functional engine.
+  /// Runner for a program that maps the whole layer. Analyses `program` as
+  /// simulate_layer would (same validation and throwing behaviour, so a
+  /// program split into weight groups is refused with ftdl::ConfigError).
+  /// `options.functional` / `check_buffers` are ignored; the runner always
+  /// executes the Fast functional engine.
   CachedLayerSim(const compiler::LayerProgram& program,
+                 const arch::OverlayConfig& config,
+                 const SimOptions& options = {});
+
+  /// Runner for `layer` split into weight groups: `groups` holds the
+  /// compiled program of each group's slice (each weight_groups == 1), in
+  /// channel order. A weight group is a contiguous range of the layer's
+  /// weight-only extent (conv output channels, depthwise channels, MatMul
+  /// output features); the groups' extents must tile the layer's and every
+  /// other dimension must equal it, else ftdl::ConfigError. The overlay runs
+  /// the groups back to back, so the cached SimStats are the sums of the
+  /// groups' stats, and each run cross-checks the MACCs executed against
+  /// the sum of the groups' mapped coverage. run() takes the layer's full
+  /// weight tensor and produces the layer's full output in one call. With
+  /// one group spanning the layer this is the single-program runner above.
+  CachedLayerSim(const nn::Layer& layer,
+                 std::span<const compiler::LayerProgram> groups,
                  const arch::OverlayConfig& config,
                  const SimOptions& options = {});
   ~CachedLayerSim();
   CachedLayerSim(CachedLayerSim&&) noexcept;
   CachedLayerSim& operator=(CachedLayerSim&&) noexcept;
 
-  /// The cached per-run statistics (cycles, MACC counts, refills/drains).
+  /// The cached per-run statistics (cycles, MACC counts, refills/drains),
+  /// summed over the weight groups.
   const SimStats& stats() const;
 
   /// Functional pass: validates layouts, reshapes `out` to the layer's

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <limits>
 
+#include "common/arena.h"
+#include "common/error.h"
 #include "common/math_util.h"
 #include "common/simd.h"
 
@@ -133,30 +137,90 @@ std::int64_t clipped_pairs(std::int64_t n_o, std::int64_t n_k,
   return total;
 }
 
+/// Runs body(lo, hi) over [0, units) split into contiguous ranges across
+/// `pool` and returns the sum of what the calls return. A few ranges per
+/// worker, so a worker held up elsewhere does not leave the batch waiting
+/// on one large range.
+template <typename Body>
+std::int64_t fan_out(ThreadPool* pool, std::int64_t units, const Body& body) {
+  const int jobs = pool != nullptr ? pool->jobs() : 1;
+  const std::int64_t parts =
+      jobs > 1 ? std::min<std::int64_t>(units, 4 * std::int64_t{jobs}) : 1;
+  if (parts <= 1) {
+    // Serial path stays heap-free: it runs inside the serving steady state,
+    // where per-request allocations are pinned to zero.
+    return body(std::int64_t{0}, units);
+  }
+  std::atomic<std::int64_t> total{0};
+  pool->parallel_for(static_cast<std::size_t>(parts), [&](std::size_t i) {
+    const auto part = static_cast<std::int64_t>(i);
+    total.fetch_add(body(part * units / parts, (part + 1) * units / parts),
+                    std::memory_order_relaxed);
+  });
+  return total.load();
+}
+
+/// True when every int32 partial sum of a stride-1 conv is exact: K
+/// products of at most max|w| * max|x| each, K = the reduction length
+/// rounded up to the pairs the tile multiplies (taps of one channel, or
+/// channels when the kernel is 1x1). Scans both tensors.
+bool fits_int32(const EngineTables& tb, const std::int16_t* weights,
+                const std::int16_t* input) {
+  const std::int64_t taps = tb.kh * tb.kw;
+  const std::int64_t k = taps == 1 ? round_up(tb.in_c, 2)
+                                   : tb.in_c * round_up(taps, 2);
+  const std::int64_t mw = simd::max_abs_i16(weights, tb.out_c * tb.in_c * taps);
+  const std::int64_t mx =
+      simd::max_abs_i16(input, tb.in_c * tb.in_h * tb.in_w);
+  return k * mw * mx <= std::numeric_limits<std::int32_t>::max();
+}
+
+/// The stride-1 conv on int32 register tiles: one zero-padded copy of the
+/// input, drawn from the calling thread's TensorArena, then 4-channel tiles
+/// fanned across the pool. Returns the layer's MACC count.
+std::int64_t run_tiles(const EngineTables& tb, const std::int16_t* weights,
+                       const std::int16_t* input, acc_t* out,
+                       ThreadPool* pool) {
+  const std::int64_t pitch = tb.in_w + 2 * tb.pad;
+  const std::int64_t plane = (tb.in_h + 2 * tb.pad) * pitch;
+  ArenaVec<std::int16_t> xp(tb.in_c * plane + tb.kw + 16);  // zeroed
+  for (std::int64_t n = 0; n < tb.in_c; ++n)
+    for (std::int64_t y = 0; y < tb.in_h; ++y)
+      std::memcpy(xp.data() + n * plane + (y + tb.pad) * pitch + tb.pad,
+                  input + (n * tb.in_h + y) * tb.in_w,
+                  static_cast<std::size_t>(tb.in_w) * sizeof(std::int16_t));
+  simd::PaddedConv conv;
+  conv.xp = xp.data();
+  conv.w = weights;
+  conv.out = out;
+  conv.in_c = tb.in_c;
+  conv.kh = tb.kh;
+  conv.kw = tb.kw;
+  conv.plane = plane;
+  conv.pitch = pitch;
+  conv.oh = tb.oh;
+  conv.ow = tb.ow;
+  fan_out(pool, ceil_div(tb.out_c, 4), [&](std::int64_t lo, std::int64_t hi) {
+    simd::conv_tile_i16(conv, 4 * lo, std::min(4 * hi, tb.out_c));
+    return std::int64_t{0};
+  });
+  return tb.out_c * tb.in_c * clipped_pairs(tb.oh, tb.kh, 1, tb.pad, tb.in_h) *
+         clipped_pairs(tb.ow, tb.kw, 1, tb.pad, tb.in_w);
+}
+
 }  // namespace
 
-EngineTables build_tables(const compiler::LayerProgram& program) {
-  const Workload& w = program.workload;
-  const Mapping& m = program.mapping;
-  const nn::Layer& layer = program.layer;
-  auto cov = [&](char tag) {
-    const int i = w.loop_index(tag);
-    return std::min(m.loop_coverage(i),
-                    w.loops[static_cast<std::size_t>(i)].trip);
-  };
-
+EngineTables build_tables(const nn::Layer& layer) {
   EngineTables tb;
-  tb.kind = w.kind;
-  if (w.kind == WorkloadKind::MatMul) {
+  if (layer.kind == nn::LayerKind::MatMul) {
+    tb.kind = WorkloadKind::MatMul;
     tb.mm_m = layer.mm_m;
     tb.mm_n = layer.mm_n;
     tb.mm_p = layer.mm_p;
-    tb.cov_m = cov('M');
-    tb.cov_n = cov('N');
-    tb.cov_p = cov('P');
     return tb;
   }
-  const bool dw = w.kind == WorkloadKind::DepthwiseConv;
+  const bool dw = layer.kind == nn::LayerKind::Depthwise;
+  tb.kind = dw ? WorkloadKind::DepthwiseConv : WorkloadKind::Conv;
   tb.in_c = layer.in_c;
   tb.out_c = dw ? layer.in_c : layer.out_c;
   tb.in_h = layer.in_h;
@@ -167,7 +231,26 @@ EngineTables build_tables(const compiler::LayerProgram& program) {
   tb.kw = layer.kw;
   tb.stride = layer.stride;
   tb.pad = layer.pad;
-  if (!dw) tb.cov_m = cov('M');
+  return tb;
+}
+
+EngineTables build_tables(const compiler::LayerProgram& program) {
+  const Workload& w = program.workload;
+  const Mapping& m = program.mapping;
+  auto cov = [&](char tag) {
+    const int i = w.loop_index(tag);
+    return std::min(m.loop_coverage(i),
+                    w.loops[static_cast<std::size_t>(i)].trip);
+  };
+  EngineTables tb = build_tables(program.layer);
+  FTDL_ASSERT(tb.kind == w.kind);
+  if (w.kind == WorkloadKind::MatMul) {
+    tb.cov_m = cov('M');
+    tb.cov_n = cov('N');
+    tb.cov_p = cov('P');
+    return tb;
+  }
+  if (w.kind == WorkloadKind::Conv) tb.cov_m = cov('M');
   tb.cov_n = cov('N');
   tb.cov_e = cov('E');
   tb.cov_f = cov('F');
@@ -176,30 +259,22 @@ EngineTables build_tables(const compiler::LayerProgram& program) {
   return tb;
 }
 
+bool uses_int32_tiles(const EngineTables& tb, const std::int16_t* weights,
+                      const std::int16_t* input) {
+  return tb.kind == WorkloadKind::Conv && tb.stride == 1 &&
+         simd::has_conv_tile() && fits_int32(tb, weights, input);
+}
+
 std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool) {
+  if (uses_int32_tiles(tb, weights, input))
+    return run_tiles(tb, weights, input, out, pool);
   const std::int64_t channels =
       tb.kind == WorkloadKind::MatMul ? tb.mm_n : tb.out_c;
-  // A few ranges per worker, so a worker held up elsewhere does not leave
-  // the batch waiting on one large range.
-  const int jobs = pool != nullptr ? pool->jobs() : 1;
-  const std::int64_t parts =
-      jobs > 1 ? std::min<std::int64_t>(channels, 4 * std::int64_t{jobs}) : 1;
-  if (parts <= 1) {
-    // Serial path stays heap-free: it runs inside the serving steady state,
-    // where per-request allocations are pinned to zero.
-    return run_channels(tb, weights, input, out, 0, channels);
-  }
-  std::atomic<std::int64_t> valid{0};
-  pool->parallel_for(static_cast<std::size_t>(parts), [&](std::size_t i) {
-    const auto part = static_cast<std::int64_t>(i);
-    valid.fetch_add(run_channels(tb, weights, input, out,
-                                 part * channels / parts,
-                                 (part + 1) * channels / parts),
-                    std::memory_order_relaxed);
+  return fan_out(pool, channels, [&](std::int64_t c0, std::int64_t c1) {
+    return run_channels(tb, weights, input, out, c0, c1);
   });
-  return valid.load();
 }
 
 std::int64_t count_valid_maccs(const EngineTables& tb) {

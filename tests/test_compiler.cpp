@@ -501,6 +501,34 @@ TEST(Search, RefinementNeverHurtsAndOftenHelps) {
   EXPECT_EQ(plain.refinement_improvements, 0);
 }
 
+// A layer's weight-group slices tile its weight-only extent in channel
+// order: weight_group_slice's extent each, the remainder last.
+TEST(Codegen, WeightGroupLayersTileTheExtent) {
+  const nn::Layer conv = nn::make_conv("wg_conv", 8, 6, 6, 51, 3, 1, 1);
+  std::vector<int> extents;
+  for (const nn::Layer& part : weight_group_layers(conv, 4)) {
+    EXPECT_EQ(part.in_c, conv.in_c);
+    extents.push_back(part.out_c);
+  }
+  EXPECT_EQ(extents, (std::vector<int>{13, 13, 13, 12}));
+
+  const nn::Layer fc = nn::make_matmul("wg_fc", 64, 10, 1);
+  std::vector<std::int64_t> features;
+  for (const nn::Layer& part : weight_group_layers(fc, 8))
+    features.push_back(part.mm_n);
+  EXPECT_EQ(features, (std::vector<std::int64_t>{2, 2, 2, 2, 2}));
+
+  const nn::Layer dw = nn::make_depthwise("wg_dw", 7, 5, 5, 3, 1, 1);
+  std::vector<int> channels;
+  for (const nn::Layer& part : weight_group_layers(dw, 2)) {
+    EXPECT_EQ(part.out_c, part.in_c);
+    channels.push_back(part.in_c);
+  }
+  EXPECT_EQ(channels, (std::vector<int>{4, 3}));
+  ASSERT_EQ(weight_group_layers(conv, 1).size(), 1u);
+  EXPECT_EQ(weight_group_layers(conv, 1).front().out_c, conv.out_c);
+}
+
 TEST(Codegen, WeightReloadChargedWhenEnabled) {
   // A big FC forces weight groups; with charge_weight_reload the total
   // cycles grow by the DRAM streaming time of each group's weights.

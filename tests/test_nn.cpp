@@ -2,7 +2,11 @@
 // reference executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
 
@@ -172,6 +176,53 @@ TEST(Reference, MaxAndAvgPool) {
   in.at(0, 0, 0) = 1; in.at(0, 0, 1) = 8; in.at(0, 1, 0) = -3; in.at(0, 1, 1) = 2;
   EXPECT_EQ(maxpool_reference(l, in).at(0, 0, 0), 8);
   EXPECT_EQ(avgpool_reference(l, in).at(0, 0, 0), 2);  // (1+8-3+2)/4
+}
+
+// The pooling kernels clip each window once and read rows through raw
+// pointers; a naive per-tap loop with bounds checks pins them, including
+// windows that hang over the padding, negative averages (truncated toward
+// zero) and odd plane sizes.
+TEST(Reference, PoolingMatchesNaivePerTapLoop) {
+  Rng rng(77);
+  for (int stride : {1, 2}) {
+    for (int pad : {0, 1}) {
+      for (int k : {3, 7}) {
+        const int c = static_cast<int>(rng.uniform(1, 4));
+        const int h = static_cast<int>(rng.uniform(k, k + 8)) | 1;
+        const int w = static_cast<int>(rng.uniform(k, k + 8)) | 1;
+        const Layer l = make_pool2("p", c, h, w, k, k, stride, pad);
+        Tensor16 in({c, h, w});
+        in.fill_random(rng, 30000);
+        const Tensor16 mx = maxpool_reference(l, in);
+        const Tensor16 avg = avgpool_reference(l, in);
+        ASSERT_EQ(mx.dims(), (Dims{c, l.out_h(), l.out_w()}));
+        ASSERT_EQ(avg.dims(), mx.dims());
+        for (int ch = 0; ch < c; ++ch) {
+          for (int y = 0; y < l.out_h(); ++y) {
+            for (int x = 0; x < l.out_w(); ++x) {
+              std::int64_t best = std::numeric_limits<std::int16_t>::min();
+              std::int64_t sum = 0, count = 0;
+              for (int r = 0; r < k; ++r) {
+                for (int s = 0; s < k; ++s) {
+                  const int iy = y * stride + r - pad;
+                  const int ix = x * stride + s - pad;
+                  if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+                  best = std::max<std::int64_t>(best, in.at(ch, iy, ix));
+                  sum += in.at(ch, iy, ix);
+                  ++count;
+                }
+              }
+              const std::int64_t mean = count > 0 ? sum / count : 0;
+              EXPECT_EQ(mx.at(ch, y, x), best)
+                  << "stride=" << stride << " pad=" << pad << " k=" << k;
+              EXPECT_EQ(avg.at(ch, y, x), mean)
+                  << "stride=" << stride << " pad=" << pad << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Tensor, RandomFillDeterministicAndBounded) {

@@ -7,8 +7,11 @@
 #include <string>
 
 #include "common/rng.h"
+#include "compiler/codegen.h"
+#include "compiler/session.h"
 #include "nn/model_zoo.h"
 #include "runtime/executor.h"
+#include "sim/ftdl_sim.h"
 
 namespace ftdl::runtime {
 namespace {
@@ -117,12 +120,16 @@ TEST(Executor, CycleSimPathMatchesReferencePath) {
 }
 
 TEST(Executor, WeightGroupStitchingIsExact) {
-  // A layer whose weights exceed one WBUF per TPE on a tiny overlay, so the
-  // compiler must split into groups; outputs must still be bit-exact.
+  // Layers whose weights exceed one WBUF per TPE on a tiny overlay, so the
+  // compiler must split them into groups. Each runs as one layer-level
+  // runner over its full weight tensor: outputs must still be bit-exact,
+  // and each layer's cycles are the sum of its per-group single-program
+  // runners' — the groups run back to back on the overlay.
   arch::OverlayConfig cfg = small_config();
   cfg.wbuf_words = 256;  // force splitting
   nn::Network net("wide");
-  net.add(nn::make_conv("wide_conv", 16, 6, 6, 48, 3, 1, 1));
+  net.add(nn::make_conv("wide_conv", 16, 6, 6, 51, 3, 1, 1));
+  net.add(nn::make_matmul("wide_fc", 51 * 6 * 6, 70, 1));
   net.validate_graph();
   const WeightStore ws = WeightStore::random_for(net, 33);
   Rng rng(13);
@@ -135,7 +142,28 @@ TEST(Executor, WeightGroupStitchingIsExact) {
   const ExecResult simd = run_network(net, input, ws, sim_opt);
   const ExecResult ref = run_network(net, input, ws, ExecOptions{});
   EXPECT_EQ(ref.output, simd.output);
-  EXPECT_GT(simd.runs[0].weight_groups, 1);
+
+  compiler::CompilerSession& session = compiler::CompilerSession::global();
+  std::int64_t group_cycles = 0;
+  for (std::size_t i = 0; i < net.layers().size(); ++i) {
+    const nn::Layer& layer = net.layers()[i];
+    const compiler::LayerProgram master =
+        session.compile(layer, cfg, compiler::Objective::Performance,
+                        sim_opt.search_budget_per_layer);
+    ASSERT_GT(master.weight_groups, 1) << layer.name;
+    EXPECT_EQ(simd.runs[i].weight_groups, master.weight_groups);
+    std::int64_t layer_cycles = 0;
+    for (const nn::Layer& part :
+         compiler::weight_group_layers(layer, master.weight_groups)) {
+      const compiler::LayerProgram prog =
+          session.compile(part, cfg, compiler::Objective::Performance,
+                          sim_opt.search_budget_per_layer);
+      layer_cycles += sim::CachedLayerSim(prog, cfg).stats().cycles;
+    }
+    EXPECT_EQ(simd.runs[i].sim_cycles, layer_cycles) << layer.name;
+    group_cycles += layer_cycles;
+  }
+  EXPECT_EQ(simd.total_sim_cycles, group_cycles);
 }
 
 TEST(Executor, CalibrationKeepsOutputsInRange) {

@@ -4,12 +4,16 @@
 // (functional = false) path (docs/simulator.md).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "compiler/codegen.h"
 #include "nn/reference.h"
 #include "sim/ftdl_sim.h"
+#include "sim/sim_engine.h"
 
 namespace ftdl {
 namespace {
@@ -98,7 +102,7 @@ TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
   const nn::Layer layer = random_layer(rng, GetParam());
   const compiler::LayerProgram prog =
       compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
-  if (prog.weight_groups != 1) return;  // stitching covered in test_runtime
+  if (prog.weight_groups != 1) return;  // see LayerRunnerOverWeightGroups
 
   const LayerData data =
       make_data(layer, static_cast<std::uint64_t>(GetParam()) + 11);
@@ -325,6 +329,188 @@ TEST(SimEngine, ZooShapesMatchNnReference) {
         EXPECT_EQ(ref.output, golden) << layer->name;
       }
     }
+  }
+}
+
+/// Fast at jobs {1, 4} must equal the nn:: golden kernel.
+void expect_fast_matches_golden(const compiler::LayerProgram& prog,
+                                const arch::OverlayConfig& cfg,
+                                const LayerData& data, const char* what) {
+  const nn::AccTensor golden = nn_golden(prog.layer, data);
+  for (int jobs : {1, 4}) {
+    sim::SimOptions opt;
+    opt.jobs = jobs;
+    opt.collect_trace = false;
+    EXPECT_EQ(
+        sim::simulate_layer(prog, cfg, data.weights, data.input, opt).output,
+        golden)
+        << prog.layer.name << " " << what << " jobs=" << jobs;
+  }
+}
+
+bool takes_tiles(const compiler::LayerProgram& prog, const LayerData& data) {
+  return sim::detail::uses_int32_tiles(sim::detail::build_tables(prog),
+                                       data.weights.data(), data.input.data());
+}
+
+// The int32 tile path runs only when K * max|w| * max|x| <= 2^31 - 1, with K
+// the reduction length rounded up to pairs. Same-sign extremes put every
+// partial sum next to the bound: just inside, the tiles sum exactly; just
+// outside (and at the (-32768)^2 corner), the acc_t path runs, where a 1x1
+// layer's sums would overflow int32. All equal the nn reference.
+TEST(SimEngine, Int32TileBoundBothSides) {
+  const arch::OverlayConfig cfg = bench_overlay();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kW = 32767;
+  struct Case {
+    nn::Layer layer;
+    std::int64_t k;  ///< reduction length rounded up to pairs
+  };
+  const Case cases[] = {
+      // 1x1 pairs channels: K = in_c.
+      {nn::make_conv("tile_bound_1x1", 4, 5, 5, 6, 1, 1, 0), 4},
+      // 3x3 pairs taps: 9 round up to 10 per channel.
+      {nn::make_conv("tile_bound_3x3", 3, 6, 6, 5, 3, 1, 1), 30},
+  };
+  for (const Case& c : cases) {
+    const compiler::LayerProgram prog =
+        compiler::compile_layer(c.layer, cfg, Objective::Performance, 4'000);
+    ASSERT_EQ(prog.weight_groups, 1) << c.layer.name;
+    const std::int64_t inside = kMax / (c.k * kW);
+    ASSERT_LE(c.k * kW * inside, kMax);
+    ASSERT_GT(c.k * kW * (inside + 1), kMax);
+    struct Operands {
+      std::int16_t w, x;
+      bool tiles;
+    };
+    const Operands sides[] = {
+        {static_cast<std::int16_t>(kW), static_cast<std::int16_t>(inside),
+         simd::has_conv_tile()},
+        {static_cast<std::int16_t>(kW), static_cast<std::int16_t>(inside + 1),
+         false},
+        {std::numeric_limits<std::int16_t>::min(),
+         std::numeric_limits<std::int16_t>::min(), false},
+    };
+    for (const Operands& side : sides) {
+      LayerData data = make_data(c.layer, 7);
+      std::fill(data.weights.data(), data.weights.data() + data.weights.size(),
+                side.w);
+      std::fill(data.input.data(), data.input.data() + data.input.size(),
+                side.x);
+      EXPECT_EQ(takes_tiles(prog, data), side.tiles)
+          << c.layer.name << " x=" << side.x;
+      expect_fast_matches_golden(prog, cfg, data, "bound");
+    }
+  }
+}
+
+// Tile geometry: odd in_c (a channel pair with zero), odd kh*kw (a tap pair
+// with zero), tap pairs that cross a kernel row, out_c % 4 != 0 (partial
+// channel tiles), ow < 16 and ow > 16 (grid tails, discarded columns), pad 2
+// on a 7x7 plane, 1x1 with pad 0, and kh x 1 over a 1-wide image. Typical
+// operands take the tile path; Fast equals the nn reference at jobs {1, 4}
+// with SIMD on and off.
+TEST(SimEngine, Int32TileShapesMatchNnReference) {
+  const arch::OverlayConfig cfg = bench_overlay();
+  const nn::Layer layers[] = {
+      nn::make_conv("tile_odd", 5, 9, 9, 6, 3, 1, 1),
+      nn::make_conv("tile_pad2", 3, 7, 7, 7, 5, 1, 2),
+      nn::make_conv("tile_1x1", 7, 6, 6, 5, 1, 1, 0),
+      nn::make_conv("tile_1x1_even", 8, 3, 5, 9, 1, 1, 0),
+      nn::make_conv("tile_wide", 3, 20, 20, 4, 3, 1, 1),
+      nn::make_conv2("tile_2x3", 4, 8, 11, 3, 2, 3, 1, 1),
+      nn::make_conv2("tile_kh1", 9, 20, 1, 3, 4, 1, 1, 0),
+      nn::make_conv2("tile_kh1_odd", 6, 17, 1, 10, 5, 1, 1, 0),
+  };
+  for (const nn::Layer& layer : layers) {
+    const compiler::LayerProgram prog =
+        compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
+    ASSERT_EQ(prog.weight_groups, 1) << layer.name;
+    const LayerData data = make_data(layer, 23);
+    EXPECT_EQ(takes_tiles(prog, data), simd::has_conv_tile()) << layer.name;
+    expect_fast_matches_golden(prog, cfg, data, "simd");
+    ScopedScalarOnly scalar_only;
+    EXPECT_FALSE(takes_tiles(prog, data)) << layer.name;
+    expect_fast_matches_golden(prog, cfg, data, "scalar");
+  }
+}
+
+/// The compiled programs of `layer`'s weight groups, in channel order.
+std::vector<compiler::LayerProgram> group_programs(
+    const nn::Layer& layer, const arch::OverlayConfig& cfg, int groups) {
+  std::vector<compiler::LayerProgram> out;
+  for (const nn::Layer& part : compiler::weight_group_layers(layer, groups))
+    out.push_back(
+        compiler::compile_layer(part, cfg, Objective::Performance, 4'000));
+  return out;
+}
+
+// The layer-level runner over a split layer: one run over the full weight
+// tensor equals the nn reference at jobs {1, 4}, and its cached stats are
+// the sums of the per-group single-program runners'. Group lists that do
+// not tile the layer are refused.
+TEST(SimEngine, LayerRunnerOverWeightGroups) {
+  arch::OverlayConfig cfg = bench_overlay();
+  cfg.wbuf_words = 256;  // small WBUF: the layers split into weight groups
+  cfg.validate();
+  const nn::Layer layers[] = {
+      nn::make_conv("runner_conv", 16, 6, 6, 51, 3, 1, 1),
+      nn::make_matmul("runner_fc", 300, 70, 1),
+  };
+  for (const nn::Layer& layer : layers) {
+    const compiler::LayerProgram master =
+        compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
+    ASSERT_GT(master.weight_groups, 1) << layer.name;
+    const std::vector<compiler::LayerProgram> groups =
+        group_programs(layer, cfg, master.weight_groups);
+    ASSERT_GT(groups.size(), 1u);
+    sim::SimOptions opt;
+    opt.collect_trace = false;
+    const sim::CachedLayerSim runner(layer, groups, cfg, opt);
+
+    sim::SimStats sum;
+    for (const compiler::LayerProgram& g : groups) {
+      const sim::SimStats st = sim::CachedLayerSim(g, cfg, opt).stats();
+      sum.cycles += st.cycles;
+      sum.compute_cycles += st.compute_cycles;
+      sum.act_stall_cycles += st.act_stall_cycles;
+      sum.psum_stall_cycles += st.psum_stall_cycles;
+      sum.valid_maccs += st.valid_maccs;
+      sum.padded_maccs += st.padded_maccs;
+      sum.act_refills += st.act_refills;
+      sum.psum_drains += st.psum_drains;
+    }
+    expect_same_stats(runner.stats(), sum, "layer runner vs group runners");
+
+    const LayerData data = make_data(layer, 41);
+    const nn::AccTensor golden = nn_golden(layer, data);
+    for (int jobs : {1, 4}) {
+      ThreadPool pool(jobs);
+      nn::AccTensor out;
+      runner.run(data.weights, data.input, out, &pool);
+      EXPECT_EQ(out, golden) << layer.name << " jobs=" << jobs;
+    }
+
+    // Lists that do not tile the layer: a group missing, a group twice, a
+    // group of another layer, and the split master program alone.
+    std::vector<compiler::LayerProgram> missing(groups.begin(),
+                                                groups.end() - 1);
+    std::vector<compiler::LayerProgram> twice = groups;
+    twice.push_back(groups.front());
+    nn::Layer stranger = groups.back().layer;
+    if (layer.kind == nn::LayerKind::MatMul)
+      stranger.mm_m += 1;
+    else
+      stranger.in_c += 1;
+    std::vector<compiler::LayerProgram> foreign = groups;
+    foreign.back() =
+        compiler::compile_layer(stranger, cfg, Objective::Performance, 4'000);
+    for (const auto* bad : {&missing, &twice, &foreign})
+      EXPECT_THROW(sim::CachedLayerSim(layer, *bad, cfg, opt), ConfigError)
+          << layer.name;
+    EXPECT_THROW(sim::CachedLayerSim(layer, std::span(&master, 1), cfg, opt),
+                 ConfigError)
+        << layer.name;
   }
 }
 
