@@ -1,14 +1,13 @@
 // Simulator-engine benchmarks (google-benchmark): wall-clock of
-// simulate_layer on a ResNet50 layer sweep, comparing the scalar Reference
-// interpreter against the fast engine at 1/2/8 jobs and the stats-only
-// (functional = false) path, with MACCs/s reported per run.
+// simulate_layer on a ResNet50 layer sweep at 1/2/8 jobs and of the
+// stats-only simulate_layer_stats path, with MACCs/s reported per run.
 //
 // The sweep covers the shapes that stress different engine paths: the
 // pad-heavy 7x7 stride-2 stem (strided rows), a 1x1 bottleneck reduce
 // (one whole-plane sweep per channel pair), a 3x3 mid-stage conv (row-fused
 // sweeps across the pad-clipped columns), and the fc1000 matmul. Layers
-// the compiler splits into weight groups run one group slice. Outputs are
-// bit-identical across every variant (pinned by tests/test_sim_engine.cpp);
+// the compiler splits into weight groups run one group's slice. Outputs are
+// bit-identical at every jobs count (pinned by tests/test_sim_engine.cpp);
 // these benchmarks measure only speed.
 //
 // Unless the caller passes --benchmark_out themselves, results are also
@@ -45,8 +44,9 @@ LayerCase make_case(const std::string& label, const nn::Layer& full) {
   c.label = label;
   c.prog = compiler::compile_layer(full, cfg, compiler::Objective::Performance,
                                    kBudget);
-  // A layer split into weight groups is simulated one group slice at a
-  // time, as the runtime executes it.
+  // simulate_layer takes a program that maps the whole layer, so a layer
+  // split into weight groups is measured on one group's slice. (The runtime
+  // runs all groups in one call of the layer-level CachedLayerSim.)
   const nn::Layer layer =
       compiler::weight_group_slice(full, c.prog.weight_groups);
   if (c.prog.weight_groups > 1)
@@ -94,23 +94,7 @@ void report_rate(benchmark::State& state, std::int64_t padded,
       static_cast<double>(valid), benchmark::Counter::kIsIterationInvariantRate);
 }
 
-void BM_SimReference(benchmark::State& state, std::size_t idx) {
-  const LayerCase& c = cases()[idx];
-  const arch::OverlayConfig cfg = arch::paper_config();
-  sim::SimOptions opt;
-  opt.engine = sim::SimEngine::Reference;
-  std::int64_t padded = 0, valid = 0;
-  for (auto _ : state) {
-    const sim::SimResult r =
-        sim::simulate_layer(c.prog, cfg, c.weights, c.input, opt);
-    padded = r.stats.padded_maccs;
-    valid = r.stats.valid_maccs;
-    benchmark::DoNotOptimize(r.stats.cycles);
-  }
-  report_rate(state, padded, valid);
-}
-
-void BM_SimEngine(benchmark::State& state, std::size_t idx) {
+void BM_SimLayer(benchmark::State& state, std::size_t idx) {
   const LayerCase& c = cases()[idx];
   const arch::OverlayConfig cfg = arch::paper_config();
   sim::SimOptions opt;
@@ -142,12 +126,9 @@ void BM_SimStatsOnly(benchmark::State& state, std::size_t idx) {
 void register_benchmarks() {
   for (std::size_t i = 0; i < cases().size(); ++i) {
     const std::string& label = cases()[i].label;
-    benchmark::RegisterBenchmark(("BM_SimReference/" + label).c_str(),
-                                 BM_SimReference, i)
-        ->Unit(benchmark::kMillisecond);
     for (int jobs : {1, 2, 8}) {
-      benchmark::RegisterBenchmark(("BM_SimEngine/" + label).c_str(),
-                                   BM_SimEngine, i)
+      benchmark::RegisterBenchmark(("BM_SimLayer/" + label).c_str(),
+                                   BM_SimLayer, i)
           ->Arg(jobs)
           ->ArgName("jobs")
           ->Unit(benchmark::kMillisecond);

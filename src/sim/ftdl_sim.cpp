@@ -5,7 +5,6 @@
 #include <numeric>
 #include <span>
 #include <string>
-#include <unordered_set>
 
 #include "arch/isa.h"
 #include "common/error.h"
@@ -24,125 +23,24 @@ using compiler::Mapping;
 using compiler::Workload;
 using compiler::WorkloadKind;
 
-/// Mixed-radix odometer over the per-loop tiles of one hardware level.
-/// digits()[k] is the current sub-index of workload loop k at this level.
-class Odometer {
- public:
-  Odometer(const Mapping& m, HwLevel level)
-      : radix_(m.level(level).begin(), m.level(level).end()),
-        digits_(radix_.size(), 0) {}
-
-  const std::vector<std::int64_t>& digits() const { return digits_; }
-
-  /// Total number of states (the level product).
-  std::int64_t states() const {
-    std::int64_t p = 1;
-    for (std::int64_t r : radix_) p *= r;
-    return p;
-  }
-
-  /// Advances to the next state; returns false on wrap-around to zero.
-  bool advance() {
-    for (std::size_t k = digits_.size(); k-- > 0;) {
-      if (++digits_[k] < radix_[k]) return true;
-      digits_[k] = 0;
-    }
-    return false;
-  }
-
-  void reset() { std::fill(digits_.begin(), digits_.end(), 0); }
-
- private:
-  std::vector<std::int64_t> radix_;
-  std::vector<std::int64_t> digits_;
-};
-
-/// Per-TPE spatial digits, enumerated once (the hardware runs these in
-/// parallel every cycle). Only the Reference interpreter walks these
-/// vectors; the Fast engine walks the layer in workload-loop order instead
-/// (sim_engine.h).
-std::vector<std::vector<std::int64_t>> enumerate_spatial(const Mapping& m,
-                                                         int k) {
-  Odometer d3(m, HwLevel::D3), d2(m, HwLevel::D2), d1(m, HwLevel::D1);
-  std::vector<std::vector<std::int64_t>> out;
-  do {
-    do {
-      do {
-        // Combined spatial digit per loop: ((d3 * TD2 + d2) * TD1 + d1),
-        // matching the H-matrix nesting of Eqn. 5.
-        std::vector<std::int64_t> digit(static_cast<std::size_t>(k));
-        for (int i = 0; i < k; ++i) {
-          const auto iu = static_cast<std::size_t>(i);
-          digit[iu] = (d3.digits()[iu] * m.tile(HwLevel::D2, i) +
-                       d2.digits()[iu]) *
-                          m.tile(HwLevel::D1, i) +
-                      d1.digits()[iu];
-        }
-        out.push_back(std::move(digit));
-      } while (d1.advance());
-    } while (d2.advance());
-  } while (d3.advance());
-  return out;
-}
-
-struct Shape {
-  // Conv fields.
-  int in_c = 0, in_h = 0, in_w = 0, out_c = 0, kh = 0, kw = 0, stride = 1,
-      pad = 0, oh = 0, ow = 0;
-  // MM fields.
-  int mm_m = 0, mm_n = 0, mm_p = 0;
-
-  bool operator==(const Shape&) const = default;
-};
-
-Shape shape_from_layer(const nn::Layer& layer) {
-  Shape s;
-  if (layer.kind == nn::LayerKind::Depthwise) {
-    s.in_c = layer.in_c;
-    s.in_h = layer.in_h;
-    s.in_w = layer.in_w;
-    s.out_c = layer.in_c;
-    s.kh = layer.kh;
-    s.kw = layer.kw;
-    s.stride = layer.stride;
-    s.pad = layer.pad;
-    s.oh = layer.out_h();
-    s.ow = layer.out_w();
-  } else if (layer.kind == nn::LayerKind::Conv) {
-    s.in_c = layer.in_c;
-    s.in_h = layer.in_h;
-    s.in_w = layer.in_w;
-    s.out_c = layer.out_c;
-    s.kh = layer.kh;
-    s.kw = layer.kw;
-    s.stride = layer.stride;
-    s.pad = layer.pad;
-    s.oh = layer.out_h();
-    s.ow = layer.out_w();
-  } else {
-    s.mm_m = static_cast<int>(layer.mm_m);
-    s.mm_n = static_cast<int>(layer.mm_n);
-    s.mm_p = static_cast<int>(layer.mm_p);
-  }
-  return s;
-}
-
 /// The tensor layouts a layer's functional run reads and writes.
 struct Layouts {
   nn::Dims weights, input, output;
 };
 
-Layouts layouts_of(const nn::Layer& layer) {
-  const Shape s = shape_from_layer(layer);
-  switch (layer.kind) {
+Layouts layouts_of(const nn::Layer& l) {
+  switch (l.kind) {
     case nn::LayerKind::Depthwise:
-      return {{s.in_c, s.kh, s.kw}, {s.in_c, s.in_h, s.in_w},
-              {s.out_c, s.oh, s.ow}};
+      return {{l.in_c, l.kh, l.kw}, {l.in_c, l.in_h, l.in_w},
+              {l.in_c, l.out_h(), l.out_w()}};
     case nn::LayerKind::Conv:
-      return {{s.out_c, s.in_c, s.kh, s.kw}, {s.in_c, s.in_h, s.in_w},
-              {s.out_c, s.oh, s.ow}};
-    default:
-      return {{s.mm_n, s.mm_m}, {s.mm_m, s.mm_p}, {s.mm_n, s.mm_p}};
+      return {{l.out_c, l.in_c, l.kh, l.kw}, {l.in_c, l.in_h, l.in_w},
+              {l.out_c, l.out_h(), l.out_w()}};
+    default: {
+      const auto m = static_cast<int>(l.mm_m), n = static_cast<int>(l.mm_n),
+                 p = static_cast<int>(l.mm_p);
+      return {{n, m}, {m, p}, {n, p}};
+    }
   }
 }
 
@@ -221,7 +119,7 @@ Timing make_timing(const compiler::LayerProgram& program,
 /// refills, LoopX overlapping PSumBUF drains, the slower side stalling —
 /// Eqn. 12's max() as emergent per-iteration behaviour. Fills the cycle /
 /// stall / refill / drain fields of `st`, the DRAM trace, and the obs
-/// timelines. Runs the same way on every engine / functional setting, so
+/// timelines. Runs the same way on the functional and stats-only paths, so
 /// stats and trace are bit-identical across them by construction.
 void run_timing(const Timing& tm, const SimOptions& options,
                 const std::string& layer_name, SimStats& st,
@@ -314,162 +212,6 @@ void run_timing(const Timing& tm, const SimOptions& options,
   trace.total_cycles = static_cast<std::uint64_t>(st.cycles);
 }
 
-/// The original scalar interpreter, now functional-only: walks every padded
-/// Eqn. 2 iteration with per-MACC odometer arithmetic and bounds-checked
-/// tensor accessors. Kept as the executable specification the Fast engine is
-/// pinned against, and as the only path that can measure true buffer
-/// footprints (check_buffers).
-void run_reference(const compiler::LayerProgram& program, const Shape& shape,
-                   const nn::Tensor16& weights, const nn::Tensor16& input,
-                   const SimOptions& options, SimStats& st,
-                   nn::AccTensor& output) {
-  const Workload& w = program.workload;
-  const Mapping& m = program.mapping;
-
-  // Loop indices within the workload vector.
-  const bool conv_like = w.kind != WorkloadKind::MatMul;
-  const bool is_dw = w.kind == WorkloadKind::DepthwiseConv;
-  const int iM = (w.kind == WorkloadKind::MatMul ||
-                  w.kind == WorkloadKind::Conv)
-                     ? w.loop_index('M')
-                     : -1;
-  const int iN = conv_like || w.kind == WorkloadKind::MatMul
-                     ? w.loop_index('N')
-                     : -1;
-  const int iE = conv_like ? w.loop_index('E') : -1;
-  const int iF = conv_like ? w.loop_index('F') : -1;
-  const int iR = conv_like ? w.loop_index('R') : -1;
-  const int iS = conv_like ? w.loop_index('S') : -1;
-  const int iNmm = (w.kind == WorkloadKind::MatMul) ? w.loop_index('N') : -1;
-  const int iP = (w.kind == WorkloadKind::MatMul) ? w.loop_index('P') : -1;
-
-  const auto spatial = enumerate_spatial(m, w.k());
-
-  // Buffer-footprint tracking (check_buffers): one activation set per TPE
-  // (reset per LoopL phase), one psum set per SuperBlock (reset per LoopX
-  // phase), one weight set per TPE (whole layer).
-  const std::size_t n_tpes = spatial.size();
-  const std::int64_t d1_prod = m.level_product(HwLevel::D1);
-  const std::size_t n_sbs = n_tpes / static_cast<std::size_t>(d1_prod);
-  std::vector<std::unordered_set<std::int64_t>> act_sets, psum_sets, wbuf_sets;
-  if (options.check_buffers) {
-    act_sets.resize(n_tpes);
-    psum_sets.resize(n_sbs);
-    wbuf_sets.resize(n_tpes);
-  }
-  auto flush_act_sets = [&] {
-    for (auto& set : act_sets) {
-      st.max_act_words_per_tpe = std::max<std::int64_t>(
-          st.max_act_words_per_tpe, static_cast<std::int64_t>(set.size()));
-      set.clear();
-    }
-  };
-  auto flush_psum_sets = [&] {
-    for (auto& set : psum_sets) {
-      st.max_psum_words_per_sb = std::max<std::int64_t>(
-          st.max_psum_words_per_sb, static_cast<std::int64_t>(set.size()));
-      set.clear();
-    }
-  };
-
-  const std::int64_t t_trip = m.level_product(HwLevel::T);
-  const std::int64_t l_trip = m.level_product(HwLevel::L);
-  const std::int64_t x_trip = m.level_product(HwLevel::X);
-
-  Odometer x_od(m, HwLevel::X), l_od(m, HwLevel::L), t_od(m, HwLevel::T);
-  std::vector<std::int64_t> gidx(static_cast<std::size_t>(w.k()));
-
-  for (std::int64_t x = 0; x < x_trip; ++x) {
-    l_od.reset();
-    for (std::int64_t l = 0; l < l_trip; ++l) {
-      // ---- functional burst: every TPE, every LoopT state ----
-      t_od.reset();
-      for (std::int64_t t = 0; t < t_trip; ++t) {
-        for (std::size_t sp_idx = 0; sp_idx < spatial.size(); ++sp_idx) {
-          const auto& sp = spatial[sp_idx];
-          bool valid = true;
-          for (int k = 0; k < w.k(); ++k) {
-            const auto ku = static_cast<std::size_t>(k);
-            // Eqn. 2 nesting: ((spatial * TX + x) * TL + l) * TT + t.
-            std::int64_t v = sp[ku];
-            v = v * m.tile(HwLevel::X, k) + x_od.digits()[ku];
-            v = v * m.tile(HwLevel::L, k) + l_od.digits()[ku];
-            v = v * m.tile(HwLevel::T, k) + t_od.digits()[ku];
-            if (v >= w.loops[ku].trip) {
-              valid = false;
-              break;
-            }
-            gidx[ku] = v;
-          }
-          ++st.padded_maccs;
-          if (!valid) continue;
-
-          if (conv_like) {
-            const int y = static_cast<int>(gidx[static_cast<std::size_t>(iE)]) *
-                              shape.stride +
-                          static_cast<int>(gidx[static_cast<std::size_t>(iR)]) -
-                          shape.pad;
-            const int xc = static_cast<int>(gidx[static_cast<std::size_t>(iF)]) *
-                               shape.stride +
-                           static_cast<int>(gidx[static_cast<std::size_t>(iS)]) -
-                           shape.pad;
-            if (y < 0 || y >= shape.in_h || xc < 0 || xc >= shape.in_w) continue;
-            const auto n = static_cast<int>(gidx[static_cast<std::size_t>(iN)]);
-            const auto mo =
-                is_dw ? n : static_cast<int>(gidx[static_cast<std::size_t>(iM)]);
-            const auto e = static_cast<int>(gidx[static_cast<std::size_t>(iE)]);
-            const auto f = static_cast<int>(gidx[static_cast<std::size_t>(iF)]);
-            const auto r = static_cast<int>(gidx[static_cast<std::size_t>(iR)]);
-            const auto sIdx = static_cast<int>(gidx[static_cast<std::size_t>(iS)]);
-            const std::int16_t wv = is_dw ? weights.at(n, r, sIdx)
-                                          : weights.at(mo, n, r, sIdx);
-            output.at(mo, e, f) =
-                macc(output.at(mo, e, f), wv, input.at(n, y, xc));
-            if (options.check_buffers) {
-              const std::int64_t act_id =
-                  (std::int64_t{n} * shape.in_h + y) * shape.in_w + xc;
-              act_sets[sp_idx].insert(act_id);
-              const std::int64_t w_id =
-                  ((std::int64_t{mo} * shape.in_c + n) * shape.kh + r) *
-                      shape.kw + sIdx;
-              wbuf_sets[sp_idx].insert(w_id);
-              const std::int64_t out_id =
-                  (std::int64_t{mo} * shape.oh + e) * shape.ow + f;
-              psum_sets[sp_idx / static_cast<std::size_t>(d1_prod)].insert(
-                  out_id);
-            }
-          } else {
-            const auto mm = static_cast<int>(gidx[static_cast<std::size_t>(iM)]);
-            const auto n = static_cast<int>(gidx[static_cast<std::size_t>(iNmm)]);
-            const auto pp = static_cast<int>(gidx[static_cast<std::size_t>(iP)]);
-            output.at(n, pp) =
-                macc(output.at(n, pp), weights.at(n, mm), input.at(mm, pp));
-            if (options.check_buffers) {
-              act_sets[sp_idx].insert(std::int64_t{mm} * shape.mm_p + pp);
-              wbuf_sets[sp_idx].insert(std::int64_t{n} * shape.mm_m + mm);
-              psum_sets[sp_idx / static_cast<std::size_t>(d1_prod)].insert(
-                  std::int64_t{n} * shape.mm_p + pp);
-            }
-          }
-          ++st.valid_maccs;
-        }
-        t_od.advance();
-      }
-      if (options.check_buffers) flush_act_sets();
-      l_od.advance();
-    }
-    if (options.check_buffers) flush_psum_sets();
-    x_od.advance();
-  }
-
-  if (options.check_buffers) {
-    for (const auto& set : wbuf_sets) {
-      st.max_wbuf_words_per_tpe = std::max<std::int64_t>(
-          st.max_wbuf_words_per_tpe, static_cast<std::int64_t>(set.size()));
-    }
-  }
-}
-
 /// Publishes one simulated layer's stats as sim/* observability counters.
 void count_stats(const SimStats& st) {
   if (!obs::enabled()) return;
@@ -523,7 +265,7 @@ void check_stream(const compiler::LayerProgram& program) {
                 ": instruction stream disagrees with the mapping");
 }
 
-/// The coverage cross-check of every Fast functional run: the engine
+/// The coverage cross-check of every functional run: the engine
 /// executes the layer's true MACs, count_valid_maccs counts the valid
 /// points of the mapping's padded space, and the two differ exactly when the
 /// mapping leaves part of a loop uncovered.
@@ -535,84 +277,54 @@ void check_coverage(const std::string& layer_name, std::int64_t executed,
                         std::to_string(executed) + " MACCs");
 }
 
-/// Fast-engine functional pass, fanned across the resolved worker pool
-/// (SimOptions::jobs).
-void run_engine(const compiler::LayerProgram& program,
-                const nn::Tensor16& weights, const nn::Tensor16& input,
-                const SimOptions& options, SimStats& st,
-                nn::AccTensor& output) {
-  const detail::EngineTables tables = detail::build_tables(program);
+/// Functional pass on the worker pool SimOptions::jobs names.
+/// Returns the MACCs executed.
+std::int64_t run_engine(const detail::EngineTables& tables,
+                        const nn::Tensor16& weights, const nn::Tensor16& input,
+                        const SimOptions& options, nn::AccTensor& output) {
   const std::int16_t* wp = weights.data();
   const std::int16_t* ip = input.data();
   acc_t* op = output.data();
-  std::int64_t valid = 0;
-  if (options.jobs == 1) {
-    valid = detail::run_functional(tables, wp, ip, op, nullptr);
-  } else if (options.jobs == 0) {
-    valid = detail::run_functional(tables, wp, ip, op,
-                                   &compiler::CompilerSession::global().pool());
-  } else {
-    ThreadPool pool(options.jobs);
-    valid = detail::run_functional(tables, wp, ip, op, &pool);
-  }
-  check_coverage(program.layer.name, valid, detail::count_valid_maccs(tables));
-  st.valid_maccs = valid;
-  st.padded_maccs = program.mapping.padded_macs();
+  if (options.jobs == 1)
+    return detail::run_functional(tables, wp, ip, op, nullptr);
+  if (options.jobs == 0)
+    return detail::run_functional(tables, wp, ip, op,
+                                  &compiler::CompilerSession::global().pool());
+  ThreadPool pool(options.jobs);
+  return detail::run_functional(tables, wp, ip, op, &pool);
 }
 
+/// One simulated layer: the functional pass when `weights` and `input` are
+/// given (simulate_layer), tensor-free when both are null
+/// (simulate_layer_stats). valid_maccs is the mapping's coverage count on
+/// both paths, and the timing pass is the same code.
 SimResult simulate_impl(const compiler::LayerProgram& program,
                         const arch::OverlayConfig& config,
                         const nn::Tensor16* weights, const nn::Tensor16* input,
                         const SimOptions& options) {
-  const Workload& w = program.workload;
-  const Mapping& m = program.mapping;
-  FTDL_ASSERT(m.k() == w.k());
-
-  if (!options.functional && options.check_buffers)
-    throw ConfigError(w.name +
-                      ": check_buffers needs a functional run "
-                      "(functional = false skips the bursts the footprints "
-                      "are measured on)");
+  FTDL_ASSERT(program.mapping.k() == program.workload.k());
+  FTDL_ASSERT((weights == nullptr) == (input == nullptr));
   check_padded_limit(program, options);
-
-  const Shape shape = shape_from_layer(program.layer);
   const Layouts layouts = layouts_of(program.layer);
-  if (options.functional) {
-    FTDL_ASSERT(weights != nullptr && input != nullptr);
+  if (weights != nullptr) {
     check_single_group(program);
     check_tensors(program.layer.name, layouts, *weights, *input);
   }
-
   check_stream(program);
 
   SimResult result;
   SimStats& st = result.stats;
-
-  // ---- functional pass (or interval-arithmetic stand-in) ----
-  if (options.functional) {
+  const detail::EngineTables tables = detail::build_tables(program);
+  st.valid_maccs = detail::count_valid_maccs(tables);
+  st.padded_maccs = program.mapping.padded_macs();
+  if (weights != nullptr) {
     result.output = nn::AccTensor(layouts.output);
-    // check_buffers is tied to the reference walk: the footprint sets track
-    // its serial LoopL/LoopX phases and the mode exists for verification,
-    // not speed.
-    if (options.engine == SimEngine::Reference || options.check_buffers)
-      run_reference(program, shape, *weights, *input, options, st,
-                    result.output);
-    else
-      run_engine(program, *weights, *input, options, st, result.output);
-  } else {
-    const detail::EngineTables tables = detail::build_tables(program);
-    st.valid_maccs = detail::count_valid_maccs(tables);
-    st.padded_maccs = m.padded_macs();
+    check_coverage(program.layer.name,
+                   run_engine(tables, *weights, *input, options, result.output),
+                   st.valid_maccs);
   }
-
-  // ---- timing pass: identical on every path by construction ----
   run_timing(make_timing(program, config), options, program.layer.name, st,
              result.trace);
-
-  // valid_maccs counts per-TPE operations; padded_maccs should equal the
-  // mapping's padded space.
-  FTDL_ASSERT(st.padded_maccs == m.padded_macs());
-
   count_stats(st);
   return result;
 }
@@ -629,10 +341,7 @@ SimResult simulate_layer(const compiler::LayerProgram& program,
 SimResult simulate_layer_stats(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options) {
-  SimOptions opt = options;
-  opt.functional = false;
-  opt.check_buffers = false;
-  return simulate_impl(program, config, nullptr, nullptr, opt);
+  return simulate_impl(program, config, nullptr, nullptr, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -650,13 +359,11 @@ namespace {
 
 /// Zeroes the weight-only extent a weight group splits (conv output
 /// channels, depthwise channels, MatMul output features) and returns it.
-int take_group_extent(Shape& s, nn::LayerKind kind) {
-  int& field = kind == nn::LayerKind::Conv        ? s.out_c
-               : kind == nn::LayerKind::Depthwise ? s.in_c
-                                                  : s.mm_n;
-  const int extent = field;
+std::int64_t take_group_extent(detail::EngineTables& t) {
+  std::int64_t& field = t.kind == WorkloadKind::MatMul ? t.mm_n : t.out_c;
+  const std::int64_t extent = field;
   field = 0;
-  if (kind == nn::LayerKind::Depthwise) s.out_c = 0;
+  if (t.kind == WorkloadKind::DepthwiseConv) t.in_c = 0;
   return extent;
 }
 
@@ -665,12 +372,12 @@ int take_group_extent(Shape& s, nn::LayerKind kind) {
 /// layer's.
 void check_tiling(const nn::Layer& layer,
                   std::span<const compiler::LayerProgram> groups) {
-  Shape whole = shape_from_layer(layer);
-  const int extent = take_group_extent(whole, layer.kind);
+  detail::EngineTables whole = detail::build_tables(layer);
+  const std::int64_t extent = take_group_extent(whole);
   std::int64_t covered = 0;
   for (const compiler::LayerProgram& g : groups) {
-    Shape part = shape_from_layer(g.layer);
-    covered += take_group_extent(part, layer.kind);
+    detail::EngineTables part = detail::build_tables(g.layer);
+    covered += take_group_extent(part);
     if (g.layer.kind != layer.kind || part != whole)
       throw ConfigError(layer.name + ": weight group " + g.layer.name +
                         " is not a slice of the layer");

@@ -11,8 +11,12 @@
 //     emergent per-iteration behaviour rather than a formula;
 //   * every off-chip transfer is logged to a dram::AccessTrace.
 //
-// The output accumulators are bit-compared against nn::conv2d_reference /
-// nn::matmul_reference in the test suite.
+// One engine computes the MACCs (sim_engine.h), in workload-loop order
+// rather than the hardware's: integer accumulation does not depend on the
+// order, so the accumulators equal the hardware order's bit for bit. The
+// test suite bit-compares them against nn::conv2d_reference /
+// nn::depthwise_reference / nn::matmul_reference. simulate_layer_stats
+// runs the same validation and timing without tensors.
 #pragma once
 
 #include <memory>
@@ -29,26 +33,6 @@ class ThreadPool;
 
 namespace ftdl::sim {
 
-/// Functional-simulation implementation (docs/simulator.md).
-enum class SimEngine {
-  /// Loop-order-free engine: walks the layer in workload-loop order (exact,
-  /// because integer accumulation does not depend on the enumeration
-  /// order), running stride-1 convs on exact int32 register tiles when the
-  /// operands allow it and otherwise sweeping the unit-stride output loop
-  /// over its whole pad-clipped range with the SIMD kernels of
-  /// common/simd.h, and fanning output-channel ranges across the
-  /// ThreadPool. Every run cross-checks its
-  /// MACC count against the mapping's coverage and refuses a mapping that
-  /// leaves part of a loop uncovered. Bit-identical to Reference at any jobs
-  /// count (pinned by tests/test_sim_engine.cpp). The default.
-  Fast,
-  /// The original scalar interpreter: per-MACC odometer arithmetic and
-  /// bounds-checked tensor accessors. An order of magnitude slower; kept as
-  /// the executable specification the engine is tested against (and the
-  /// baseline bench_sim measures speedup from).
-  Reference,
-};
-
 // Field-by-field units and paper mappings: docs/observability.md
 // ("SimStats <-> paper quantities").
 struct SimOptions {
@@ -57,29 +41,11 @@ struct SimOptions {
   /// and the Fig. 7 roofline's traffic axis. On by default; turn off for
   /// microbenchmarks where the trace allocation would dominate.
   bool collect_trace = true;
-  /// Track the true buffer footprints (unique activation words per TPE per
-  /// LoopL phase, psum entries per SuperBlock per LoopX phase, weight words
-  /// per TPE over the layer) and report them in SimStats — lets tests prove
-  /// the analytical buffer-sizing formulas (Eqns. 10-11 tile bounds) are
-  /// upper bounds of reality. Costs memory/time; off by default.
-  bool check_buffers = false;
-  /// Guard for accidental huge functional runs, in padded MACCs (the Eqn. 2
-  /// iteration space, Mapping::padded_macs): the simulator executes every
-  /// padded iteration, so runtime is linear in this quantity. Runs larger
-  /// than the limit throw ftdl::Error instead of hanging.
+  /// Guard for accidental huge runs, in padded MACCs (the Eqn. 2 iteration
+  /// space, Mapping::padded_macs). Runs larger than the limit throw
+  /// ftdl::Error instead of hanging.
   std::int64_t max_padded_macs = std::int64_t{1} << 33;
-  /// Functional engine selection (see SimEngine). check_buffers always runs
-  /// the Reference interpreter: the footprint sets are tied to its serial
-  /// walk and the mode exists for verification, not speed.
-  SimEngine engine = SimEngine::Fast;
-  /// When false, skip the functional pass entirely: no tensor is read or
-  /// written (SimResult::output stays empty) and valid_maccs is counted
-  /// from the mapping's loop coverage instead. SimStats and the DRAM
-  /// trace are bit-identical to a functional run — the cheap path for
-  /// Table II / Fig. 7 / roofline sweeps that never look at the output.
-  /// Incompatible with check_buffers (throws ftdl::ConfigError).
-  bool functional = true;
-  /// Worker-pool parallelism of the Fast engine's functional pass:
+  /// Worker-pool parallelism of the functional pass:
   /// 0 uses the shared CompilerSession pool (FTDL_JOBS / hardware threads),
   /// 1 runs serially on the caller, N > 1 runs on a transient pool of N.
   /// Outputs and SimStats are bit-identical at every value — each output
@@ -110,14 +76,6 @@ struct SimStats {
   /// PSumBUF drains executed (one per LoopX iteration).
   std::int64_t psum_drains = 0;
 
-  // Measured buffer footprints (only when SimOptions::check_buffers),
-  // in 16-bit words (psums: accumulator entries).
-  std::int64_t max_act_words_per_tpe = 0;   ///< worst LoopL phase
-  std::int64_t max_psum_words_per_sb = 0;   ///< worst LoopX phase
-  std::int64_t max_wbuf_words_per_tpe = 0;  ///< whole layer; with
-                                            ///< valid_maccs gives the
-                                            ///< measured E_WBUF of Fig. 7
-
   /// Hardware efficiency as defined for Table II: true MACs over issued
   /// MACC slots, valid_maccs / (cycles * #TPE). Dimensionless, in [0, 1];
   /// 0.0 when cycles or tpes is not positive (nothing was issued).
@@ -140,18 +98,17 @@ struct SimResult {
 /// layer through the layer-level CachedLayerSim instead. Throws
 /// ftdl::ConfigError on layout mismatch or a split program, ftdl::Error
 /// when the padded iteration space exceeds options.max_padded_macs, and
-/// (Fast engine) ftdl::InternalError when the mapping leaves part of a loop
-/// uncovered.
+/// ftdl::InternalError when the mapping leaves part of a loop uncovered.
 SimResult simulate_layer(const compiler::LayerProgram& program,
                          const arch::OverlayConfig& config,
                          const nn::Tensor16& weights, const nn::Tensor16& input,
                          const SimOptions& options = {});
 
-/// Stats-only simulation (SimOptions::functional = false) without tensors:
-/// produces SimStats and the DRAM AccessTrace bit-identical to a functional
-/// run of the same program, with SimResult::output left empty. The
-/// `functional` and `check_buffers` fields of `options` are ignored (forced
-/// to false).
+/// Stats-only simulation without tensors: produces SimStats and the DRAM
+/// AccessTrace bit-identical to simulate_layer on the same program, with
+/// SimResult::output left empty and valid_maccs counted from the mapping's
+/// loop coverage. The cheap path for Table II / Fig. 7 / roofline sweeps
+/// that never look at the output; `options.jobs` is unused.
 SimResult simulate_layer_stats(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options = {});
@@ -169,8 +126,7 @@ class CachedLayerSim {
   /// Runner for a program that maps the whole layer. Analyses `program` as
   /// simulate_layer would (same validation and throwing behaviour, so a
   /// program split into weight groups is refused with ftdl::ConfigError).
-  /// `options.functional` / `check_buffers` are ignored; the runner always
-  /// executes the Fast functional engine.
+  /// `options.jobs` is unused: run() takes its pool.
   CachedLayerSim(const compiler::LayerProgram& program,
                  const arch::OverlayConfig& config,
                  const SimOptions& options = {});

@@ -34,13 +34,13 @@
 //
 // The mapping is not consulted by the walk. It is consulted by
 // count_valid_maccs, which counts the valid points of prod_k [0, P_k)
-// without touching tensors (the stats-only path, SimOptions::functional =
-// false). Every functional run asserts the two counts agree: coverage is the
-// one mapping property a functional run can observe, and a mapping that
-// drops part of a loop is refused instead of silently computed.
+// without touching tensors (the stats-only path, simulate_layer_stats).
+// Every functional run asserts the two counts agree: coverage is the one
+// mapping property a functional run can observe, and a mapping that drops
+// part of a loop is refused instead of silently computed.
 //
-// Pinned bit-identical to the Reference interpreter and the nn:: reference
-// kernels by tests/test_sim_engine.cpp. Internal header: only ftdl_sim.cpp
+// Pinned bit-identical to the nn:: reference kernels (conv2d, depthwise,
+// matmul) by tests/test_sim_engine.cpp. Internal header: only ftdl_sim.cpp
 // and the tests include it.
 #pragma once
 
@@ -70,6 +70,8 @@ struct EngineTables {
   /// MatMul M N P.
   std::int64_t cov_m = 0, cov_n = 0, cov_e = 0, cov_f = 0, cov_r = 0,
                cov_s = 0, cov_p = 0;
+
+  bool operator==(const EngineTables&) const = default;
 };
 
 /// Reads the layer geometry alone; the coverage fields stay zero.

@@ -67,6 +67,21 @@ TEST(Framework, EvaluatesSmallNetworkEndToEnd) {
   EXPECT_EQ(r.schedule.layers.size(), 3u);
 }
 
+// Table II (paper config on the xcvu125, 60 k search budget per layer): the
+// modeled schedules of GoogLeNet and ResNet50. Any change to these numbers
+// is a change of the reproduced paper figures.
+TEST(Framework, ReproducesTableIISchedules) {
+  FrameworkOptions opts;
+  opts.search_budget_per_layer = 60'000;
+  Framework fw{opts};
+  const NetworkReport g = fw.evaluate(nn::googlenet());
+  const NetworkReport r = fw.evaluate(nn::resnet50());
+  EXPECT_EQ(g.schedule.total_cycles, 1'600'500);
+  EXPECT_EQ(r.schedule.total_cycles, 3'979'085);
+  EXPECT_NEAR(g.fps(), 406.1, 0.05);
+  EXPECT_NEAR(r.fps(), 163.4, 0.05);
+}
+
 TEST(Framework, SmallerDeviceSmallerOverlay) {
   FrameworkOptions opts;
   opts.device_name = "xc7z020";

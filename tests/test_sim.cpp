@@ -166,60 +166,6 @@ TEST(Sim, OversizedIterationSpaceRejected) {
   EXPECT_THROW(simulate_layer(prog, cfg, weights, input, opt), Error);
 }
 
-TEST(Sim, BufferFootprintsWithinModelBounds) {
-  // check_buffers measures the true unique-word footprints; every one must
-  // be bounded by the analytical model's buffer-sizing prediction — this is
-  // the executable proof that the halo-aware ActBUF formula, the psum-tile
-  // formula and the WBUF-tile formula are upper bounds of reality.
-  for (auto layer : {nn::make_conv("c1", 8, 12, 12, 12, 3, 1, 1),
-                     nn::make_conv("c2", 6, 10, 10, 8, 5, 2, 2),
-                     nn::make_conv("c3", 16, 7, 7, 8, 1, 1, 0)}) {
-    const arch::OverlayConfig cfg = small_config();
-    const compiler::LayerProgram prog = compiler::compile_layer(
-        layer, cfg, Objective::Performance, 6'000);
-    Rng rng(31);
-    nn::Tensor16 input({layer.in_c, layer.in_h, layer.in_w});
-    nn::Tensor16 weights({layer.out_c, layer.in_c, layer.kh, layer.kw});
-    input.fill_random(rng);
-    weights.fill_random(rng);
-    SimOptions opt;
-    opt.check_buffers = true;
-    const SimResult r = simulate_layer(prog, cfg, weights, input, opt);
-
-    EXPECT_GT(r.stats.max_act_words_per_tpe, 0) << layer.name;
-    EXPECT_LE(r.stats.max_act_words_per_tpe,
-              prog.perf.buffers.actbuf_words_per_tpe)
-        << layer.name;
-    EXPECT_LE(r.stats.max_psum_words_per_sb,
-              prog.perf.buffers.psum_words_per_superblock)
-        << layer.name;
-    EXPECT_LE(r.stats.max_wbuf_words_per_tpe,
-              prog.perf.buffers.wbuf_words_per_tpe)
-        << layer.name;
-  }
-}
-
-TEST(Sim, BufferFootprintsMatMul) {
-  const nn::Layer layer = nn::make_matmul("fc", 48, 20, 6);
-  const arch::OverlayConfig cfg = small_config();
-  const compiler::LayerProgram prog = compiler::compile_layer(
-      layer, cfg, Objective::Performance, 6'000);
-  Rng rng(33);
-  nn::Tensor16 act({48, 6});
-  nn::Tensor16 weights({20, 48});
-  act.fill_random(rng);
-  weights.fill_random(rng);
-  SimOptions opt;
-  opt.check_buffers = true;
-  const SimResult r = simulate_layer(prog, cfg, weights, act, opt);
-  EXPECT_LE(r.stats.max_act_words_per_tpe,
-            prog.perf.buffers.actbuf_words_per_tpe);
-  EXPECT_LE(r.stats.max_psum_words_per_sb,
-            prog.perf.buffers.psum_words_per_superblock);
-  EXPECT_LE(r.stats.max_wbuf_words_per_tpe,
-            prog.perf.buffers.wbuf_words_per_tpe);
-}
-
 // ---- property sweep: random shapes, both kinds, bit-exactness --------------
 
 struct SweepParam {

@@ -1,10 +1,15 @@
-// Pins the fast simulation engine to the reference scalar interpreter:
-// bit-identical outputs, identical SimStats and DRAM traces across odd
-// strides / pads / tail sizes, at every jobs count, and on the stats-only
-// (functional = false) path (docs/simulator.md).
+// Pins the simulator's functional engine to the nn:: reference kernels:
+// bit-identical outputs across odd strides / pads / tail sizes, at every
+// jobs count and with SIMD on and off, and SimStats / DRAM traces identical
+// on the stats-only path (docs/simulator.md). A tensor-free walker over the
+// padded Eqn. 2 space is the oracle for the MACC counts and for the Eqn.
+// 10-11 buffer bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <limits>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -32,7 +37,7 @@ arch::OverlayConfig random_config(Rng& rng) {
 }
 
 /// Odd extents, strides and pads on purpose: trip counts that spill past the
-/// padded tiles exercise the Reference walk and the coverage count, and pad
+/// padded tiles exercise the walker and the coverage count, and pad
 /// clipping exercises the engine's clipped windows and row-fused sweeps.
 nn::Layer random_layer(Rng& rng, int idx) {
   const double pick = rng.uniform01();
@@ -94,7 +99,140 @@ void expect_same_stats(const sim::SimStats& a, const sim::SimStats& b,
   EXPECT_EQ(a.psum_drains, b.psum_drains) << what;
 }
 
+nn::AccTensor nn_golden(const nn::Layer& layer, const LayerData& data) {
+  switch (layer.kind) {
+    case nn::LayerKind::Conv:
+      return nn::conv2d_reference(layer, data.input, data.weights);
+    case nn::LayerKind::Depthwise:
+      return nn::depthwise_reference(layer, data.input, data.weights);
+    default:
+      return nn::matmul_reference(layer, data.input, data.weights);
+  }
+}
+
+/// What walk_program measures on one program: the valid and padded MACC
+/// counts of the padded Eqn. 2 space and the true buffer footprints, in
+/// 16-bit words (psums: accumulator entries).
+struct Walk {
+  std::int64_t valid = 0, padded = 0;
+  std::int64_t max_act_words_per_tpe = 0;   ///< worst LoopL phase
+  std::int64_t max_psum_words_per_sb = 0;   ///< worst LoopX phase
+  std::int64_t max_wbuf_words_per_tpe = 0;  ///< whole layer
+};
+
+/// The per-loop digits of every state of hardware level `lv`, state-major,
+/// last loop fastest (an odometer's visiting order).
+std::vector<std::int64_t> level_states(const compiler::Mapping& m,
+                                       compiler::HwLevel lv) {
+  const int nk = m.k();
+  std::vector<std::int64_t> out(
+      static_cast<std::size_t>(m.level_product(lv) * nk));
+  for (std::int64_t s = 0; s < m.level_product(lv); ++s) {
+    std::int64_t r = s;
+    for (int k = nk - 1; k >= 0; --k) {
+      out[static_cast<std::size_t>(s * nk + k)] = r % m.tile(lv, k);
+      r /= m.tile(lv, k);
+    }
+  }
+  return out;
+}
+
+/// Tensor-free brute-force walk of a program's padded X/L/T x TPE space:
+/// the independent oracle for the Eqn. 10-11 buffer bounds. A TPE's
+/// activation set resets every LoopL phase, a SuperBlock's (its D1 TPEs')
+/// psum set every LoopX phase; a TPE's weight set spans the layer.
+Walk walk_program(const compiler::LayerProgram& prog) {
+  using compiler::HwLevel;
+  const compiler::Mapping& m = prog.mapping;
+  const nn::Layer& ly = prog.layer;
+  const int nk = m.k();
+  // Eqn. 2 nesting, outermost first: spatial D3 D2 D1, temporal X L T.
+  constexpr HwLevel levels[] = {HwLevel::D3, HwLevel::D2, HwLevel::D1,
+                                HwLevel::X,  HwLevel::L,  HwLevel::T};
+  std::int64_t n[6];
+  std::vector<std::int64_t> digits[6];
+  for (int i = 0; i < 6; ++i) {
+    n[i] = m.level_product(levels[i]);
+    digits[i] = level_states(m, levels[i]);
+  }
+  const std::int64_t tpes = n[0] * n[1] * n[2];
+  using Set = std::unordered_set<std::int64_t>;
+  std::vector<Set> act(static_cast<std::size_t>(tpes)),
+      wbuf(static_cast<std::size_t>(tpes)),
+      psum(static_cast<std::size_t>(n[0] * n[1]));  // one per SuperBlock
+  auto flush = [](std::vector<Set>& sets, std::int64_t& max) {
+    for (Set& s : sets) {
+      max = std::max(max, static_cast<std::int64_t>(s.size()));
+      s.clear();
+    }
+  };
+  Walk wk;
+  for (std::int64_t x = 0; x < n[3]; ++x) {
+    for (std::int64_t l = 0; l < n[4]; ++l) {
+      for (std::int64_t t = 0; t < n[5]; ++t) {
+        for (std::int64_t p = 0; p < tpes; ++p) {
+          ++wk.padded;
+          const std::int64_t state[] = {p / (n[1] * n[2]), p / n[2] % n[1],
+                                        p % n[2], x, l, t};
+          std::array<std::int64_t, 128> g{};  // global loop index by tag
+          bool in_range = true;
+          for (int k = 0; k < nk && in_range; ++k) {
+            std::int64_t v = 0;
+            for (int i = 0; i < 6; ++i)
+              v = v * m.tile(levels[i], k) +
+                  digits[i][static_cast<std::size_t>(state[i] * nk + k)];
+            const compiler::WorkloadLoop& loop =
+                prog.workload.loops[static_cast<std::size_t>(k)];
+            g[static_cast<std::size_t>(loop.tag)] = v;
+            in_range = v < loop.trip;
+          }
+          if (!in_range) continue;
+          std::int64_t a_id, w_id, o_id;  // element ids in the layer tensors
+          if (ly.kind == nn::LayerKind::MatMul) {
+            a_id = g['M'] * ly.mm_p + g['P'];
+            w_id = g['N'] * ly.mm_m + g['M'];
+            o_id = g['N'] * ly.mm_p + g['P'];
+          } else {
+            const std::int64_t y = g['E'] * ly.stride + g['R'] - ly.pad;
+            const std::int64_t xc = g['F'] * ly.stride + g['S'] - ly.pad;
+            if (y < 0 || y >= ly.in_h || xc < 0 || xc >= ly.in_w) continue;
+            const std::int64_t mo =
+                ly.kind == nn::LayerKind::Depthwise ? g['N'] : g['M'];
+            a_id = (g['N'] * ly.in_h + y) * ly.in_w + xc;
+            w_id = ((mo * ly.in_c + g['N']) * ly.kh + g['R']) * ly.kw + g['S'];
+            o_id = (mo * ly.out_h() + g['E']) * ly.out_w() + g['F'];
+          }
+          ++wk.valid;
+          act[static_cast<std::size_t>(p)].insert(a_id);
+          wbuf[static_cast<std::size_t>(p)].insert(w_id);
+          psum[static_cast<std::size_t>(p / n[2])].insert(o_id);
+        }
+      }
+      flush(act, wk.max_act_words_per_tpe);
+    }
+    flush(psum, wk.max_psum_words_per_sb);
+  }
+  flush(wbuf, wk.max_wbuf_words_per_tpe);
+  return wk;
+}
+
 class EngineSweep : public ::testing::TestWithParam<int> {};
+
+/// The walker's footprints must stay within the analytical model's buffer
+/// sizing (prog.perf.buffers): the executable proof that the halo-aware
+/// ActBUF formula, the psum-tile formula and the WBUF-tile formula are upper
+/// bounds of reality.
+void expect_footprints_within_bounds(const compiler::LayerProgram& prog,
+                                     const Walk& wk) {
+  const auto& bounds = prog.perf.buffers;
+  EXPECT_GT(wk.max_act_words_per_tpe, 0) << prog.layer.name;
+  EXPECT_LE(wk.max_act_words_per_tpe, bounds.actbuf_words_per_tpe)
+      << prog.layer.name;
+  EXPECT_LE(wk.max_psum_words_per_sb, bounds.psum_words_per_superblock)
+      << prog.layer.name;
+  EXPECT_LE(wk.max_wbuf_words_per_tpe, bounds.wbuf_words_per_tpe)
+      << prog.layer.name;
+}
 
 TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
@@ -107,49 +245,69 @@ TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
   const LayerData data =
       make_data(layer, static_cast<std::uint64_t>(GetParam()) + 11);
 
-  sim::SimOptions ref_opt;
-  ref_opt.engine = sim::SimEngine::Reference;
-  const sim::SimResult ref =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
-
-  // (a) fast engine vs the reference scalar path: bit-identical outputs,
-  // identical SimStats and traces.
+  // (a) jobs = 1 and jobs = 8 both equal the nn:: golden kernel, with
+  // identical SimStats and traces (each accumulator is owned by exactly one
+  // worker; integer sums are associative).
+  const nn::AccTensor golden = nn_golden(layer, data);
   sim::SimOptions fast_opt;
   fast_opt.jobs = 1;
   const sim::SimResult fast =
       sim::simulate_layer(prog, cfg, data.weights, data.input, fast_opt);
-  EXPECT_EQ(fast.output, ref.output) << prog.mapping.to_string(prog.workload);
-  expect_same_stats(fast.stats, ref.stats, "fast vs reference");
-  EXPECT_EQ(fast.trace, ref.trace);
-
-  // (b) jobs = 8 vs jobs = 1: bit-identical (each accumulator is owned by
-  // exactly one worker; integer sums are associative).
+  EXPECT_EQ(fast.output, golden) << prog.mapping.to_string(prog.workload);
   sim::SimOptions par_opt;
   par_opt.jobs = 8;
   const sim::SimResult par =
       sim::simulate_layer(prog, cfg, data.weights, data.input, par_opt);
-  EXPECT_EQ(par.output, fast.output);
+  EXPECT_EQ(par.output, golden);
   expect_same_stats(par.stats, fast.stats, "jobs=8 vs jobs=1");
   EXPECT_EQ(par.trace, fast.trace);
 
-  // (c) stats-only: SimStats + trace identical to the functional run, no
+  // (b) stats-only: SimStats + trace identical to the functional run, no
   // output tensor.
   const sim::SimResult stats = sim::simulate_layer_stats(prog, cfg);
-  expect_same_stats(stats.stats, ref.stats, "stats-only vs functional");
-  EXPECT_EQ(stats.trace, ref.trace);
+  expect_same_stats(stats.stats, fast.stats, "stats-only vs functional");
+  EXPECT_EQ(stats.trace, fast.trace);
   EXPECT_TRUE(stats.output.dims().empty());
 
-  // The reference output itself stays pinned to the nn:: golden kernels.
-  if (layer.kind == nn::LayerKind::Conv) {
-    EXPECT_EQ(ref.output,
-              nn::conv2d_reference(layer, data.input, data.weights));
-  } else if (layer.kind == nn::LayerKind::MatMul) {
-    EXPECT_EQ(ref.output,
-              nn::matmul_reference(layer, data.input, data.weights));
-  }
+  // (c) the walker counts the same MACCs, and its footprints stay within
+  // the model's buffer bounds.
+  const Walk wk = walk_program(prog);
+  EXPECT_EQ(wk.valid, fast.stats.valid_maccs);
+  EXPECT_EQ(wk.padded, fast.stats.padded_maccs);
+  expect_footprints_within_bounds(prog, wk);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EngineSweep, ::testing::Range(0, 48));
+
+/// A small overlay with tight buffers, so the model's bounds bind.
+arch::OverlayConfig small_buffers() {
+  arch::OverlayConfig c;
+  c.d1 = 4;
+  c.d2 = 2;
+  c.d3 = 3;
+  c.actbuf_words = 128;
+  c.wbuf_words = 1024;
+  c.psumbuf_words = 2048;
+  c.clocks = fpga::ClockPair::from_high(650e6);
+  return c;
+}
+
+TEST(Sim, BufferFootprintsWithinModelBounds) {
+  for (const nn::Layer& layer : {nn::make_conv("c1", 8, 12, 12, 12, 3, 1, 1),
+                                 nn::make_conv("c2", 6, 10, 10, 8, 5, 2, 2),
+                                 nn::make_conv("c3", 16, 7, 7, 8, 1, 1, 0)}) {
+    const compiler::LayerProgram prog = compiler::compile_layer(
+        layer, small_buffers(), Objective::Performance, 6'000);
+    expect_footprints_within_bounds(prog, walk_program(prog));
+  }
+}
+
+TEST(Sim, BufferFootprintsMatMul) {
+  const compiler::LayerProgram prog =
+      compiler::compile_layer(nn::make_matmul("fc", 48, 20, 6),
+                              small_buffers(), Objective::Performance, 6'000);
+  expect_footprints_within_bounds(prog, walk_program(prog));
+}
 
 /// Forces the scalar oracles for its lifetime; restores the vector path on
 /// exit (set_enabled(true) is a no-op where no vector path exists).
@@ -158,11 +316,11 @@ struct ScopedScalarOnly {
   ~ScopedScalarOnly() { simd::set_enabled(true); }
 };
 
-/// Runs the fast engine twice — vector dispatch vs forced-scalar — and once
-/// on the reference interpreter; all three must agree bit-exactly.
-void expect_simd_scalar_reference_agree(const compiler::LayerProgram& prog,
-                                        const arch::OverlayConfig& cfg,
-                                        const LayerData& data, int jobs) {
+/// Runs the engine twice — vector dispatch vs forced-scalar — and both must
+/// equal the nn:: golden kernel bit-exactly.
+void expect_simd_scalar_golden_agree(const compiler::LayerProgram& prog,
+                                     const arch::OverlayConfig& cfg,
+                                     const LayerData& data, int jobs) {
   sim::SimOptions fast_opt;
   fast_opt.jobs = jobs;
   const sim::SimResult vec =
@@ -177,18 +335,14 @@ void expect_simd_scalar_reference_agree(const compiler::LayerProgram& prog,
       << "SIMD vs scalar, jobs=" << jobs << ": "
       << prog.mapping.to_string(prog.workload);
   expect_same_stats(vec.stats, sca.stats, "SIMD vs scalar");
-
-  sim::SimOptions ref_opt;
-  ref_opt.engine = sim::SimEngine::Reference;
-  const sim::SimResult ref =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
-  EXPECT_EQ(vec.output, ref.output)
-      << "SIMD vs reference, jobs=" << jobs;
+  EXPECT_EQ(vec.output, nn_golden(prog.layer, data))
+      << "SIMD vs nn reference, jobs=" << jobs;
 }
 
 // The randomized sweep again, now pinning the vector dispatch against the
-// forced-scalar engine (simd::set_enabled test hook). One extra seed past
-// the Fast≡Reference sweep keeps the two suites from sharing every case.
+// forced-scalar engine (simd::set_enabled test hook) and the nn:: golden
+// kernel. One extra seed past EngineSweep keeps the two suites from sharing
+// every case.
 class SimdSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimdSweep, SimdMatchesScalarBitExactly) {
@@ -200,7 +354,7 @@ TEST_P(SimdSweep, SimdMatchesScalarBitExactly) {
   if (prog.weight_groups != 1) return;
   const LayerData data =
       make_data(layer, static_cast<std::uint64_t>(GetParam()) + 11);
-  expect_simd_scalar_reference_agree(prog, cfg, data, /*jobs=*/1);
+  expect_simd_scalar_golden_agree(prog, cfg, data, /*jobs=*/1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimdSweep, ::testing::Range(0, 49));
@@ -219,7 +373,7 @@ TEST(SimEngine, EdgeTailWidthsSimdMatchesScalar) {
     ASSERT_EQ(prog.weight_groups, 1) << "m=" << m;
     const LayerData data = make_data(layer, static_cast<std::uint64_t>(m));
     for (int jobs : {1, 8})
-      expect_simd_scalar_reference_agree(prog, cfg, data, jobs);
+      expect_simd_scalar_golden_agree(prog, cfg, data, jobs);
   }
 }
 
@@ -244,7 +398,7 @@ TEST(SimEngine, SingleElementRunsAndNarrowBursts) {
     ASSERT_EQ(prog.weight_groups, 1) << layer.name;
     const LayerData data = make_data(layer, 31);
     for (int jobs : {1, 8})
-      expect_simd_scalar_reference_agree(prog, cfg, data, jobs);
+      expect_simd_scalar_golden_agree(prog, cfg, data, jobs);
   }
 }
 
@@ -258,24 +412,13 @@ arch::OverlayConfig bench_overlay() {
   return c;
 }
 
-nn::AccTensor nn_golden(const nn::Layer& layer, const LayerData& data) {
-  switch (layer.kind) {
-    case nn::LayerKind::Conv:
-      return nn::conv2d_reference(layer, data.input, data.weights);
-    case nn::LayerKind::Depthwise:
-      return nn::depthwise_reference(layer, data.input, data.weights);
-    default:
-      return nn::matmul_reference(layer, data.input, data.weights);
-  }
-}
-
 // Zoo-scale shapes on the benchmark overlay, one per sweep shape of the
 // engine: the strided 7x7 stem, a 5x5 same-padded conv (row-fused sweeps
 // across the pad-clipped columns), a 1x1 conv (one whole-plane sweep),
 // seqCNN's kh x 1 conv over a 1-wide image (rows fused along the sequence),
 // a stride-2 depthwise conv, and MatMul with P = 1 (dot) and P > 1 (axpy).
-// Fast must equal the nn:: golden kernels at jobs {1, 4}, with SIMD on and
-// off; the Reference interpreter runs only on the reduced copies.
+// Each runs at zoo scale and as a reduced copy; both must equal the nn::
+// golden kernels at jobs {1, 4}, with SIMD on and off.
 TEST(SimEngine, ZooShapesMatchNnReference) {
   const arch::OverlayConfig cfg = bench_overlay();
   struct Case {
@@ -320,13 +463,6 @@ TEST(SimEngine, ZooShapesMatchNnReference) {
       {
         ScopedScalarOnly scalar_only;
         expect_fast_matches("scalar");
-      }
-      if (layer == &c.reduced) {
-        sim::SimOptions ref_opt;
-        ref_opt.engine = sim::SimEngine::Reference;
-        const sim::SimResult ref =
-            sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
-        EXPECT_EQ(ref.output, golden) << layer->name;
       }
     }
   }
@@ -602,45 +738,6 @@ TEST(SimEngine, SharedPoolAndTransientPoolAgree) {
   EXPECT_EQ(a.output, b.output);
   expect_same_stats(a.stats, b.stats, "shared pool vs serial");
   EXPECT_EQ(a.trace, b.trace);
-}
-
-TEST(SimEngine, CheckBuffersRunsOnAnyEngineSetting) {
-  Rng rng(7);
-  const arch::OverlayConfig cfg = arch::paper_config();
-  const nn::Layer layer =
-      nn::make_conv("eng_cb_conv", 8, 10, 10, 12, 3, 1, 1);
-  const compiler::LayerProgram prog =
-      compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
-  ASSERT_EQ(prog.weight_groups, 1);
-  const LayerData data = make_data(layer, 3);
-
-  sim::SimOptions ref_cb;
-  ref_cb.engine = sim::SimEngine::Reference;
-  ref_cb.check_buffers = true;
-  sim::SimOptions fast_cb;  // Fast + check_buffers falls back to Reference
-  fast_cb.check_buffers = true;
-  const sim::SimResult a =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, ref_cb);
-  const sim::SimResult b =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, fast_cb);
-  EXPECT_EQ(a.output, b.output);
-  EXPECT_EQ(a.stats.max_act_words_per_tpe, b.stats.max_act_words_per_tpe);
-  EXPECT_EQ(a.stats.max_psum_words_per_sb, b.stats.max_psum_words_per_sb);
-  EXPECT_EQ(a.stats.max_wbuf_words_per_tpe, b.stats.max_wbuf_words_per_tpe);
-  EXPECT_GT(b.stats.max_wbuf_words_per_tpe, 0);
-}
-
-TEST(SimEngine, StatsOnlyRejectsCheckBuffers) {
-  const arch::OverlayConfig cfg = arch::paper_config();
-  const nn::Layer layer = nn::make_matmul("eng_mm_reject", 8, 8, 8);
-  const compiler::LayerProgram prog =
-      compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
-  const LayerData data = make_data(layer, 1);
-  sim::SimOptions opt;
-  opt.functional = false;
-  opt.check_buffers = true;
-  EXPECT_THROW(sim::simulate_layer(prog, cfg, data.weights, data.input, opt),
-               ConfigError);
 }
 
 TEST(SimEngine, HardwareEfficiencyGuardsDegenerateInputs) {
