@@ -3,9 +3,10 @@
 // stats-only simulate_layer_stats path, with MACCs/s reported per run.
 //
 // The sweep covers the shapes that stress different engine paths: the
-// pad-heavy 7x7 stride-2 stem (strided rows), a 1x1 bottleneck reduce
-// (one whole-plane sweep per channel pair), a 3x3 mid-stage conv (row-fused
-// sweeps across the pad-clipped columns), and the fc1000 matmul. Layers
+// pad-heavy 7x7 stride-2 stem (int32 tiles over 2x2 phase planes), a 1x1
+// bottleneck reduce and a 3x3 mid-stage conv (int32 tiles over one padded
+// copy), the 1x1 stride-2 downsample (int32 tiles over the one phase plane
+// with taps: a subsampled 1x1), and the fc1000 matmul (dot sweeps). Layers
 // the compiler splits into weight groups run one group's slice. Outputs are
 // bit-identical at every jobs count (pinned by tests/test_sim_engine.cpp);
 // these benchmarks measure only speed.
@@ -79,6 +80,7 @@ const std::vector<LayerCase>& cases() {
     std::vector<LayerCase> v;
     v.push_back(make_case("conv1_7x7_s2", layer("conv1/7x7_s2")));
     v.push_back(make_case("res2_1_conv1_1x1", layer("res2_1/conv1_1x1")));
+    v.push_back(make_case("res3_1_conv1_1x1", layer("res3_1/conv1_1x1")));
     v.push_back(make_case("res4_1_conv2_3x3", layer("res4_1/conv2_3x3")));
     v.push_back(make_case("fc1000", layer("fc1000")));
     return v;

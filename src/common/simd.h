@@ -13,7 +13,8 @@
 // lane-wise reassociation of the dot reduction cannot change the result.
 //
 // The third kernel, conv_tile_i16, trades that unconditional exactness for
-// register blocking: a stride-1 conv accumulates 4 output channels x 16
+// register blocking: a conv over a zero-padded copy of its input (for a
+// strided conv, the copy's phase planes) accumulates 4 output channels x 16
 // output positions in int32 lanes through _mm256_madd_epi16 pairs and widens
 // to acc_t once per tile. madd and int32 sums are exact only while every
 // partial sum fits in int32, so the caller must check the bound
@@ -78,14 +79,15 @@ inline void axpy_i16(acc_t* out, const std::int16_t* in, std::int16_t w,
 /// max |x[j]| over j in [0, n) (32768 for -32768; 0 when n == 0).
 std::int32_t max_abs_i16(const std::int16_t* x, std::int64_t n);
 
-/// One stride-1 conv over a zero-padded copy of its input (implicit GEMM).
-/// Output grid position q = e * pitch + f reads xp[n * plane + q +
-/// r * pitch + s] for tap (r, s); grid columns f >= ow are computed and
-/// discarded. The buffer must extend at least kw + 16 elements past the
-/// last plane: grid tail tiles and the last row's discarded columns read
-/// there.
+/// One conv over a zero-padded copy of its input (implicit GEMM), read at
+/// unit stride: a strided conv's caller passes its phase planes as the
+/// input channels and the matching per-phase kernel. Output grid position
+/// q = e * pitch + f reads xp[n * plane + q + r * pitch + s] for tap
+/// (r, s); grid columns f >= ow are computed and discarded. The buffer must
+/// extend at least kw + 16 elements past the last plane: grid tail tiles
+/// and the last row's discarded columns read there.
 struct PaddedConv {
-  const std::int16_t* xp = nullptr;  ///< in_c padded planes
+  const std::int16_t* xp = nullptr;  ///< in_c padded (or phase) planes
   const std::int16_t* w = nullptr;   ///< weights, [M, N, R, S], read in place
   acc_t* out = nullptr;              ///< output, [M, oh, ow]
   std::int64_t in_c = 0, kh = 0, kw = 0;

@@ -162,6 +162,9 @@ struct Server::Impl {
     std::optional<runtime::ExecContext> exec;
     std::exception_ptr init_err;
     try {
+      // Spans the warm-up on this worker's track, so every worker shows up
+      // in the trace even when the other workers drain the whole queue.
+      const obs::ScopedSpan warmup("serve", "warmup");
       exec.emplace(net, weights, eopt);
     } catch (...) {
       // Warm-up rejected the network (recurrent layers, missing weights,

@@ -160,52 +160,130 @@ std::int64_t fan_out(ThreadPool* pool, std::int64_t units, const Body& body) {
   return total.load();
 }
 
-/// True when every int32 partial sum of a stride-1 conv is exact: K
-/// products of at most max|w| * max|x| each, K = the reduction length
-/// rounded up to the pairs the tile multiplies (taps of one channel, or
-/// channels when the kernel is 1x1). Scans both tensors.
+/// A stride-s conv as the stride-1 conv the tiles run. Phase plane (a, b)
+/// of an input channel holds the padded rows y and columns x with
+/// y % s == a and x % s == b; over those planes tap (r, c) becomes tap
+/// (r / s, c / s) of phase (r % s, c % s). Phases are extra input channels,
+/// and phases with no taps (a >= kh or b >= kw) are dropped. Stride 1 is
+/// the single phase.
+struct PhaseShape {
+  std::int64_t rows = 1, cols = 1;  ///< row / column phases: min(s, kh|kw)
+  std::int64_t in_c = 0;            ///< in_c * rows * cols
+  std::int64_t kh = 0, kw = 0;      ///< taps per phase: ceil(kh|kw / s)
+  std::int64_t ph = 0, pw = 0;      ///< phase plane: oh + kh - 1, ow + kw - 1
+};
+
+PhaseShape phase_shape(const EngineTables& tb) {
+  PhaseShape p;
+  p.rows = std::min(tb.stride, tb.kh);
+  p.cols = std::min(tb.stride, tb.kw);
+  p.in_c = tb.in_c * p.rows * p.cols;
+  p.kh = ceil_div(tb.kh, tb.stride);
+  p.kw = ceil_div(tb.kw, tb.stride);
+  p.ph = tb.oh + p.kh - 1;
+  p.pw = tb.ow + p.kw - 1;
+  return p;
+}
+
+/// Writes the zero-padded phase planes of `input`, channel-major with the
+/// phases (a, b) row-major inside a channel, into the zeroed `xp`.
+void split_phases(const EngineTables& tb, const PhaseShape& ps,
+                  const std::int16_t* input, std::int16_t* xp) {
+  const std::int64_t st = tb.stride;
+  if (st == 1 && tb.pad == 0) {
+    // One phase and no padding: the planes are the input channels.
+    std::memcpy(xp, input,
+                static_cast<std::size_t>(tb.in_c * tb.in_h * tb.in_w) *
+                    sizeof(std::int16_t));
+    return;
+  }
+  for (std::int64_t n = 0; n < tb.in_c; ++n) {
+    for (std::int64_t a = 0; a < ps.rows; ++a) {
+      // Plane row y holds padded row y*st + a, column x padded column
+      // x*st + b: input row y*st + a - pad, column x*st + b - pad.
+      const Span ys = clip(a, tb.pad, st, tb.in_h, ps.ph);
+      for (std::int64_t b = 0; b < ps.cols; ++b, xp += ps.ph * ps.pw) {
+        const Span xs = clip(b, tb.pad, st, tb.in_w, ps.pw);
+        const std::int64_t nx = xs.size();
+        const std::int16_t* src =
+            input + (n * tb.in_h + ys.lo * st + a - tb.pad) * tb.in_w +
+            xs.lo * st + b - tb.pad;
+        std::int16_t* row = xp + ys.lo * ps.pw + xs.lo;
+        for (std::int64_t y = ys.lo; y < ys.hi;
+             ++y, src += st * tb.in_w, row += ps.pw)
+          for (std::int64_t j = 0; j < nx; ++j) row[j] = src[j * st];
+      }
+    }
+  }
+}
+
+/// Writes the weights [M, N, R, S] as [M, N * rows * cols, kh', kw'] over
+/// the phase planes into the zeroed `wq`: tap (r, c) goes to tap
+/// (r / s, c / s) of phase (r % s, c % s), and the missing taps stay zero.
+void split_weights(const EngineTables& tb, const PhaseShape& ps,
+                   const std::int16_t* weights, std::int16_t* wq) {
+  const std::int64_t st = tb.stride;
+  for (std::int64_t mn = 0; mn < tb.out_c * tb.in_c;
+       ++mn, weights += tb.kh * tb.kw, wq += ps.rows * ps.cols * ps.kh * ps.kw)
+    for (std::int64_t r = 0; r < tb.kh; ++r)
+      for (std::int64_t c = 0; c < tb.kw; ++c)
+        wq[(((r % st) * ps.cols + c % st) * ps.kh + r / st) * ps.kw + c / st] =
+            weights[r * tb.kw + c];
+}
+
+/// True when every int32 partial sum of the phase-split conv is exact: K
+/// products of at most max|w| * max|x| each, K = the phase shape's
+/// reduction length rounded up to the pairs the tile multiplies (taps of
+/// one phase plane, or planes when a phase has one tap). The zero taps and
+/// zero padding add nothing. Scans both tensors.
 bool fits_int32(const EngineTables& tb, const std::int16_t* weights,
                 const std::int16_t* input) {
-  const std::int64_t taps = tb.kh * tb.kw;
-  const std::int64_t k = taps == 1 ? round_up(tb.in_c, 2)
-                                   : tb.in_c * round_up(taps, 2);
-  const std::int64_t mw = simd::max_abs_i16(weights, tb.out_c * tb.in_c * taps);
+  const PhaseShape ps = phase_shape(tb);
+  const std::int64_t taps = ps.kh * ps.kw;
+  const std::int64_t k = taps == 1 ? round_up(ps.in_c, 2)
+                                   : ps.in_c * round_up(taps, 2);
+  const std::int64_t mw =
+      simd::max_abs_i16(weights, tb.out_c * tb.in_c * tb.kh * tb.kw);
   const std::int64_t mx =
       simd::max_abs_i16(input, tb.in_c * tb.in_h * tb.in_w);
   return k * mw * mx <= std::numeric_limits<std::int32_t>::max();
 }
 
-/// The stride-1 conv on int32 register tiles: one zero-padded copy of the
-/// input, drawn from the calling thread's TensorArena, then 4-channel tiles
-/// fanned across the pool. Returns the layer's MACC count.
+/// The conv on int32 register tiles: one zero-padded, phase-split copy of
+/// the input (and, when the split moves taps, of the weights) drawn from
+/// the calling thread's TensorArena, then 4-channel tiles fanned across the
+/// pool. Returns the layer's MACC count.
 std::int64_t run_tiles(const EngineTables& tb, const std::int16_t* weights,
                        const std::int16_t* input, acc_t* out,
                        ThreadPool* pool) {
-  const std::int64_t pitch = tb.in_w + 2 * tb.pad;
-  const std::int64_t plane = (tb.in_h + 2 * tb.pad) * pitch;
-  ArenaVec<std::int16_t> xp(tb.in_c * plane + tb.kw + 16);  // zeroed
-  for (std::int64_t n = 0; n < tb.in_c; ++n)
-    for (std::int64_t y = 0; y < tb.in_h; ++y)
-      std::memcpy(xp.data() + n * plane + (y + tb.pad) * pitch + tb.pad,
-                  input + (n * tb.in_h + y) * tb.in_w,
-                  static_cast<std::size_t>(tb.in_w) * sizeof(std::int16_t));
+  const PhaseShape ps = phase_shape(tb);
+  const std::int64_t plane = ps.ph * ps.pw;
+  ArenaVec<std::int16_t> xp(ps.in_c * plane + ps.kw + 16);  // zeroed
+  split_phases(tb, ps, input, xp.data());
+  // The split moves taps unless there is one phase (stride 1 or a 1x1
+  // kernel) or one tap per phase (a kernel within the stride).
+  const bool moved = ps.rows * ps.cols > 1 && ps.kh * ps.kw > 1;
+  ArenaVec<std::int16_t> wq(moved ? tb.out_c * ps.in_c * ps.kh * ps.kw
+                                  : 0);  // zeroed
+  if (moved) split_weights(tb, ps, weights, wq.data());
   simd::PaddedConv conv;
   conv.xp = xp.data();
-  conv.w = weights;
+  conv.w = moved ? wq.data() : weights;
   conv.out = out;
-  conv.in_c = tb.in_c;
-  conv.kh = tb.kh;
-  conv.kw = tb.kw;
+  conv.in_c = ps.in_c;
+  conv.kh = ps.kh;
+  conv.kw = ps.kw;
   conv.plane = plane;
-  conv.pitch = pitch;
+  conv.pitch = ps.pw;
   conv.oh = tb.oh;
   conv.ow = tb.ow;
   fan_out(pool, ceil_div(tb.out_c, 4), [&](std::int64_t lo, std::int64_t hi) {
     simd::conv_tile_i16(conv, 4 * lo, std::min(4 * hi, tb.out_c));
     return std::int64_t{0};
   });
-  return tb.out_c * tb.in_c * clipped_pairs(tb.oh, tb.kh, 1, tb.pad, tb.in_h) *
-         clipped_pairs(tb.ow, tb.kw, 1, tb.pad, tb.in_w);
+  return tb.out_c * tb.in_c *
+         clipped_pairs(tb.oh, tb.kh, tb.stride, tb.pad, tb.in_h) *
+         clipped_pairs(tb.ow, tb.kw, tb.stride, tb.pad, tb.in_w);
 }
 
 }  // namespace
@@ -261,8 +339,8 @@ EngineTables build_tables(const compiler::LayerProgram& program) {
 
 bool uses_int32_tiles(const EngineTables& tb, const std::int16_t* weights,
                       const std::int16_t* input) {
-  return tb.kind == WorkloadKind::Conv && tb.stride == 1 &&
-         simd::has_conv_tile() && fits_int32(tb, weights, input);
+  return tb.kind == WorkloadKind::Conv && simd::has_conv_tile() &&
+         fits_int32(tb, weights, input);
 }
 
 std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,

@@ -14,15 +14,19 @@
 //     split into contiguous ranges across the ThreadPool — each output
 //     accumulator has exactly one owner, so the result is the same at any
 //     jobs count;
-//   * int32 register tiles: a stride-1 conv whose operands satisfy
+//   * int32 register tiles: a conv whose operands satisfy
 //     K * max|w| * max|x| <= 2^31 - 1 (checked by scanning both tensors on
 //     every call) runs as an implicit GEMM over one zero-padded copy of its
 //     input, 4 output channels x 16 output positions per int32 tile
-//     (simd::conv_tile_i16), widened to acc_t once per tile. Under the bound
-//     every int32 partial sum is exact, so the result is bit-identical to
-//     the acc_t sweeps below, which run everything else: stride > 1,
-//     depthwise, MatMul, operands past the bound, and builds or runs
-//     without the vector tile;
+//     (simd::conv_tile_i16), widened to acc_t once per tile. A stride-s
+//     conv first splits that copy by phase: plane (a, b) of a channel holds
+//     the padded rows = a and columns = b (mod s), the phases become input
+//     channels (those without taps dropped), and the kernel becomes the
+//     ceil(kh/s) x ceil(kw/s) taps of one phase, the missing ones zero; K
+//     is that phase shape's reduction length. Under the bound every int32
+//     partial sum is exact, so the result is bit-identical to the acc_t
+//     sweeps below, which run everything else: depthwise, MatMul, operands
+//     past the bound, and builds or runs without the vector tile;
 //   * inner sweep: the unit-stride output loop (conv F, MatMul P) runs over
 //     its whole pad-clipped range in one simd::axpy_i16 call. When
 //     ow == in_w (1x1 and same-padded convs, kh x 1 convs over a 1-wide
@@ -30,7 +34,8 @@
 //     window is one sweep across rows; the few pad-clipped columns it passes
 //     between rows are subtracted back out, which is exact in integer
 //     arithmetic. MatMul with P = 1 is one simd::dot_i16 over M per output;
-//     stride > 1 runs a strided scalar row.
+//     stride > 1 (depthwise, or a conv off the tiles) runs a strided scalar
+//     row.
 //
 // The mapping is not consulted by the walk. It is consulted by
 // count_valid_maccs, which counts the valid points of prod_k [0, P_k)
@@ -82,19 +87,19 @@ EngineTables build_tables(const nn::Layer& layer);
 EngineTables build_tables(const compiler::LayerProgram& program);
 
 /// True when run_functional computes these tensors on int32 register
-/// tiles: a stride-1 conv, a vector tile kernel available (simd::
+/// tiles: a conv of any stride, a vector tile kernel available (simd::
 /// has_conv_tile), and operands within the bound K * max|w| * max|x| <=
-/// 2^31 - 1. Scans both tensors.
+/// 2^31 - 1, K from the phase-split shape. Scans both tensors.
 bool uses_int32_tiles(const EngineTables& tables, const std::int16_t* weights,
                       const std::int16_t* input);
 
 /// Computes every MAC of the layer, fanned across `pool` by output-channel
 /// range (nullptr or jobs()==1 runs serially on the caller). The only
-/// allocation is the int32 tile path's padded input copy, drawn from the
-/// calling thread's TensorArena. Accumulates into `out` (the layer's
-/// AccTensor storage, zero-initialized by the caller) and returns the number
-/// of MACCs executed — the layer's true MAC count, which the callers
-/// cross-check against count_valid_maccs.
+/// allocations are the int32 tile path's padded, phase-split input copy and
+/// rearranged weights, drawn from the calling thread's TensorArena.
+/// Accumulates into `out` (the layer's AccTensor storage, zero-initialized
+/// by the caller) and returns the number of MACCs executed — the layer's
+/// true MAC count, which the callers cross-check against count_valid_maccs.
 std::int64_t run_functional(const EngineTables& tables,
                             const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,

@@ -87,6 +87,29 @@ LayerData make_data(const nn::Layer& layer, std::uint64_t seed) {
   return d;
 }
 
+/// One seed of the randomized sweeps: a random overlay, a random layer and
+/// its compiled program.
+struct SweepCase {
+  arch::OverlayConfig cfg;
+  nn::Layer layer;
+  compiler::LayerProgram prog;
+};
+
+SweepCase sweep_case(int seed) {
+  Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 7);
+  SweepCase c;
+  c.cfg = random_config(rng);
+  c.layer = random_layer(rng, seed);
+  c.prog = compiler::compile_layer(c.layer, c.cfg, Objective::Performance,
+                                   4'000);
+  return c;
+}
+
+bool takes_tiles(const compiler::LayerProgram& prog, const LayerData& data) {
+  return sim::detail::uses_int32_tiles(sim::detail::build_tables(prog),
+                                       data.weights.data(), data.input.data());
+}
+
 void expect_same_stats(const sim::SimStats& a, const sim::SimStats& b,
                        const char* what) {
   EXPECT_EQ(a.cycles, b.cycles) << what;
@@ -235,11 +258,10 @@ void expect_footprints_within_bounds(const compiler::LayerProgram& prog,
 }
 
 TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  const arch::OverlayConfig cfg = random_config(rng);
-  const nn::Layer layer = random_layer(rng, GetParam());
-  const compiler::LayerProgram prog =
-      compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
+  const SweepCase c = sweep_case(GetParam());
+  const arch::OverlayConfig& cfg = c.cfg;
+  const nn::Layer& layer = c.layer;
+  const compiler::LayerProgram& prog = c.prog;
   if (prog.weight_groups != 1) return;  // see LayerRunnerOverWeightGroups
 
   const LayerData data =
@@ -277,7 +299,24 @@ TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
   expect_footprints_within_bounds(prog, wk);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, EngineSweep, ::testing::Range(0, 48));
+constexpr int kEngineSeeds = 48;
+INSTANTIATE_TEST_SUITE_P(Sweep, EngineSweep, ::testing::Range(0, kEngineSeeds));
+
+// The sweep keeps exercising the phase-split tile path: at least one of its
+// seeds is a strided conv that runs (one weight group) on the int32 tiles.
+TEST(SimEngine, EngineSweepHasStridedTileSeeds) {
+  int strided_tiles = 0;
+  for (int seed = 0; seed < kEngineSeeds; ++seed) {
+    const SweepCase c = sweep_case(seed);
+    if (c.prog.weight_groups != 1 || c.layer.kind != nn::LayerKind::Conv ||
+        c.layer.stride == 1)
+      continue;
+    const LayerData data =
+        make_data(c.layer, static_cast<std::uint64_t>(seed) + 11);
+    strided_tiles += takes_tiles(c.prog, data) ? 1 : 0;
+  }
+  EXPECT_EQ(strided_tiles > 0, simd::has_conv_tile()) << strided_tiles;
+}
 
 /// A small overlay with tight buffers, so the model's bounds bind.
 arch::OverlayConfig small_buffers() {
@@ -346,15 +385,11 @@ void expect_simd_scalar_golden_agree(const compiler::LayerProgram& prog,
 class SimdSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimdSweep, SimdMatchesScalarBitExactly) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  const arch::OverlayConfig cfg = random_config(rng);
-  const nn::Layer layer = random_layer(rng, GetParam());
-  const compiler::LayerProgram prog =
-      compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
-  if (prog.weight_groups != 1) return;
+  const SweepCase c = sweep_case(GetParam());
+  if (c.prog.weight_groups != 1) return;
   const LayerData data =
-      make_data(layer, static_cast<std::uint64_t>(GetParam()) + 11);
-  expect_simd_scalar_golden_agree(prog, cfg, data, /*jobs=*/1);
+      make_data(c.layer, static_cast<std::uint64_t>(GetParam()) + 11);
+  expect_simd_scalar_golden_agree(c.prog, c.cfg, data, /*jobs=*/1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimdSweep, ::testing::Range(0, 49));
@@ -413,12 +448,14 @@ arch::OverlayConfig bench_overlay() {
 }
 
 // Zoo-scale shapes on the benchmark overlay, one per sweep shape of the
-// engine: the strided 7x7 stem, a 5x5 same-padded conv (row-fused sweeps
-// across the pad-clipped columns), a 1x1 conv (one whole-plane sweep),
-// seqCNN's kh x 1 conv over a 1-wide image (rows fused along the sequence),
-// a stride-2 depthwise conv, and MatMul with P = 1 (dot) and P > 1 (axpy).
-// Each runs at zoo scale and as a reduced copy; both must equal the nn::
-// golden kernels at jobs {1, 4}, with SIMD on and off.
+// engine: the strided 7x7 stem and ResNet50's 1x1/s2 shortcut (phase-split
+// tiles; the shortcut drops every phase but one), a 5x5 same-padded conv
+// (row-fused sweeps across the pad-clipped columns), a 1x1 conv (one
+// whole-plane sweep), seqCNN's kh x 1 conv over a 1-wide image (rows fused
+// along the sequence), a stride-2 depthwise conv, and MatMul with P = 1
+// (dot) and P > 1 (axpy). Each runs at zoo scale and as a reduced copy;
+// both must equal the nn:: golden kernels at jobs {1, 4}, with SIMD on and
+// off, and every conv takes the int32 tiles exactly when SIMD has them.
 TEST(SimEngine, ZooShapesMatchNnReference) {
   const arch::OverlayConfig cfg = bench_overlay();
   struct Case {
@@ -427,6 +464,8 @@ TEST(SimEngine, ZooShapesMatchNnReference) {
   const Case cases[] = {
       {nn::make_conv("zoo_stem", 3, 224, 224, 8, 7, 2, 3),
        nn::make_conv("zoo_stem_small", 3, 30, 30, 4, 7, 2, 3)},
+      {nn::make_conv("zoo_shortcut_s2", 256, 56, 56, 8, 1, 2, 0),
+       nn::make_conv("zoo_shortcut_s2_small", 12, 11, 9, 6, 1, 2, 0)},
       {nn::make_conv("zoo_5x5", 16, 28, 28, 24, 5, 1, 2),
        nn::make_conv("zoo_5x5_small", 4, 12, 12, 6, 5, 1, 2)},
       {nn::make_conv("zoo_1x1", 64, 28, 28, 32, 1, 1, 0),
@@ -448,7 +487,10 @@ TEST(SimEngine, ZooShapesMatchNnReference) {
       ASSERT_EQ(prog.weight_groups, 1) << layer->name;
       const LayerData data = make_data(*layer, 17);
       const nn::AccTensor golden = nn_golden(*layer, data);
+      const bool conv = layer->kind == nn::LayerKind::Conv;
       auto expect_fast_matches = [&](const char* kernels) {
+        EXPECT_EQ(takes_tiles(prog, data), conv && simd::has_conv_tile())
+            << layer->name << " " << kernels;
         for (int jobs : {1, 4}) {
           sim::SimOptions opt;
           opt.jobs = jobs;
@@ -484,29 +526,31 @@ void expect_fast_matches_golden(const compiler::LayerProgram& prog,
   }
 }
 
-bool takes_tiles(const compiler::LayerProgram& prog, const LayerData& data) {
-  return sim::detail::uses_int32_tiles(sim::detail::build_tables(prog),
-                                       data.weights.data(), data.input.data());
-}
-
 // The int32 tile path runs only when K * max|w| * max|x| <= 2^31 - 1, with K
-// the reduction length rounded up to pairs. Same-sign extremes put every
-// partial sum next to the bound: just inside, the tiles sum exactly; just
-// outside (and at the (-32768)^2 corner), the acc_t path runs, where a 1x1
-// layer's sums would overflow int32. All equal the nn reference.
+// the phase-split reduction length rounded up to pairs. Same-sign extremes
+// put the partial sums next to the bound: just inside, the tiles sum
+// exactly; just outside (and at the (-32768)^2 corner), the acc_t path runs,
+// where a 1x1 layer's sums would overflow int32. All equal the nn
+// reference.
 TEST(SimEngine, Int32TileBoundBothSides) {
   const arch::OverlayConfig cfg = bench_overlay();
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
   constexpr std::int64_t kW = 32767;
   struct Case {
     nn::Layer layer;
-    std::int64_t k;  ///< reduction length rounded up to pairs
+    std::int64_t k;  ///< phase-split reduction length rounded up to pairs
   };
   const Case cases[] = {
       // 1x1 pairs channels: K = in_c.
       {nn::make_conv("tile_bound_1x1", 4, 5, 5, 6, 1, 1, 0), 4},
       // 3x3 pairs taps: 9 round up to 10 per channel.
       {nn::make_conv("tile_bound_3x3", 3, 6, 6, 5, 3, 1, 1), 30},
+      // 7x7/s2 splits each channel into 2x2 phase planes of 4x4 taps:
+      // K = 3 * 4 * 16.
+      {nn::make_conv("tile_bound_7x7_s2", 3, 11, 13, 5, 7, 2, 3), 192},
+      // 3x3/s3 splits each channel into 3x3 phase planes of one tap, which
+      // pair as planes: 27 round up to 28.
+      {nn::make_conv("tile_bound_3x3_s3", 3, 10, 8, 6, 3, 3, 1), 28},
   };
   for (const Case& c : cases) {
     const compiler::LayerProgram prog =
@@ -543,9 +587,13 @@ TEST(SimEngine, Int32TileBoundBothSides) {
 // Tile geometry: odd in_c (a channel pair with zero), odd kh*kw (a tap pair
 // with zero), tap pairs that cross a kernel row, out_c % 4 != 0 (partial
 // channel tiles), ow < 16 and ow > 16 (grid tails, discarded columns), pad 2
-// on a 7x7 plane, 1x1 with pad 0, and kh x 1 over a 1-wide image. Typical
-// operands take the tile path; Fast equals the nn reference at jobs {1, 4}
-// with SIMD on and off.
+// on a 7x7 plane, 1x1 with pad 0, and kh x 1 over a 1-wide image. Strided
+// layers split into phase planes: strides 2 and 3 over odd, non-square
+// inputs with pads 0-3, kernels within the stride (1x1/s2, 2x2/s3, 3x2/s3:
+// phases dropped, one tap each), kernels that are not a multiple of the
+// stride (7x7/s2, 5x5/s3, 5x4/s2: zero taps), odd in_c and out_c % 4 != 0.
+// Typical operands take the tile path; Fast equals the nn reference at jobs
+// {1, 4} with SIMD on and off.
 TEST(SimEngine, Int32TileShapesMatchNnReference) {
   const arch::OverlayConfig cfg = bench_overlay();
   const nn::Layer layers[] = {
@@ -557,6 +605,14 @@ TEST(SimEngine, Int32TileShapesMatchNnReference) {
       nn::make_conv2("tile_2x3", 4, 8, 11, 3, 2, 3, 1, 1),
       nn::make_conv2("tile_kh1", 9, 20, 1, 3, 4, 1, 1, 0),
       nn::make_conv2("tile_kh1_odd", 6, 17, 1, 10, 5, 1, 1, 0),
+      nn::make_conv2("tile_s2_7x7", 3, 23, 19, 6, 7, 7, 2, 3),
+      nn::make_conv2("tile_s3_5x5", 5, 17, 22, 7, 5, 5, 3, 2),
+      nn::make_conv2("tile_s2_5x4", 3, 15, 20, 5, 5, 4, 2, 1),
+      nn::make_conv2("tile_s2_3x3", 7, 21, 15, 10, 3, 3, 2, 1),
+      nn::make_conv2("tile_s3_3x3_pad0", 3, 19, 14, 4, 3, 3, 3, 0),
+      nn::make_conv2("tile_s2_1x1", 7, 13, 10, 5, 1, 1, 2, 0),
+      nn::make_conv2("tile_s3_2x2", 5, 14, 11, 9, 2, 2, 3, 1),
+      nn::make_conv2("tile_s3_3x2", 3, 16, 13, 6, 3, 2, 3, 0),
   };
   for (const nn::Layer& layer : layers) {
     const compiler::LayerProgram prog =
@@ -591,6 +647,7 @@ TEST(SimEngine, LayerRunnerOverWeightGroups) {
   cfg.validate();
   const nn::Layer layers[] = {
       nn::make_conv("runner_conv", 16, 6, 6, 51, 3, 1, 1),
+      nn::make_conv("runner_conv_s2", 16, 13, 11, 51, 3, 2, 1),
       nn::make_matmul("runner_fc", 300, 70, 1),
   };
   for (const nn::Layer& layer : layers) {
