@@ -8,6 +8,7 @@
 // file as a build artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -61,7 +62,31 @@ void BM_MappingSearch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MappingSearch)->Arg(1000)->Arg(10000);
+// 60000 is the Table II per-layer budget.
+BENCHMARK(BM_MappingSearch)->Arg(1000)->Arg(10000)->Arg(60000);
+
+// compile_layer of a layer that fits only when split into weight groups:
+// GoogLeNet's loss3/classifier (a 1024x1000 FC) on the 4x2x3 serving
+// overlay at the runtime's 8 k budget. Its first six group counts (1 to 32)
+// cannot fit WBUF; one search, at 64 groups, finds the mapping.
+void BM_CompileSplitLayer(benchmark::State& state) {
+  arch::OverlayConfig cfg = arch::paper_config();
+  cfg.d1 = 4;
+  cfg.d2 = 2;
+  cfg.d3 = 3;
+  const nn::Network net = nn::googlenet();
+  const auto layer = std::ranges::find(net.layers(), "loss3/classifier",
+                                       &nn::Layer::name);
+  if (layer == net.layers().end()) {
+    state.SkipWithError("GoogLeNet has no loss3/classifier");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compiler::compile_layer(
+        *layer, cfg, compiler::Objective::Performance, 8'000));
+  }
+}
+BENCHMARK(BM_CompileSplitLayer)->Unit(benchmark::kMillisecond);
 
 void BM_InstEncodeDecode(benchmark::State& state) {
   const arch::Instruction inst = arch::set_loop(arch::TemporalLevel::T, 12345);

@@ -40,11 +40,14 @@ std::vector<std::int64_t> divisors(std::int64_t n) {
 
 const std::vector<std::int64_t>& tile_candidates(std::int64_t n) {
   FTDL_ASSERT(n >= 1);
-  // Memoized: the mapping search queries the same trip counts millions of
-  // times. thread_local keeps the hot path lock-free now that compile_layer
-  // runs on CompilerSession pool threads; the few distinct trip counts per
-  // network keep the per-thread copies tiny. Entries are never erased and
-  // unordered_map nodes never move, so returned references stay valid.
+  // Memoized: a network's many mapping searches share a few distinct trip
+  // counts. Each search keeps its own table of thinned candidate lists, so
+  // it asks here only on that table's misses (a few hundred per search) and
+  // in its greedy fills. thread_local keeps this lock-free now that
+  // compile_layer runs on CompilerSession pool threads; the few distinct
+  // trip counts per network keep the per-thread copies tiny. Entries are
+  // never erased and unordered_map nodes never move, so returned references
+  // stay valid.
   thread_local std::unordered_map<std::int64_t, std::vector<std::int64_t>> cache;
   if (auto it = cache.find(n); it != cache.end()) return it->second;
 

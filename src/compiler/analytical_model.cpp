@@ -9,44 +9,68 @@
 
 namespace ftdl::compiler {
 
+namespace {
+
+/// Positions of the loops the activation-tile geometry reads: M and P for
+/// MatMul; N, E, F, R and S for conv and depthwise (they share the halo-tile
+/// geometry). Resolved once per evaluate() call.
+struct ActLoops {
+  explicit ActLoops(const Workload& w) {
+    if (w.kind == WorkloadKind::MatMul) {
+      m = w.loop_index('M');
+      p = w.loop_index('P');
+    } else {
+      n = w.loop_index('N');
+      e = w.loop_index('E');
+      f = w.loop_index('F');
+      r = w.loop_index('R');
+      s = w.loop_index('S');
+    }
+  }
+  int m = 0, p = 0, n = 0, e = 0, f = 0, r = 0, s = 0;
+};
+
 /// Activation words a single TPE consumes from its ActBUF during one LoopT
 /// burst (halo-aware for CONV: a tile of TT_E outputs with TT_R kernel rows
 /// needs (TT_E-1)*stride + TT_R input rows).
-std::int64_t act_tile_words_per_tpe(const Workload& w, const Mapping& m) {
-  // Conv and depthwise share the halo-tile geometry (tags N/E/F/R/S).
+std::int64_t act_tile_words(const Workload& w, const ActLoops& a,
+                            const Mapping& m) {
   if (w.kind == WorkloadKind::MatMul) {
-    const int idx_m = w.loop_index('M'), idx_p = w.loop_index('P');
-    return m.tile(HwLevel::T, idx_m) * m.tile(HwLevel::T, idx_p);
+    return m.tile(HwLevel::T, a.m) * m.tile(HwLevel::T, a.p);
   }
-  const int idx_n = w.loop_index('N'), idx_e = w.loop_index('E'),
-            idx_f = w.loop_index('F'), idx_r = w.loop_index('R'),
-            idx_s = w.loop_index('S');
   const std::int64_t h =
-      (m.tile(HwLevel::T, idx_e) - 1) * w.stride + m.tile(HwLevel::T, idx_r);
+      (m.tile(HwLevel::T, a.e) - 1) * w.stride + m.tile(HwLevel::T, a.r);
   const std::int64_t ww =
-      (m.tile(HwLevel::T, idx_f) - 1) * w.stride + m.tile(HwLevel::T, idx_s);
-  return m.tile(HwLevel::T, idx_n) * h * ww;
+      (m.tile(HwLevel::T, a.f) - 1) * w.stride + m.tile(HwLevel::T, a.s);
+  return m.tile(HwLevel::T, a.n) * h * ww;
 }
 
 /// Activation words one SuperBlock *row* receives per LoopL refill: the D1
 /// TPEs of a SuperBlock hold different reduction slices, so the row traffic
 /// multiplies the per-TPE tile by the D1 splits of activation loops
 /// (f_act of Eqn. 8).
-std::int64_t act_refill_words(const Workload& w, const Mapping& m) {
+std::int64_t act_refill(const Workload& w, const ActLoops& a,
+                        const Mapping& m) {
   if (w.kind == WorkloadKind::MatMul) {
-    const int idx_m = w.loop_index('M'), idx_p = w.loop_index('P');
-    return m.tile(HwLevel::D1, idx_m) * m.tile(HwLevel::T, idx_m) *
-           m.tile(HwLevel::T, idx_p);
+    return m.tile(HwLevel::D1, a.m) * m.tile(HwLevel::T, a.m) *
+           m.tile(HwLevel::T, a.p);
   }
-  const int idx_n = w.loop_index('N'), idx_e = w.loop_index('E'),
-            idx_f = w.loop_index('F'), idx_r = w.loop_index('R'),
-            idx_s = w.loop_index('S');
-  const std::int64_t ch = m.tile(HwLevel::D1, idx_n) * m.tile(HwLevel::T, idx_n);
-  const std::int64_t h = (m.tile(HwLevel::T, idx_e) - 1) * w.stride +
-                         m.tile(HwLevel::D1, idx_r) * m.tile(HwLevel::T, idx_r);
-  const std::int64_t ww = (m.tile(HwLevel::T, idx_f) - 1) * w.stride +
-                          m.tile(HwLevel::D1, idx_s) * m.tile(HwLevel::T, idx_s);
+  const std::int64_t ch = m.tile(HwLevel::D1, a.n) * m.tile(HwLevel::T, a.n);
+  const std::int64_t h = (m.tile(HwLevel::T, a.e) - 1) * w.stride +
+                         m.tile(HwLevel::D1, a.r) * m.tile(HwLevel::T, a.r);
+  const std::int64_t ww = (m.tile(HwLevel::T, a.f) - 1) * w.stride +
+                          m.tile(HwLevel::D1, a.s) * m.tile(HwLevel::T, a.s);
   return ch * h * ww;
+}
+
+}  // namespace
+
+std::int64_t act_tile_words_per_tpe(const Workload& w, const Mapping& m) {
+  return act_tile_words(w, ActLoops(w), m);
+}
+
+std::int64_t act_refill_words(const Workload& w, const Mapping& m) {
+  return act_refill(w, ActLoops(w), m);
 }
 
 /// Live partial-sum entries per SuperBlock during one LoopX iteration:
@@ -90,6 +114,7 @@ Performance evaluate(const Workload& w, const Mapping& m,
                      const arch::OverlayConfig& config) {
   FTDL_ASSERT(m.k() == w.k());
   Performance p;
+  const ActLoops act_loops(w);
 
   p.x = m.level_product(HwLevel::X);
   p.l = m.level_product(HwLevel::L);
@@ -103,8 +128,9 @@ Performance evaluate(const Workload& w, const Mapping& m,
   p.c_comp = p.x * (burst + lat);
 
   // --- Eqn. 8: ActBUS cycles = f_act(TT) * X * L.
+  const std::int64_t refill_words = act_refill(w, act_loops, m);
   const std::int64_t act_refill_cycles =
-      ceil_div(act_refill_words(w, m), config.actbus_words_per_cycle);
+      ceil_div(refill_words, config.actbus_words_per_cycle);
   p.c_act_bus = act_refill_cycles * p.x * p.l;
 
   // --- Eqn. 9: PSumBUS cycles = f_psum(TT, TL) * X * D3 (one bus per
@@ -118,7 +144,7 @@ Performance evaluate(const Workload& w, const Mapping& m,
       ceil_div(psum_traffic, config.psumbus_words_per_cycle) * p.x * config.d3;
 
   // --- DRAM (Sec. IV-B2): activations in, partial sums / results out.
-  const double act_bytes = 2.0 * double(act_refill_words(w, m)) *
+  const double act_bytes = 2.0 * double(refill_words) *
                            double(p.x) * double(p.l) * config.d3;
   const double psum_wr_bytes = double(config.psum_bytes) * double(psum_words) *
                                double(p.x) * config.d2 * config.d3;
@@ -152,7 +178,7 @@ Performance evaluate(const Workload& w, const Mapping& m,
 
   // --- Buffers.
   p.buffers.wbuf_words_per_tpe = wbuf_per_tpe;
-  p.buffers.actbuf_words_per_tpe = act_tile_words_per_tpe(w, m);
+  p.buffers.actbuf_words_per_tpe = act_tile_words(w, act_loops, m);
   p.buffers.psum_words_per_superblock = psum_words;
   p.buffers_fit = p.buffers.fits(config);
 

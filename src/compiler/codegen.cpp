@@ -84,6 +84,20 @@ int weight_only_extent(const nn::Layer& layer) {
   }
 }
 
+/// The group count compile_layer tries after `groups`: doubling, then the
+/// one-channel slice (`extent` groups) when doubling overshoots it, then
+/// past the end.
+int next_group_count(int groups, int extent) {
+  return groups == extent ? extent + 1 : std::min(2 * groups, extent);
+}
+
+/// No mapping of `w` fits WBUF: a legal mapping holds every weight word in
+/// some used TPE, so wbuf_words_per_tpe * used_tpes >= weight_words with
+/// used_tpes <= tpes (Eqn. 10).
+bool wbuf_cannot_fit(const Workload& w, const arch::OverlayConfig& config) {
+  return ceil_div(w.weight_words(), config.tpes()) > config.wbuf_words;
+}
+
 }  // namespace
 
 std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
@@ -113,9 +127,14 @@ LayerProgram compile_layer(const nn::Layer& layer,
   obs::ScopedSpan span("compiler", "compile_layer",
                        {{"layer", layer.name}});
   const int max_groups = weight_only_extent(layer);
-  for (int groups = 1; groups <= max_groups; groups *= 2) {
+  for (int groups = 1; groups <= max_groups;
+       groups = next_group_count(groups, max_groups)) {
     const nn::Layer part = weight_group_slice(layer, groups);
     const Workload w = Workload::from_layer(part);
+    if (wbuf_cannot_fit(w, config)) {
+      obs::count("compiler/infeasible_retries");
+      continue;  // the search would find nothing; skip it
+    }
     try {
       Solution s;
       {

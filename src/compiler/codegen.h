@@ -54,8 +54,11 @@ arch::InstStream generate_row_stream(const Workload& w, const Mapping& m,
 /// Searches for the best mapping of `layer` under `objective` and lowers it.
 /// When the layer's weights exceed the WBUF capacity for any mapping, the
 /// layer is split into weight groups (doubling the group count until a
-/// feasible mapping exists). Throws ftdl::InfeasibleError only when even a
-/// maximally split layer has no feasible mapping.
+/// feasible mapping exists, with the one-channel slice tried last when
+/// doubling overshoots the weight-only extent). A group count whose slice
+/// has more weight words than all TPEs' WBUFs hold is skipped without a
+/// search. Throws ftdl::InfeasibleError only when even the one-channel slice
+/// has no feasible mapping.
 LayerProgram compile_layer(const nn::Layer& layer,
                            const arch::OverlayConfig& config,
                            Objective objective = Objective::Performance,

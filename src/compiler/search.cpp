@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -102,6 +103,59 @@ CandList level_cands(std::int64_t trip, std::int64_t limit, std::size_t cap) {
   return out;
 }
 
+/// Per-search memo of level_cands results: open addressing with linear
+/// probing over a power-of-two table keyed on (trip, limit, cap). A search
+/// over a zoo layer asks for at most about 200 distinct keys, so the
+/// initial table normally never grows; past half load it doubles.
+class CandMemo {
+ public:
+  CandMemo() : slots_(512) {}
+
+  CandList get(std::int64_t trip, std::int64_t limit, std::size_t cap) {
+    // Every candidate of `trip` is at most `trip`, so larger limits agree.
+    limit = std::min(limit, trip);
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    Slot& slot = find(trip, limit, cap);
+    if (slot.trip == 0) {
+      slot = Slot{trip, limit, cap, level_cands(trip, limit, cap)};
+      ++size_;
+    }
+    return slot.cands;
+  }
+
+ private:
+  struct Slot {
+    std::int64_t trip = 0;  ///< 0 marks an empty slot (trips are >= 1)
+    std::int64_t limit = 0;
+    std::size_t cap = 0;
+    CandList cands;
+  };
+
+  /// The slot holding the key, or the empty slot where it belongs.
+  Slot& find(std::int64_t trip, std::int64_t limit, std::size_t cap) {
+    const std::size_t mask = slots_.size() - 1;
+    const std::uint64_t h =
+        (static_cast<std::uint64_t>(trip) * 0x9E3779B97F4A7C15ULL) ^
+        (static_cast<std::uint64_t>(limit) * 0xC2B2AE3D27D4EB4FULL) ^ cap;
+    for (std::size_t i = (h ^ h >> 29) & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.trip == 0 || (s.trip == trip && s.limit == limit && s.cap == cap))
+        return s;
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.trip != 0) find(s.trip, s.limit, s.cap) = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
 /// The set of mapping hashes already considered: open addressing with
 /// linear probing over a power-of-two table. Sized from the evaluation
 /// budget (a search inserts about one hash per evaluation), so it normally
@@ -164,7 +218,15 @@ class SearchEngine {
         cfg_(cfg),
         opt_(opt),
         c_min_(min_execution_cycles(w, cfg)),
-        seen_(opt.max_candidates) {}
+        seen_(opt.max_candidates) {
+    for (HwLevel level : kAllLevels) {
+      for (int loop = 0; loop < w.k(); ++loop) {
+        if (adjacency_allows(w, level, loop)) {
+          allowed_[static_cast<std::size_t>(level)] |= 1U << loop;
+        }
+      }
+    }
+  }
 
   SearchResult run() {
     run_canonicals();
@@ -193,10 +255,28 @@ class SearchEngine {
 
   bool budget_left() const { return result_.evaluated < opt_.max_candidates; }
 
+  /// The adjacency matrix's entry for (level, loop), read from the mask.
+  bool allows(HwLevel level, int loop) const {
+    return (allowed_[static_cast<std::size_t>(level)] >> loop & 1U) != 0;
+  }
+
+  /// satisfies_adjacency over the mask: every pinned tile is 1.
+  bool adjacency_ok(const Mapping& m) const {
+    const unsigned loops = (1U << w_.k()) - 1;
+    for (HwLevel level : kAllLevels) {
+      const unsigned allowed = allowed_[static_cast<std::size_t>(level)];
+      for (unsigned pinned = loops & ~allowed; pinned != 0;
+           pinned &= pinned - 1) {
+        if (m.tile(level, std::countr_zero(pinned)) > 1) return false;
+      }
+    }
+    return true;
+  }
+
   /// Evaluates one candidate mapping and feeds the top-k heap.
   void consider(const Mapping& m) {
     if (!seen_.insert(mapping_hash(m))) return;
-    if (!satisfies_adjacency(m, w_)) return;
+    if (!adjacency_ok(m)) return;
     if (!satisfies_logical_constraints(m, w_, cfg_.d1, cfg_.d2, cfg_.d3)) return;
     ++result_.evaluated;
 
@@ -223,7 +303,7 @@ class SearchEngine {
     std::int64_t left = extent;
     for (int loop = 0; loop < w_.k(); ++loop) {
       if ((loops >> loop & 1U) == 0) continue;
-      if (!adjacency_allows(w_, level, loop)) continue;
+      if (!allows(level, loop)) continue;
       const std::int64_t covered = m.spatial_extent(loop);
       const std::int64_t rem =
           ceil_div(w_.loops[static_cast<std::size_t>(loop)].trip, covered);
@@ -305,7 +385,7 @@ class SearchEngine {
     }
     for (int i = 0; i < w_.k(); ++i) {
       const WorkloadLoop& l = w_.loops[static_cast<std::size_t>(i)];
-      if (!adjacency_allows(w_, HwLevel::L, i)) continue;
+      if (!allows(HwLevel::L, i)) continue;
       const std::int64_t rem = ceil_div(
           l.trip, m.spatial_extent(i) * m.tile(HwLevel::T, i));
       std::int64_t best = 1;
@@ -348,27 +428,27 @@ class SearchEngine {
     if (result_.evaluated >= budget || !budget_left()) return false;
 
     const std::int64_t trip = w_.loops[static_cast<std::size_t>(loop)].trip;
-    const CandList s1s = adjacency_allows(w_, HwLevel::D1, loop)
-                             ? level_cands(trip, d1_left, 3)
+    const CandList s1s = allows(HwLevel::D1, loop)
+                             ? cands_.get(trip, d1_left, 3)
                              : CandList::unit();
     bool complete = true;
     for (std::int64_t s1 : s1s) {
       const std::int64_t rem1 = ceil_div(trip, s1);
-      const CandList s2s = adjacency_allows(w_, HwLevel::D2, loop)
-                               ? level_cands(rem1, d2_left, 3)
+      const CandList s2s = allows(HwLevel::D2, loop)
+                               ? cands_.get(rem1, d2_left, 3)
                                : CandList::unit();
       for (std::int64_t s2 : s2s) {
         const std::int64_t rem2 = ceil_div(rem1, s2);
-        const CandList s3s = adjacency_allows(w_, HwLevel::D3, loop)
-                                 ? level_cands(rem2, d3_left, 3)
+        const CandList s3s = allows(HwLevel::D3, loop)
+                                 ? cands_.get(rem2, d3_left, 3)
                                  : CandList::unit();
         for (std::int64_t s3 : s3s) {
           const std::int64_t rem3 = ceil_div(rem2, s3);
-          const CandList tts = level_cands(rem3, rem3, 4);
+          const CandList tts = cands_.get(rem3, rem3, 4);
           for (std::int64_t tt : tts) {
             const std::int64_t rem4 = ceil_div(rem3, tt);
-            const CandList tls = adjacency_allows(w_, HwLevel::L, loop)
-                                     ? level_cands(rem4, rem4, 3)
+            const CandList tls = allows(HwLevel::L, loop)
+                                     ? cands_.get(rem4, rem4, 3)
                                      : CandList::unit();
             for (std::int64_t tl : tls) {
               m.tile(HwLevel::D1, loop) = s1;
@@ -430,29 +510,29 @@ class SearchEngine {
     for (int i = 0; i < w_.k(); ++i) {
       const int loop = order[static_cast<std::size_t>(i)];
       std::int64_t rem = w_.loops[static_cast<std::size_t>(loop)].trip;
-      if (adjacency_allows(w_, HwLevel::D1, loop) && d1_left > 1) {
-        const std::int64_t s = pick(level_cands(rem, d1_left, 8), 0.5);
+      if (allows(HwLevel::D1, loop) && d1_left > 1) {
+        const std::int64_t s = pick(cands_.get(rem, d1_left, 8), 0.5);
         m.tile(HwLevel::D1, loop) = s;
         d1_left /= s;
         rem = ceil_div(rem, s);
       }
-      if (adjacency_allows(w_, HwLevel::D2, loop) && d2_left > 1) {
-        const std::int64_t s = pick(level_cands(rem, d2_left, 8), 0.6);
+      if (allows(HwLevel::D2, loop) && d2_left > 1) {
+        const std::int64_t s = pick(cands_.get(rem, d2_left, 8), 0.6);
         m.tile(HwLevel::D2, loop) = s;
         d2_left /= s;
         rem = ceil_div(rem, s);
       }
-      if (adjacency_allows(w_, HwLevel::D3, loop) && d3_left > 1) {
-        const std::int64_t s = pick(level_cands(rem, d3_left, 8), 0.35);
+      if (allows(HwLevel::D3, loop) && d3_left > 1) {
+        const std::int64_t s = pick(cands_.get(rem, d3_left, 8), 0.35);
         m.tile(HwLevel::D3, loop) = s;
         d3_left /= s;
         rem = ceil_div(rem, s);
       }
-      const std::int64_t tt = pick(level_cands(rem, rem, 8), 0.3);
+      const std::int64_t tt = pick(cands_.get(rem, rem, 8), 0.3);
       m.tile(HwLevel::T, loop) = tt;
       rem = ceil_div(rem, tt);
-      if (adjacency_allows(w_, HwLevel::L, loop)) {
-        const std::int64_t tl = pick(level_cands(rem, rem, 8), 0.3);
+      if (allows(HwLevel::L, loop)) {
+        const std::int64_t tl = pick(cands_.get(rem, rem, 8), 0.3);
         m.tile(HwLevel::L, loop) = tl;
         rem = ceil_div(rem, tl);
       }
@@ -466,7 +546,7 @@ class SearchEngine {
   /// Score of a mapping regardless of the dedup set; nullopt when illegal
   /// or infeasible. Counts toward the evaluation budget via consider().
   std::optional<double> score_of(const Mapping& m) {
-    if (!satisfies_adjacency(m, w_)) return std::nullopt;
+    if (!adjacency_ok(m)) return std::nullopt;
     if (!satisfies_logical_constraints(m, w_, cfg_.d1, cfg_.d2, cfg_.d3))
       return std::nullopt;
     const Performance p = evaluate(w_, m, cfg_);
@@ -508,7 +588,7 @@ class SearchEngine {
         improved = false;
         for (int k = 0; k < w_.k() && !improved; ++k) {
           for (HwLevel to : targets) {
-            if (!adjacency_allows(w_, to, k)) continue;
+            if (!allows(to, k)) continue;
             for (HwLevel from :
                  {HwLevel::X, HwLevel::D1, HwLevel::D2, HwLevel::D3,
                   HwLevel::L, HwLevel::T}) {
@@ -549,6 +629,10 @@ class SearchEngine {
   SearchResult result_;
   std::priority_queue<Solution, std::vector<Solution>, WorseScore> heap_;
   HashSet seen_;
+  CandMemo cands_;
+  /// Bit `loop` of allowed_[level]: the adjacency matrix lets `loop` take a
+  /// tile > 1 at `level`. Built once per search.
+  std::array<unsigned, kHwLevels> allowed_{};
 };
 
 }  // namespace

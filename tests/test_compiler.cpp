@@ -2,9 +2,12 @@
 // adjacency, the analytical model and the mapping search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/overlay_config.h"
 #include "common/alloc_stats.h"
 #include "common/error.h"
+#include "common/math_util.h"
 #include "compiler/adjacency.h"
 #include "compiler/codegen.h"
 #include "compiler/scheduler.h"
@@ -387,6 +390,63 @@ TEST(Search, GoldenTrajectoryAtBudget8000) {
   }
 }
 
+// A search over a layer with many large, divisor-rich trip counts asks for
+// more distinct candidate lists (about 260 at budget 20000) than a search's
+// candidate-list memo first has room for, so the memo grows mid-search.
+// The weights cannot fit, so every candidate is infeasible; keeping them
+// pins the trajectory through the top 8 by score (C_exe, then the D1, D2,
+// D3, X, L and T tiles).
+TEST(Search, GoldenTrajectoryWhileTheCandidateMemoGrows) {
+  SearchOptions opt;
+  opt.max_candidates = 20'000;
+  opt.top_k = 8;
+  opt.keep_infeasible = true;
+  const nn::Layer layer = nn::make_conv("wide", 5040, 84, 90, 4620, 5, 1, 2);
+  const SearchResult r =
+      search_mappings(Workload::from_layer(layer), paper_config(), opt);
+  EXPECT_EQ(r.evaluated, 20'000);
+  EXPECT_EQ(r.feasible, 0);
+  EXPECT_FALSE(r.dfs_exhausted);
+  EXPECT_EQ(r.refinement_improvements, 0);
+  const std::vector<std::int64_t> golden_c_exe = {
+      3667356018, 3667356018, 3667356018, 3667356018,
+      3667356018, 3667356018, 3667356090, 3667356090};
+  const std::vector<std::string> golden_tiles = {
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,20,1,1,1,1 "
+      "1,1,1,1,1,1 1,1,1,1,1,1 924,21,84,90,5,5",
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,20,1,1,1,1 "
+      "1,1,1,1,1,1 1,3,1,1,1,1 924,7,84,90,5,5",
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,20,1,1,1,1 "
+      "1,1,1,1,1,1 1,1,1,1,1,5 924,21,84,90,5,1",
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,20,1,1,1,1 "
+      "1,1,1,1,1,1 1,1,1,1,5,1 924,21,84,90,1,5",
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,1,4,1,5,1 "
+      "1,1,1,1,1,1 1,1,1,1,1,1 924,420,21,90,1,5",
+      "1,12,1,1,1,1 5,1,1,1,1,1 4,1,1,1,5,1 "
+      "1,1,1,1,1,1 1,1,1,1,1,1 231,420,84,90,1,5",
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,20,1,1,1,1 "
+      "1,1,1,1,1,5 1,1,1,1,5,1 924,21,84,90,1,1",
+      "1,12,1,1,1,1 5,1,1,1,1,1 1,20,1,1,1,1 "
+      "1,1,1,1,5,1 1,1,12,1,1,1 924,21,7,90,1,5",
+  };
+  std::vector<std::int64_t> c_exe;
+  std::vector<std::string> tiles;
+  for (const Solution& s : r.top) {
+    c_exe.push_back(s.perf.c_exe);
+    std::string row;
+    for (HwLevel level : kAllLevels) {
+      const char* sep = row.empty() ? "" : " ";
+      for (std::int64_t v : s.mapping.level(level)) {
+        row += sep + std::to_string(v);
+        sep = ",";
+      }
+    }
+    tiles.push_back(row);
+  }
+  EXPECT_EQ(c_exe, golden_c_exe);
+  EXPECT_EQ(tiles, golden_tiles);
+}
+
 // The search's heap traffic is a handful of per-call buffers (the seen-set,
 // the top-k heap, the result), independent of how many candidates it
 // evaluates: candidate lists, mappings and hashes all stay on the stack.
@@ -551,6 +611,102 @@ TEST(Codegen, WeightReloadChargedWhenEnabled) {
                        charged_cfg.tpes();
   EXPECT_NEAR(double(charged.reload_cycles_per_group),
               bytes / charged_cfg.dram_rd_bytes_per_cycle(), 1.0);
+}
+
+// compile_layer doubles the weight-group count, then tries the one-channel
+// slice last when doubling overshoots the weight-only extent. On a 12-TPE
+// overlay one output channel of a 1024-channel 3x3 conv (9216 weight words,
+// 768 per TPE) fits the 1024-word WBUF and two channels do not, so the conv
+// needs exactly out_c groups whether or not out_c is a power of two.
+TEST(Codegen, OneChannelSliceWhenExtentIsNotAPowerOfTwo) {
+  OverlayConfig cfg = paper_config();
+  cfg.d1 = 4;
+  cfg.d2 = 1;
+  cfg.d3 = 3;
+  for (int out_c : {1, 3, 4, 5, 6, 8, 12, 16}) {
+    SCOPED_TRACE(out_c);
+    const LayerProgram prog =
+        compile_layer(nn::make_conv("edge", 1024, 7, 7, out_c, 3, 1, 1), cfg,
+                      Objective::Performance, 2'000);
+    EXPECT_EQ(prog.weight_groups, out_c);
+    EXPECT_TRUE(prog.perf.feasible);
+  }
+}
+
+// ---- the WBUF lower bound compile_layer skips weight groups by -------------
+
+int weight_only_extent(const nn::Layer& layer) {
+  switch (layer.kind) {
+    case nn::LayerKind::Conv: return layer.out_c;
+    case nn::LayerKind::Depthwise: return layer.in_c;
+    default: return static_cast<int>(layer.mm_n);
+  }
+}
+
+OverlayConfig small_config() {
+  OverlayConfig cfg = paper_config();
+  cfg.d1 = 4;
+  cfg.d2 = 2;
+  cfg.d3 = 3;
+  return cfg;
+}
+
+// A legal mapping keeps every weight word in the WBUF of some used TPE, and
+// it uses at most tpes() of them (Eqn. 10): so its WBUF tile times the TPE
+// count covers the layer's weights. Sampled over the best legal mappings
+// (feasible or not) of every overlay layer of three zoo networks at both
+// overlays.
+TEST(Codegen, WbufTileTimesTpesCoversTheWeights) {
+  std::int64_t checked = 0;
+  for (const OverlayConfig& cfg : {paper_config(), small_config()}) {
+    for (const nn::Network& net :
+         {nn::googlenet(), nn::mobilenet_v1(), nn::sentimental_seqcnn()}) {
+      for (const nn::Layer& layer : net.overlay_layers()) {
+        const Workload w = Workload::from_layer(layer);
+        SearchOptions opt;
+        opt.max_candidates = 300;
+        opt.top_k = 16;
+        opt.keep_infeasible = true;
+        opt.refine = false;
+        for (const Solution& s : search_mappings(w, cfg, opt).top) {
+          EXPECT_GE(s.perf.buffers.wbuf_words_per_tpe * cfg.tpes(),
+                    w.weight_words())
+              << layer.name << " " << s.mapping.to_string(w);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 2'500);
+}
+
+// Every group count compile_layer skips without a search, on five zoo
+// networks at both overlays, is one whose search finds no feasible mapping.
+TEST(Codegen, WbufBoundSkipsOnlyInfeasibleGroupCounts) {
+  std::int64_t skipped = 0;
+  for (const OverlayConfig& cfg : {paper_config(), small_config()}) {
+    for (const nn::Network& net :
+         {nn::googlenet(), nn::resnet50(), nn::mobilenet_v1(),
+          nn::sentimental_seqcnn(), nn::alphago_zero()}) {
+      for (const nn::Layer& layer : net.overlay_layers()) {
+        const int extent = weight_only_extent(layer);
+        // compile_layer's group counts: doubling, then the extent itself.
+        for (int groups = 1; groups <= extent;
+             groups = groups == extent ? extent + 1
+                                       : std::min(2 * groups, extent)) {
+          const Workload w =
+              Workload::from_layer(weight_group_slice(layer, groups));
+          if (ceil_div(w.weight_words(), cfg.tpes()) <= cfg.wbuf_words) break;
+          ++skipped;
+          SearchOptions opt;
+          opt.max_candidates = 500;
+          EXPECT_TRUE(search_mappings(w, cfg, opt).top.empty())
+              << net.name() << " " << layer.name << " groups=" << groups;
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped, 300);
 }
 
 }  // namespace
