@@ -58,29 +58,15 @@ LayerProgram lower_solution(const nn::Layer& layer, const Workload& w,
   return p;
 }
 
-nn::Layer weight_group_slice(const nn::Layer& layer, int groups) {
-  nn::Layer part = layer;
-  switch (layer.kind) {
-    case nn::LayerKind::Conv:
-      part.out_c = static_cast<int>(ceil_div(layer.out_c, groups));
-      break;
-    case nn::LayerKind::Depthwise:
-      part.in_c = static_cast<int>(ceil_div(layer.in_c, groups));
-      part.out_c = part.in_c;
-      break;
-    default:
-      part.mm_n = ceil_div(layer.mm_n, groups);
-  }
-  return part;
-}
-
 namespace {
 
-int weight_only_extent(const nn::Layer& layer) {
+/// Sets the dimension weight_only_extent reads (a depthwise layer's output
+/// channels follow its input channels).
+void set_weight_only_extent(nn::Layer& layer, int extent) {
   switch (layer.kind) {
-    case nn::LayerKind::Conv: return layer.out_c;
-    case nn::LayerKind::Depthwise: return layer.in_c;
-    default: return static_cast<int>(layer.mm_n);
+    case nn::LayerKind::Conv: layer.out_c = extent; break;
+    case nn::LayerKind::Depthwise: layer.in_c = layer.out_c = extent; break;
+    default: layer.mm_n = extent;
   }
 }
 
@@ -100,23 +86,29 @@ bool wbuf_cannot_fit(const Workload& w, const arch::OverlayConfig& config) {
 
 }  // namespace
 
+int weight_only_extent(const nn::Layer& layer) {
+  switch (layer.kind) {
+    case nn::LayerKind::Conv: return layer.out_c;
+    case nn::LayerKind::Depthwise: return layer.in_c;
+    default: return static_cast<int>(layer.mm_n);
+  }
+}
+
+nn::Layer weight_group_slice(const nn::Layer& layer, int groups) {
+  nn::Layer part = layer;
+  set_weight_only_extent(
+      part, static_cast<int>(ceil_div(weight_only_extent(layer), groups)));
+  return part;
+}
+
 std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
                                            int groups) {
   const int total = weight_only_extent(layer);
   const int size = weight_only_extent(weight_group_slice(layer, groups));
   std::vector<nn::Layer> out;
   for (int off = 0; off < total; off += size) {
-    const int n = std::min(size, total - off);
-    nn::Layer part = layer;
-    if (layer.kind == nn::LayerKind::Conv) {
-      part.out_c = n;
-    } else if (layer.kind == nn::LayerKind::Depthwise) {
-      part.in_c = n;
-      part.out_c = n;
-    } else {
-      part.mm_n = n;
-    }
-    out.push_back(std::move(part));
+    nn::Layer& part = out.emplace_back(layer);
+    set_weight_only_extent(part, std::min(size, total - off));
   }
   return out;
 }

@@ -64,15 +64,20 @@ LayerProgram compile_layer(const nn::Layer& layer,
                            Objective objective = Objective::Performance,
                            std::int64_t max_candidates = 200'000);
 
+/// The extent of `layer`'s weight-only dimension (conv output channels,
+/// depthwise channels, MM output features): the dimension weight groups
+/// split.
+int weight_only_extent(const nn::Layer& layer);
+
 /// The layer restricted to one of `groups` slices of its weight-only
-/// dimension (conv output channels, depthwise channels, MM output
-/// features): the layer a program of `weight_groups == groups` maps.
+/// dimension: the layer a program of `weight_groups == groups` maps.
 nn::Layer weight_group_slice(const nn::Layer& layer, int groups);
 
 /// Every weight-group slice of `layer` split `groups` ways, in channel
 /// order: weight_group_slice's extent each, the last slice the rest. The
-/// runtime compiles each slice and runs the layer through one layer-level
-/// sim::CachedLayerSim over their programs.
+/// runtime runs the layer through one layer-level sim::CachedLayerSim over
+/// the slices' programs; a full-size slice reuses the layer's own program,
+/// so only a shorter last slice is compiled on its own.
 std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
                                            int groups);
 

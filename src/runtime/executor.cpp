@@ -65,35 +65,28 @@ void note_host_kernel(const Layer& layer) {
   obs::count("host/ewop_ops", layer.ewop_ops());
 }
 
-}  // namespace
+/// One layer of a compiled model.
+struct CompiledLayer {
+  const Layer* layer = nullptr;
+  std::vector<std::string> inputs;       ///< resolved dataflow inputs
+  const Tensor16* weights = nullptr;     ///< overlay layers only
+  int weight_groups = 1;
+  /// CycleSim overlay layers only: one runner over all weight groups.
+  std::optional<sim::CachedLayerSim> sim;
+};
 
-/// All state the context reuses across run() calls. Warm-up happens in the
-/// constructor; run() touches only the caches and the arena.
-struct ExecContext::Impl {
-  struct LayerCtx {
-    const Layer* layer = nullptr;
-    std::vector<std::string> inputs;       ///< resolved dataflow inputs
-    const Tensor16* weights = nullptr;     ///< overlay layers only
-    int weight_groups = 1;
-    /// CycleSim overlay layers only: one runner over all weight groups.
-    std::optional<sim::CachedLayerSim> sim;
-  };
-
-  const nn::Network& net;
-  const WeightStore& wstore;
+/// What the warm-up resolves once: the sink, each layer's inputs, weights and
+/// runner. Immutable after construction, so the copies of a context share it
+/// without locking (CachedLayerSim::run is const).
+struct CompiledModel {
   const ExecOptions opt;
-  TensorArena arena;
-  std::unique_ptr<ThreadPool> own_pool;  ///< sim_jobs > 1: one pool, reused
   std::string sink;
   const std::string input_key{nn::kNetworkInput};
-  std::vector<LayerCtx> layers;
-  /// Persistent name -> tensor map: keys are inserted during warm-up and
-  /// overwritten (move-assigned) on later runs, so steady-state execution
-  /// never allocates map nodes or key strings.
-  std::unordered_map<std::string, Tensor16> tensors;
+  std::vector<CompiledLayer> layers;
 
-  Impl(const nn::Network& n, const WeightStore& w, const ExecOptions& o)
-      : net(n), wstore(w), opt(o) {
+  CompiledModel(const nn::Network& net, const WeightStore& wstore,
+                const ExecOptions& o)
+      : opt(o) {
     net.validate_graph();
     if (net.layers().empty())
       throw ConfigError(net.name() + ": cannot execute an empty network");
@@ -114,7 +107,6 @@ struct ExecContext::Impl {
                         std::to_string(sinks.size()) + " (" + names + ")");
     }
     sink = sinks.front();
-    if (opt.sim_jobs > 1) own_pool = std::make_unique<ThreadPool>(opt.sim_jobs);
 
     layers.reserve(net.layers().size());
     for (std::size_t i = 0; i < net.layers().size(); ++i) {
@@ -123,11 +115,10 @@ struct ExecContext::Impl {
         throw ConfigError(layer.name +
                           ": recurrent (repeat>1) layers are not executable "
                           "feed-forward");
-      LayerCtx lc;
+      CompiledLayer lc;
       lc.layer = &layer;
       lc.inputs = net.resolved_inputs(i);
-      if (layer.kind == LayerKind::Conv || layer.kind == LayerKind::Depthwise ||
-          layer.kind == LayerKind::MatMul) {
+      if (layer.on_overlay()) {
         lc.weights = &wstore.get(layer);
         if (opt.path == OverlayPath::CycleSim) warm_overlay(lc);
       }
@@ -135,32 +126,63 @@ struct ExecContext::Impl {
     }
   }
 
-  /// CycleSim warm-up for one overlay layer: compile the layer and each of
-  /// its weight-group slices through the shared session (repeated shapes
-  /// reuse one search), and build one runner over the whole layer.
-  void warm_overlay(LayerCtx& lc) {
+  /// CycleSim warm-up for one overlay layer: compile the layer through the
+  /// shared session (repeated shapes reuse one search) and build one runner
+  /// over its weight groups. The layer's program already maps the full-size
+  /// slice (its search ran on weight_group_slice), so every part of that
+  /// size reuses it; only a shorter last part is compiled on its own.
+  void warm_overlay(CompiledLayer& lc) {
     const Layer& layer = *lc.layer;
-    compiler::CompilerSession& session = compiler::CompilerSession::global();
-    const compiler::LayerProgram master = session.compile(
-        layer, opt.config, compiler::Objective::Performance,
-        opt.search_budget_per_layer);
+    const auto compile = [this](const Layer& l) {
+      return compiler::CompilerSession::global().compile(
+          l, opt.config, compiler::Objective::Performance,
+          opt.search_budget_per_layer);
+    };
+    const compiler::LayerProgram master = compile(layer);
     lc.weight_groups = master.weight_groups;
+    const int slice = compiler::weight_only_extent(
+        compiler::weight_group_slice(layer, master.weight_groups));
     std::vector<compiler::LayerProgram> groups;
     for (const Layer& part :
-         compiler::weight_group_layers(layer, master.weight_groups))
-      groups.push_back(session.compile(part, opt.config,
-                                       compiler::Objective::Performance,
-                                       opt.search_budget_per_layer));
+         compiler::weight_group_layers(layer, master.weight_groups)) {
+      if (compiler::weight_only_extent(part) != slice) {
+        groups.push_back(compile(part));
+        continue;
+      }
+      compiler::LayerProgram& prog = groups.emplace_back(master);
+      prog.layer = part;
+      prog.weight_groups = 1;
+    }
     // The context only consumes output accumulators and cycle counts;
     // never collect a DRAM trace.
     sim::SimOptions sim_opt;
     sim_opt.collect_trace = false;
     lc.sim.emplace(layer, groups, opt.config, sim_opt);
   }
+};
+
+}  // namespace
+
+/// A context's scratch over its shared compiled model: run() touches only
+/// the arena, the tensor map and the pool.
+struct ExecContext::Impl {
+  const std::shared_ptr<const CompiledModel> model;
+  const ExecOptions& opt;
+  TensorArena arena;
+  /// sim_jobs > 1: a dedicated pool, built by the first run.
+  std::unique_ptr<ThreadPool> own_pool;
+  /// Persistent name -> tensor map: keys are inserted by the first run and
+  /// overwritten (move-assigned) on later runs, so steady-state execution
+  /// never allocates map nodes or key strings.
+  std::unordered_map<std::string, Tensor16> tensors;
+
+  explicit Impl(std::shared_ptr<const CompiledModel> m)
+      : model(std::move(m)), opt(model->opt) {}
 
   ThreadPool* pool() {
     if (opt.sim_jobs == 1) return nullptr;
     if (opt.sim_jobs == 0) return &compiler::CompilerSession::global().pool();
+    if (!own_pool) own_pool = std::make_unique<ThreadPool>(opt.sim_jobs);
     return own_pool.get();
   }
 
@@ -175,10 +197,10 @@ struct ExecContext::Impl {
     // Every tensor built below draws from the pool for the rest of the call
     // (and frees back into it, even from tensors that escape in the result).
     TensorArena::Scope scope(arena);
-    tensors[input_key] = input;
+    tensors[model->input_key] = input;
 
     ExecResult result;
-    for (LayerCtx& lc : layers) {
+    for (const CompiledLayer& lc : model->layers) {
       const Layer& layer = *lc.layer;
       LayerRun run;
       run.kind = layer.kind;
@@ -200,11 +222,11 @@ struct ExecContext::Impl {
       if (opt.collect_runs) result.runs.push_back(std::move(run));
       tensors[layer.name] = std::move(out);
     }
-    result.output = tensors.at(sink);
+    result.output = tensors.at(model->sink);
     return result;
   }
 
-  Tensor16 execute_layer(LayerCtx& lc, LayerRun& run) {
+  Tensor16 execute_layer(const CompiledLayer& lc, LayerRun& run) {
     const Layer& layer = *lc.layer;
     switch (layer.kind) {
       case LayerKind::Conv:
@@ -228,7 +250,7 @@ struct ExecContext::Impl {
     throw InternalError("unhandled layer kind");
   }
 
-  Tensor16 execute_overlay(LayerCtx& lc, const Tensor16& input,
+  Tensor16 execute_overlay(const CompiledLayer& lc, const Tensor16& input,
                            LayerRun& run) {
     const Layer& layer = *lc.layer;
     const Tensor16& w = *lc.weights;
@@ -265,7 +287,8 @@ struct ExecContext::Impl {
 
   /// Cycle-level path over the warm cache: one engine call over the layer's
   /// full weight tensor.
-  AccTensor simulate(LayerCtx& lc, const Tensor16& act, LayerRun& run) {
+  AccTensor simulate(const CompiledLayer& lc, const Tensor16& act,
+                     LayerRun& run) {
     run.weight_groups = lc.weight_groups;
     AccTensor acc;
     lc.sim->run(*lc.weights, act, acc, pool());
@@ -321,7 +344,11 @@ struct ExecContext::Impl {
 
 ExecContext::ExecContext(const nn::Network& net, const WeightStore& weights,
                          const ExecOptions& options)
-    : impl_(std::make_unique<Impl>(net, weights, options)) {}
+    : impl_(std::make_unique<Impl>(
+          std::make_shared<const CompiledModel>(net, weights, options))) {}
+
+ExecContext::ExecContext(const ExecContext& warm)
+    : impl_(std::make_unique<Impl>(warm.impl_->model)) {}
 
 ExecContext::~ExecContext() = default;
 ExecContext::ExecContext(ExecContext&&) noexcept = default;

@@ -80,20 +80,21 @@ int calibrate_shift(const nn::AccTensor& acc, int target_bits);
 ///
 /// Construction is the warm-up: the graph is validated, the sink and
 /// per-layer dataflow inputs are resolved, weights are looked up, and (on
-/// the CycleSim path) every overlay layer and each of its weight-group
-/// slices is compiled. The group programs become one layer-level
-/// sim::CachedLayerSim: its cycles are the sum of the groups', and each
-/// request runs the whole layer as one engine call over the layer's own
-/// weight tensor — a weight group is a contiguous channel range of it, so
-/// no per-group weights or outputs exist. run() then re-executes the
-/// network with all tensor storage (the simulator's padded input copies
-/// included) drawn from an owned TensorArena, so a warm context performs zero
-/// heap allocations per request on the CycleSim path with collect_runs off
-/// and observability disabled (pinned by the allocation-counter test in
-/// tests/test_serve.cpp).
+/// the CycleSim path) every overlay layer is compiled, along with a shorter
+/// last weight-group slice when the group split leaves one. The group
+/// programs become one layer-level sim::CachedLayerSim: its cycles are the
+/// sum of the groups', and each request runs the whole layer as one engine
+/// call over the layer's own weight tensor — a weight group is a contiguous
+/// channel range of it, so no per-group weights or outputs exist. run() then
+/// re-executes the network with all tensor storage (the simulator's padded
+/// input copies included) drawn from an owned TensorArena, so a warm context
+/// performs zero heap allocations per request on the CycleSim path with
+/// collect_runs off and observability disabled (pinned by the
+/// allocation-counter test in tests/test_serve.cpp).
 ///
-/// `net` and `weights` must outlive the context and not be mutated while it
-/// exists. A context is not thread-safe; create one per worker thread.
+/// `net` and `weights` must outlive the context and its copies, unmutated.
+/// A context is not thread-safe; give each thread its own copy. Copies share
+/// the immutable compiled model, so a network warms up once.
 class ExecContext {
  public:
   /// Warm-up. Throws the same ftdl::ConfigError / ftdl::Error diagnostics
@@ -101,6 +102,10 @@ class ExecContext {
   /// missing weights, compile failures).
   ExecContext(const nn::Network& net, const WeightStore& weights,
               const ExecOptions& options);
+  /// A context over `warm`'s compiled model, with its own empty arena and
+  /// tensor map (and, at sim_jobs > 1, a pool its first run builds): no
+  /// warm-up runs.
+  ExecContext(const ExecContext& warm);
   ~ExecContext();
   ExecContext(ExecContext&&) noexcept;
   ExecContext& operator=(ExecContext&&) noexcept;

@@ -129,6 +129,8 @@ struct Server::Impl {
 
   Mutex stop_mu;  ///< serializes stop() (idempotent join)
   bool stopped FTDL_GUARDED_BY(stop_mu) = false;
+  /// The one warm-up; each worker copies it, sharing its compiled model.
+  std::optional<runtime::ExecContext> warm;
   std::vector<std::thread> workers;
 
   Impl(nn::Network n, runtime::WeightStore w, ServerOptions o)
@@ -153,26 +155,12 @@ struct Server::Impl {
 
   void worker_loop(int w) {
     obs::set_thread_track_name("serve-" + std::to_string(w));
-    // Per-worker execution context: graph analysis, compiled programs,
-    // weight-group slices and the tensor arena warm up once per worker;
-    // steady-state requests then run without heap allocations (LayerRun
-    // records are skipped — serve only consumes output and cycle totals).
-    runtime::ExecOptions eopt = opt.exec;
-    eopt.collect_runs = false;
-    std::optional<runtime::ExecContext> exec;
-    std::exception_ptr init_err;
-    try {
-      // Spans the warm-up on this worker's track, so every worker shows up
-      // in the trace even when the other workers drain the whole queue.
+    // Own arena and tensor map over the shared compiled model. The span puts
+    // every worker on the trace, even when the others drain the whole queue.
+    runtime::ExecContext exec = [this] {
       const obs::ScopedSpan warmup("serve", "warmup");
-      exec.emplace(net, weights, eopt);
-    } catch (...) {
-      // Warm-up rejected the network (recurrent layers, missing weights,
-      // compile failure). The worker still drains the queue, failing each
-      // request with this error through its future — admission-time checks
-      // cannot catch everything, and a wedged worker would hang stop().
-      init_err = std::current_exception();
-    }
+      return runtime::ExecContext(*warm);
+    }();
     ArenaStats last_arena;  // previous snapshot, for per-batch count deltas
     std::vector<Request> batch;  // capacity reused across batches
     for (;;) {
@@ -221,14 +209,12 @@ struct Server::Impl {
           obs::gauge("serve/queue_depth", double(queue.size()));
         }
       }
-      execute_batch(w, batch_id, batch, exec ? &*exec : nullptr, init_err,
-                    last_arena);
+      execute_batch(w, batch_id, batch, exec, last_arena);
     }
   }
 
   void execute_batch(int w, std::uint64_t batch_id,
-                     std::vector<Request>& batch, runtime::ExecContext* exec,
-                     const std::exception_ptr& init_err,
+                     std::vector<Request>& batch, runtime::ExecContext& exec,
                      ArenaStats& last_arena) {
     const Clock::time_point dispatch = Clock::now();
     std::optional<obs::ScopedSpan> batch_span;
@@ -237,6 +223,17 @@ struct Server::Impl {
                          obs::SpanArgs{{"batch", std::to_string(batch_id)},
                                        {"size", std::to_string(batch.size())}});
     }
+    // Stamps a finished request and counts it before its future resolves.
+    const auto account = [&](const Request& req, InferenceResult& res,
+                             bool failed) {
+      const Clock::time_point done = Clock::now();
+      res.execute_us = us_between(dispatch, done);
+      res.latency_us = us_between(req.enqueue_time, done);
+      obs::count(failed ? "serve/requests_failed" : "serve/requests_completed");
+      MutexLock lock(mu);
+      ++(failed ? stats.failed : stats.completed);
+      if (!failed) stats.latency.record(res.latency_us);
+    };
     for (Request& req : batch) {
       InferenceResult res;
       res.request_id = req.id;
@@ -244,8 +241,7 @@ struct Server::Impl {
       res.batch_id = batch_id;
       res.batch_size = static_cast<int>(batch.size());
       res.queue_us = us_between(req.enqueue_time, dispatch);
-      std::exception_ptr err;
-      {
+      try {
         std::optional<obs::ScopedSpan> span;
         if (obs::enabled()) {
           span.emplace("serve", "execute",
@@ -255,42 +251,22 @@ struct Server::Impl {
         // steady-state contract of tests/test_serve.cpp. Two thread-local
         // increments when no counting allocator is linked in.
         alloc_stats::ArmScope arm;
-        if (exec == nullptr) {
-          err = init_err;
-        } else {
-          try {
-            runtime::ExecResult er = exec->run(req.input);
-            res.output = std::move(er.output);
-            res.total_sim_cycles = er.total_sim_cycles;
-          } catch (...) {
-            err = std::current_exception();
-          }
-        }
+        runtime::ExecResult er = exec.run(req.input);
+        res.output = std::move(er.output);
+        res.total_sim_cycles = er.total_sim_cycles;
+      } catch (...) {
+        account(req, res, true);
+        req.promise.set_exception(std::current_exception());
+        continue;
       }
-      const Clock::time_point done = Clock::now();
-      res.execute_us = us_between(dispatch, done);
-      res.latency_us = us_between(req.enqueue_time, done);
-      {
-        MutexLock lock(mu);
-        if (err) {
-          ++stats.failed;
-        } else {
-          ++stats.completed;
-          stats.latency.record(res.latency_us);
-        }
-      }
-      obs::count(err ? "serve/requests_failed" : "serve/requests_completed");
-      if (err) {
-        req.promise.set_exception(err);
-      } else {
-        req.promise.set_value(std::move(res));
-      }
+      account(req, res, false);
+      req.promise.set_value(std::move(res));
     }
     // Arena activity of this batch, as counter deltas against the previous
     // snapshot (counts are monotonic; the pool itself reports totals), plus
     // the pool's high-water mark.
-    if (exec != nullptr && obs::enabled()) {
-      const ArenaStats a = exec->arena_stats();
+    if (obs::enabled()) {
+      const ArenaStats a = exec.arena_stats();
       obs::count("runtime/arena_bytes", a.bytes_allocated - last_arena.bytes_allocated);
       obs::count("runtime/arena_reuses", a.reuses - last_arena.reuses);
       obs::count("runtime/arena_fallback_allocs",
@@ -311,15 +287,6 @@ Server::Server(nn::Network net, runtime::WeightStore weights,
   if (opt.queue_depth < 1) throw ConfigError("serve: queue_depth must be >= 1");
   if (opt.batch_timeout_us < 0)
     throw ConfigError("serve: batch_timeout_us must be >= 0");
-  impl_->net.validate_graph();
-  if (impl_->net.layers().empty())
-    throw ConfigError("serve: cannot serve an empty network");
-  const std::vector<std::string> sinks = impl_->net.sink_names();
-  if (sinks.size() != 1) {
-    throw ConfigError(impl_->net.name() +
-                      ": serving needs exactly one sink layer, found " +
-                      std::to_string(sinks.size()));
-  }
   // Full graph-family static analysis (shape agreement, dead layers,
   // cycles) before any worker starts; a long-lived server must not accept
   // traffic for a network that cannot execute end to end.
@@ -329,6 +296,12 @@ Server::Server(nn::Network net, runtime::WeightStore weights,
     throw ConfigError(impl_->net.name() + ": static analysis rejected: " +
                       ar.first_error()->to_string());
   }
+  // The one warm-up (graph checks, weights, compiles): a network it rejects
+  // throws here, before any request is admitted. Serving skips the LayerRun
+  // records; it consumes only outputs and cycle totals.
+  runtime::ExecOptions eopt = opt.exec;
+  eopt.collect_runs = false;
+  impl_->warm.emplace(impl_->net, impl_->weights, eopt);
   impl_->workers.reserve(static_cast<std::size_t>(opt.workers));
   for (int w = 0; w < opt.workers; ++w) {
     impl_->workers.emplace_back([this, w] { impl_->worker_loop(w); });

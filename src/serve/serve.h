@@ -16,15 +16,14 @@
 //     pending requests, waiting at most `batch_timeout_us` from the oldest
 //     request's enqueue before dispatching what it has (timeout 0 =
 //     dispatch immediately, no coalescing wait);
-//   * a pool of `workers` threads, each executing its batch through
-//     runtime::run_network on the configured path (scalar reference or
-//     compiled cycle-level simulation).
+//   * a pool of `workers` threads, each running its batches through its own
+//     copy of one runtime::ExecContext that the constructor warms up once.
 //
 // Determinism contract (extends docs/simulator.md): every request's output
 // is a deterministic pure function of (network, weights, input, ExecOptions)
-// — run_network holds that on both paths, the CompilerSession cache is
-// content-addressed with bit-identical programs at any jobs value, and
-// workers share no mutable state beyond that cache and the obs registry.
+// — run_network holds that on both paths, the shared compiled model is
+// immutable, and workers share no mutable state beyond the CompilerSession
+// cache (content-addressed, bit-identical programs) and the obs registry.
 // Per-request results are therefore BIT-IDENTICAL to a serial
 // one-at-a-time run at any worker count, batch size, queue depth or
 // arrival order (pinned by tests/test_serve.cpp).
@@ -125,7 +124,7 @@ struct Submission {
   RejectReason reject_reason = RejectReason::QueueFull;  ///< if !accepted
   std::uint64_t request_id = 0;                          ///< if accepted
   /// Resolves to the result, or rethrows the execution error (e.g.
-  /// ConfigError from a malformed graph) when the request failed.
+  /// ConfigError for an input layout the network rejects).
   std::future<InferenceResult> result;
 };
 
@@ -153,13 +152,17 @@ struct ServerStats {
 };
 
 /// A serving runtime that owns one compiled model (weights + options) and
-/// executes submitted inputs on a worker pool. Construction validates the
-/// graph (including the unique-sink requirement of run_network) and starts
-/// the workers; stop() — or destruction — stops admission, drains every
-/// pending request and joins.
+/// executes submitted inputs on a worker pool. Construction analyses the
+/// graph, warms the model up once on the calling thread and starts the
+/// workers, each with its own arena over the shared compiled layers; stop()
+/// — or destruction — stops admission, drains every pending request and
+/// joins.
 class Server {
  public:
-  /// Throws ftdl::ConfigError on an invalid graph or invalid options.
+  /// Throws ftdl::ConfigError on invalid options, a graph static analysis
+  /// rejects, or a network the warm-up rejects (empty, ambiguous sinks,
+  /// recurrent layers, missing weights, compile failures): before any
+  /// request is admitted.
   Server(nn::Network net, runtime::WeightStore weights, ServerOptions options);
   ~Server();
   Server(const Server&) = delete;

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "compiler/codegen.h"
@@ -164,6 +165,94 @@ TEST(Executor, WeightGroupStitchingIsExact) {
     group_cycles += layer_cycles;
   }
   EXPECT_EQ(simd.total_sim_cycles, group_cycles);
+}
+
+/// Field-by-field equality of two compiled programs (the structs define no
+/// operator==; the workloads compare through their content-addressed key).
+void expect_same_program(const compiler::LayerProgram& a,
+                         const compiler::LayerProgram& b,
+                         const arch::OverlayConfig& cfg) {
+  const auto key = [&](const compiler::LayerProgram& p) {
+    return compiler::program_cache_key(
+        p.workload, cfg, compiler::Objective::Performance, 0);
+  };
+  EXPECT_EQ(a.layer.name, b.layer.name);
+  EXPECT_EQ(compiler::weight_only_extent(a.layer),
+            compiler::weight_only_extent(b.layer));
+  EXPECT_EQ(key(a), key(b));
+  EXPECT_EQ(a.mapping, b.mapping);
+  EXPECT_EQ(a.row_stream, b.row_stream);
+  EXPECT_EQ(a.weight_groups, b.weight_groups);
+  EXPECT_EQ(a.reload_cycles_per_group, b.reload_cycles_per_group);
+  const compiler::Performance& p = a.perf;
+  const compiler::Performance& q = b.perf;
+  EXPECT_EQ(std::tie(p.x, p.l, p.t, p.c_comp, p.c_act_bus, p.c_psum_bus,
+                     p.c_dram_rd, p.c_dram_wr, p.c_exe),
+            std::tie(q.x, q.l, q.t, q.c_comp, q.c_act_bus, q.c_psum_bus,
+                     q.c_dram_rd, q.c_dram_wr, q.c_exe));
+  EXPECT_EQ(std::tie(p.dram_rd_bytes, p.dram_wr_bytes, p.e_wbuf,
+                     p.hardware_efficiency),
+            std::tie(q.dram_rd_bytes, q.dram_wr_bytes, q.e_wbuf,
+                     q.hardware_efficiency));
+  EXPECT_EQ(std::tie(p.buffers.wbuf_words_per_tpe,
+                     p.buffers.actbuf_words_per_tpe,
+                     p.buffers.psum_words_per_superblock, p.buffers_fit,
+                     p.weight_reuse_ok, p.host_reduction, p.feasible),
+            std::tie(q.buffers.wbuf_words_per_tpe,
+                     q.buffers.actbuf_words_per_tpe,
+                     q.buffers.psum_words_per_superblock, q.buffers_fit,
+                     q.weight_reuse_ok, q.host_reduction, q.feasible));
+}
+
+TEST(Executor, FullSizeWeightGroupSlicesReuseTheLayerProgram) {
+  // The warm-up runs a full-size weight-group slice on the layer's own
+  // program (its search ran on weight_group_slice) instead of compiling the
+  // slice again: that program, relabelled to the slice with one group, must
+  // equal what compiling the slice yields, for every split layer.
+  const arch::OverlayConfig cfg = small_config();
+  const std::int64_t budget = ExecOptions{}.search_budget_per_layer;
+  compiler::CompilerSession& session = compiler::CompilerSession::global();
+  const auto compile = [&](const nn::Layer& l) {
+    return session.compile(l, cfg, compiler::Objective::Performance, budget);
+  };
+  for (const nn::Network& net :
+       {nn::googlenet(), nn::mobilenet_v1(), nn::sentimental_seqcnn()}) {
+    int reused = 0;
+    for (const nn::Layer& layer : net.layers()) {
+      if (!layer.on_overlay()) continue;
+      const compiler::LayerProgram master = compile(layer);
+      if (master.weight_groups == 1) continue;
+      const int slice = compiler::weight_only_extent(
+          compiler::weight_group_slice(layer, master.weight_groups));
+      for (const nn::Layer& part :
+           compiler::weight_group_layers(layer, master.weight_groups)) {
+        if (compiler::weight_only_extent(part) != slice) continue;
+        compiler::LayerProgram prog = master;
+        prog.layer = part;
+        prog.weight_groups = 1;
+        SCOPED_TRACE(net.name() + "/" + layer.name);
+        expect_same_program(prog, compile(part), cfg);
+        ++reused;
+      }
+    }
+    EXPECT_GT(reused, 0) << net.name() << " has no split layer at 4x2x3";
+  }
+}
+
+TEST(Executor, ColdGoogLeNetWarmUpSearchesEachSliceShapeOnce) {
+  // A cold GoogLeNet warm-up at 4x2x3 searches each distinct layer shape and
+  // each shorter last slice once: 51 session misses. Compiling every slice
+  // on its own, full-size ones included, made 76.
+  const nn::Network net = nn::googlenet();
+  const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
+  ExecOptions opt;
+  opt.path = OverlayPath::CycleSim;
+  opt.config = small_config();
+  compiler::CompilerSession& session = compiler::CompilerSession::global();
+  session.clear_cache();
+  const std::int64_t before = session.stats().misses;
+  const ExecContext ctx(net, ws, opt);
+  EXPECT_EQ(session.stats().misses - before, 51);
 }
 
 TEST(Executor, CalibrationKeepsOutputsInRange) {

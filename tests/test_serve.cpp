@@ -344,22 +344,42 @@ TEST(Server, RejectionAccountingIsExact) {
   EXPECT_EQ(st.latency.count(), st.completed);
 }
 
-TEST(Server, ExecutionFailureSurfacesThroughFuture) {
-  // seqLSTM passes admission (shape matches) but run_network rejects
-  // recurrent layers — the error must come back via the future and be
-  // counted as failed, never wedging a worker.
+TEST(Server, WarmUpFailureThrowsFromConstructor) {
+  // seqLSTM passes static analysis, but the warm-up rejects its recurrent
+  // layers: Server() throws before any request is admitted.
   const nn::Network net = nn::sentimental_seqlstm();
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 1);
-  Server server(net, ws, ServerOptions{});
-  Submission s = server.submit(nn::Tensor16({2048, 1}));
-  ASSERT_TRUE(s.accepted);
-  EXPECT_THROW(s.result.get(), ConfigError);
+  EXPECT_THROW(Server(net, ws, ServerOptions{}), ConfigError);
+}
+
+TEST(Server, ExecutionFailureSurfacesThroughFuture) {
+  // A MatMul-first network admits any input of the right element count, so
+  // a transposed {1, M} input passes admission and fails in the layer
+  // simulator's layout check: the error must come back via the future and
+  // be counted as failed, and the worker must keep serving.
+  nn::Network net("serve-mm");
+  net.add(nn::make_matmul("fc", 16, 4, 1));
+  net.validate_graph();
+  const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 1);
+  ServerOptions opt;
+  opt.workers = 1;
+  opt.exec.path = runtime::OverlayPath::CycleSim;
+  opt.exec.config.d1 = 4;
+  opt.exec.config.d2 = 2;
+  opt.exec.config.d3 = 3;
+  Server server(net, ws, opt);
+  Submission bad = server.submit(nn::Tensor16({1, 16}));
+  ASSERT_TRUE(bad.accepted);
+  EXPECT_THROW(bad.result.get(), ConfigError);
+  Submission good = server.submit(nn::Tensor16({16, 1}));
+  ASSERT_TRUE(good.accepted);
+  EXPECT_EQ(good.result.get().output.dims(), (nn::Dims{4, 1}));
   server.stop();
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.accepted, 1);
+  EXPECT_EQ(st.accepted, 2);
   EXPECT_EQ(st.failed, 1);
-  EXPECT_EQ(st.completed, 0);
-  EXPECT_EQ(st.latency.count(), 0);
+  EXPECT_EQ(st.completed, 1);
+  EXPECT_EQ(st.latency.count(), 1);
 }
 
 // ---- zero-alloc steady state ----------------------------------------------
@@ -518,6 +538,32 @@ TEST_F(ServeObsTest, CountersBalanceAndTracksNest) {
   EXPECT_NE(trace.find("serve-0"), std::string::npos);
   const obs::Metrics parsed = obs::parse_metrics_json(r.metrics_json());
   EXPECT_EQ(parsed.counters.at("serve/requests_completed"), kRequests);
+}
+
+TEST_F(ServeObsTest, WorkersShareOneWarmUp) {
+  // Server() warms the model up once and every worker copies that context,
+  // so the warm-up's simulator timing passes do not grow with the workers.
+  obs::set_enabled(true);
+  nn::Network net("serve-warm-once");
+  net.add(nn::make_conv("c", 6, 8, 8, 8, 3, 1, 1));
+  net.add(nn::make_matmul("fc", 8 * 8 * 8, 5, 1));
+  net.validate_graph();
+  const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 11);
+  const auto timing_passes = [&](int workers) {
+    obs::Registry::global().reset();
+    ServerOptions opt;
+    opt.workers = workers;
+    opt.exec.path = runtime::OverlayPath::CycleSim;
+    opt.exec.config.d1 = 4;
+    opt.exec.config.d2 = 2;
+    opt.exec.config.d3 = 3;
+    Server server(net, ws, opt);
+    server.stop();
+    return obs::Registry::global().counter("sim/timing_passes");
+  };
+  const std::int64_t one = timing_passes(1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(timing_passes(4), one);
 }
 
 TEST_F(ServeObsTest, DisabledObsLeavesResultsIdentical) {

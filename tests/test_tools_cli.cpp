@@ -79,6 +79,20 @@ TEST(ToolsCli, FtdlServeRejectsGarbageNumericFlags) {
   }
 }
 
+TEST(ToolsCli, FtdlServeReportsWarmUpFailureAndExitsOne) {
+  // The server warms seqLSTM up before admitting a request; the warm-up's
+  // ConfigError (recurrent layers) goes to stderr and the tool exits 1.
+  // Only stderr reaches the pipe: stdout is discarded inside the group.
+  TempDir dir;
+  const RunResult r = run("cd " + dir.path + " && { " +
+                          std::string(FTDL_SERVE_PATH) +
+                          " Sentimental-seqLSTM 2>&1 >/dev/null; }");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("ftdl-serve: "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("not executable feed-forward"), std::string::npos)
+      << r.output;
+}
+
 TEST(ToolsCli, FtdlProfRejectsGarbageNumericFlags) {
   for (const char* flags : {"--jobs x8", "--budget 8k", "--sim-macs-limit -1",
                             "--jobs 0"}) {
