@@ -47,9 +47,8 @@ int calibrate_shift(const AccTensor& acc, int target_bits) {
 
 namespace {
 
-/// Reshapes {C,H,W} to the {M,1} column a MM layer consumes.
+/// Reshapes {C,H,W} to the {M,P} matrix a MM layer consumes.
 Tensor16 flatten_for_mm(const Tensor16& t, const Layer& layer) {
-  if (t.dims().size() == 2) return t;
   if (t.size() != layer.mm_m * layer.mm_p)
     throw ConfigError(layer.name + ": input element count mismatches MM shape");
   Tensor16 flat({static_cast<int>(layer.mm_m), static_cast<int>(layer.mm_p)});
@@ -71,7 +70,7 @@ struct CompiledLayer {
   std::vector<std::string> inputs;       ///< resolved dataflow inputs
   const Tensor16* weights = nullptr;     ///< overlay layers only
   int weight_groups = 1;
-  /// CycleSim overlay layers only: one runner over all weight groups.
+  /// Overlay layers only: one runner over all weight groups.
   std::optional<sim::CachedLayerSim> sim;
 };
 
@@ -118,17 +117,18 @@ struct CompiledModel {
       CompiledLayer lc;
       lc.layer = &layer;
       lc.inputs = net.resolved_inputs(i);
-      if (layer.on_overlay()) {
-        lc.weights = &wstore.get(layer);
-        if (opt.path == OverlayPath::CycleSim) warm_overlay(lc);
-      }
+      if (layer.on_overlay()) lc.weights = &wstore.get(layer);
       layers.push_back(std::move(lc));
+    }
+    // Compile only once every layer is known to be executable.
+    for (CompiledLayer& lc : layers) {
+      if (lc.weights != nullptr) warm_overlay(lc);
     }
   }
 
-  /// CycleSim warm-up for one overlay layer: compile the layer through the
-  /// shared session (repeated shapes reuse one search) and build one runner
-  /// over its weight groups. The layer's program already maps the full-size
+  /// Warm-up for one overlay layer: compile the layer through the shared
+  /// session (repeated shapes reuse one search) and build one runner over
+  /// its weight groups. The layer's program already maps the full-size
   /// slice (its search ran on weight_group_slice), so every part of that
   /// size reuses it; only a shorter last part is compiled on its own.
   void warm_overlay(CompiledLayer& lc) {
@@ -250,14 +250,12 @@ struct ExecContext::Impl {
     throw InternalError("unhandled layer kind");
   }
 
+  /// One engine call over the layer's full weight tensor on its warm
+  /// runner (which rejects a wrongly shaped input with ConfigError), then
+  /// the host requantisation.
   Tensor16 execute_overlay(const CompiledLayer& lc, const Tensor16& input,
                            LayerRun& run) {
     const Layer& layer = *lc.layer;
-    const Tensor16& w = *lc.weights;
-    if ((layer.kind == LayerKind::Conv || layer.kind == LayerKind::Depthwise) &&
-        input.dims() != nn::Dims{layer.in_c, layer.in_h, layer.in_w}) {
-      throw ConfigError(layer.name + ": input tensor shape mismatch");
-    }
     const Tensor16* act = &input;
     Tensor16 flat;
     if (layer.kind == LayerKind::MatMul && input.dims().size() != 2) {
@@ -266,34 +264,11 @@ struct ExecContext::Impl {
     }
 
     AccTensor acc;
-    if (opt.path == OverlayPath::Reference) {
-      switch (layer.kind) {
-        case LayerKind::Conv:
-          acc = nn::conv2d_reference(layer, *act, w);
-          break;
-        case LayerKind::Depthwise:
-          acc = nn::depthwise_reference(layer, *act, w);
-          break;
-        default:
-          acc = nn::matmul_reference(layer, *act, w);
-      }
-    } else {
-      acc = simulate(lc, *act, run);
-    }
-
+    lc.sim->run(*lc.weights, *act, acc, pool());
+    run.weight_groups = lc.weight_groups;
+    run.sim_cycles = lc.sim->stats().cycles;
     run.requant_shift = calibrate_shift(acc, opt.target_magnitude_bits);
     return nn::requantize_output(layer, acc, run.requant_shift);
-  }
-
-  /// Cycle-level path over the warm cache: one engine call over the layer's
-  /// full weight tensor.
-  AccTensor simulate(const CompiledLayer& lc, const Tensor16& act,
-                     LayerRun& run) {
-    run.weight_groups = lc.weight_groups;
-    AccTensor acc;
-    lc.sim->run(*lc.weights, act, acc, pool());
-    run.sim_cycles = lc.sim->stats().cycles;
-    return acc;
   }
 
   Tensor16 concat(const Layer& layer,

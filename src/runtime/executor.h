@@ -1,10 +1,9 @@
 // Functional end-to-end network execution.
 //
 // Runs a whole feed-forward network on int16 data: CONV/MM layers execute
-// either through the scalar reference (fast path) or through the compiled
-// cycle-level overlay simulator (exact hardware path: a layer split into
-// weight groups is timed group by group and computed in one pass);
-// pooling / concat / residual EWOP run as host-side kernels.
+// as compiled instruction streams on the cycle-level overlay simulator (a
+// layer split into weight groups is timed group by group and computed in
+// one pass); pooling / concat / residual EWOP run as host-side kernels.
 // Between layers, wide accumulators are requantized back to int16 with a
 // per-layer shift chosen by a simple max-abs calibration — the host EWOP
 // stage of Sec. V-A.
@@ -25,21 +24,22 @@
 
 namespace ftdl::runtime {
 
-enum class OverlayPath {
-  Reference,  ///< scalar reference executor (fast, same arithmetic)
-  CycleSim,   ///< compiled instruction streams on the cycle-level simulator
-};
+/// Not a setting: every context runs the cycle-level simulator. The enum and
+/// ExecOptions::path exist only for the one line in perfbench/cpp/common.cpp
+/// that assigns `eo.path = OverlayPath::CycleSim`. Nothing reads them; the
+/// next change to perfbench/ (ROADMAP's per-layer-record item) deletes both.
+enum class OverlayPath { CycleSim };
 
 struct ExecOptions {
-  OverlayPath path = OverlayPath::Reference;
-  /// Overlay used by the CycleSim path (keep it small for speed).
+  OverlayPath path = OverlayPath::CycleSim;  ///< unread; see OverlayPath
+  /// Overlay the layers are compiled for and simulated on.
   arch::OverlayConfig config;
   std::int64_t search_budget_per_layer = 8'000;
   /// Headroom bits kept when calibrating the requantization shift: outputs
   /// are scaled into roughly +-2^(7) so the next layer's accumulators
   /// cannot overflow 48 bits.
   int target_magnitude_bits = 7;
-  /// Worker parallelism of each CycleSim functional burst, forwarded to
+  /// Worker parallelism of each simulator functional burst, forwarded to
   /// sim::SimOptions::jobs (0 = the shared CompilerSession pool, 1 = serial,
   /// N > 1 = a dedicated pool). Outputs are bit-identical at every value.
   int sim_jobs = 0;
@@ -54,7 +54,7 @@ struct LayerRun {
   std::string name;
   nn::LayerKind kind{};
   int requant_shift = 0;      ///< 0 for host layers
-  std::int64_t sim_cycles = 0;  ///< CycleSim path only
+  std::int64_t sim_cycles = 0;  ///< 0 for host layers
   int weight_groups = 1;
 };
 
@@ -79,18 +79,17 @@ int calibrate_shift(const nn::AccTensor& acc, int target_bits);
 /// steady-state engine behind run_network and serve::Server.
 ///
 /// Construction is the warm-up: the graph is validated, the sink and
-/// per-layer dataflow inputs are resolved, weights are looked up, and (on
-/// the CycleSim path) every overlay layer is compiled, along with a shorter
-/// last weight-group slice when the group split leaves one. The group
-/// programs become one layer-level sim::CachedLayerSim: its cycles are the
-/// sum of the groups', and each request runs the whole layer as one engine
-/// call over the layer's own weight tensor — a weight group is a contiguous
-/// channel range of it, so no per-group weights or outputs exist. run() then
-/// re-executes the network with all tensor storage (the simulator's padded
-/// input copies included) drawn from an owned TensorArena, so a warm context
-/// performs zero heap allocations per request on the CycleSim path with
-/// collect_runs off and observability disabled (pinned by the
-/// allocation-counter test in tests/test_serve.cpp).
+/// per-layer dataflow inputs are resolved, weights are looked up, and every
+/// overlay layer is compiled, along with a shorter last weight-group slice
+/// when the group split leaves one. The group programs become one
+/// layer-level sim::CachedLayerSim: its cycles are the sum of the groups',
+/// and each request runs the whole layer as one engine call over the layer's
+/// own weight tensor — a weight group is a contiguous channel range of it,
+/// so no per-group weights or outputs exist. run() then re-executes the
+/// network with all tensor storage (the simulator's padded input copies
+/// included) drawn from an owned TensorArena, so a warm context performs
+/// zero heap allocations per request with collect_runs off and observability
+/// disabled (pinned by the allocation-counter test in tests/test_serve.cpp).
 ///
 /// `net` and `weights` must outlive the context and its copies, unmutated.
 /// A context is not thread-safe; give each thread its own copy. Copies share

@@ -3,7 +3,7 @@
 // The ROADMAP north star is serving heavy traffic, and the substrates for
 // it already exist: a thread-safe content-addressed CompilerSession
 // (src/compiler/session.h) and a deterministic functional runtime
-// (src/runtime/executor.h) whose cycle-sim path rides the fast engine.
+// (src/runtime/executor.h) that runs compiled programs on the fast engine.
 // This module is the component that accepts a *stream of requests* and
 // drives those substrates at saturation:
 //
@@ -21,9 +21,9 @@
 //
 // Determinism contract (extends docs/simulator.md): every request's output
 // is a deterministic pure function of (network, weights, input, ExecOptions)
-// — run_network holds that on both paths, the shared compiled model is
-// immutable, and workers share no mutable state beyond the CompilerSession
-// cache (content-addressed, bit-identical programs) and the obs registry.
+// — run_network holds that, the shared compiled model is immutable, and
+// workers share no mutable state beyond the CompilerSession cache
+// (content-addressed, bit-identical programs) and the obs registry.
 // Per-request results are therefore BIT-IDENTICAL to a serial
 // one-at-a-time run at any worker count, batch size, queue depth or
 // arrival order (pinned by tests/test_serve.cpp).
@@ -108,7 +108,7 @@ struct ServerOptions {
 struct InferenceResult {
   std::uint64_t request_id = 0;
   nn::Tensor16 output;                 ///< the network's sink-layer tensor
-  std::int64_t total_sim_cycles = 0;   ///< cycle-sim path only
+  std::int64_t total_sim_cycles = 0;   ///< summed over overlay layers
   double queue_us = 0.0;               ///< enqueue -> dispatch
   double execute_us = 0.0;             ///< dispatch -> complete
   double latency_us = 0.0;             ///< enqueue -> complete

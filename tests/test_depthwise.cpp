@@ -9,6 +9,7 @@
 #include "compiler/codegen.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
+#include "reference_forward.h"
 #include "runtime/executor.h"
 #include "sim/ftdl_sim.h"
 
@@ -92,9 +93,8 @@ TEST(Depthwise, RuntimeExecutesSeparableBlock) {
   nn::Tensor16 input({8, 12, 12});
   input.fill_random(rng);
 
-  const auto ref = runtime::run_network(net, input, ws, runtime::ExecOptions{});
+  const ReferenceForward ref = reference_forward(net, ws, input);
   runtime::ExecOptions sim_opt;
-  sim_opt.path = runtime::OverlayPath::CycleSim;
   sim_opt.config = small_config();
   const auto simd = runtime::run_network(net, input, ws, sim_opt);
   EXPECT_EQ(ref.output, simd.output);

@@ -1,16 +1,20 @@
-// Tests for the functional end-to-end runtime: graph execution, reference
-// vs cycle-sim equivalence (including weight-group stitching), host EWOP
-// kernels and quantization calibration.
+// Tests for the functional end-to-end runtime: graph execution, equivalence
+// with the nn-reference forward pass (including weight-group stitching, and
+// committed output digests at zoo scale), host EWOP kernels and
+// quantization calibration.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "compiler/codegen.h"
 #include "compiler/session.h"
 #include "nn/model_zoo.h"
+#include "reference_forward.h"
 #include "runtime/executor.h"
 #include "sim/ftdl_sim.h"
 
@@ -69,7 +73,7 @@ TEST(WeightStore, ShapeMismatchThrows) {
   EXPECT_THROW(ws.get(missing), ConfigError);
 }
 
-TEST(Executor, BranchingNetworkRunsOnReferencePath) {
+TEST(Executor, BranchingNetworkRunsEndToEnd) {
   const nn::Network net = tiny_inception();
   const WeightStore ws = WeightStore::random_for(net, 7);
   Rng rng(3);
@@ -98,25 +102,23 @@ TEST(Executor, ResidualNetworkRunsAndAppliesRelu) {
   EXPECT_EQ(r.runs[3].kind, nn::LayerKind::Ewop);
 }
 
-TEST(Executor, CycleSimPathMatchesReferencePath) {
+TEST(Executor, MatchesReferenceForwardPass) {
   const nn::Network net = tiny_inception();
   const WeightStore ws = WeightStore::random_for(net, 21);
   Rng rng(9);
   nn::Tensor16 input({3, 12, 12});
   input.fill_random(rng);
 
-  ExecOptions ref_opt;
-  const ExecResult ref = run_network(net, input, ws, ref_opt);
+  const ReferenceForward ref = reference_forward(net, ws, input);
 
   ExecOptions sim_opt;
-  sim_opt.path = OverlayPath::CycleSim;
   sim_opt.config = small_config();
   const ExecResult simd = run_network(net, input, ws, sim_opt);
 
   EXPECT_EQ(ref.output, simd.output);  // bit-exact end to end
   EXPECT_GT(simd.total_sim_cycles, 0);
-  for (std::size_t i = 0; i < ref.runs.size(); ++i) {
-    EXPECT_EQ(ref.runs[i].requant_shift, simd.runs[i].requant_shift);
+  for (std::size_t i = 0; i < ref.requant_shifts.size(); ++i) {
+    EXPECT_EQ(ref.requant_shifts[i], simd.runs[i].requant_shift);
   }
 }
 
@@ -138,10 +140,9 @@ TEST(Executor, WeightGroupStitchingIsExact) {
   input.fill_random(rng);
 
   ExecOptions sim_opt;
-  sim_opt.path = OverlayPath::CycleSim;
   sim_opt.config = cfg;
   const ExecResult simd = run_network(net, input, ws, sim_opt);
-  const ExecResult ref = run_network(net, input, ws, ExecOptions{});
+  const ReferenceForward ref = reference_forward(net, ws, input);
   EXPECT_EQ(ref.output, simd.output);
 
   compiler::CompilerSession& session = compiler::CompilerSession::global();
@@ -246,7 +247,6 @@ TEST(Executor, ColdGoogLeNetWarmUpSearchesEachSliceShapeOnce) {
   const nn::Network net = nn::googlenet();
   const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
   ExecOptions opt;
-  opt.path = OverlayPath::CycleSim;
   opt.config = small_config();
   compiler::CompilerSession& session = compiler::CompilerSession::global();
   session.clear_cache();
@@ -279,6 +279,17 @@ TEST(Executor, RejectsRecurrentNetworks) {
   const WeightStore ws = WeightStore::random_for(lstm, 1);
   nn::Tensor16 input({2048, 1});
   EXPECT_THROW(run_network(lstm, input, ws, ExecOptions{}), ConfigError);
+}
+
+TEST(Executor, RejectsTransposedMatMulInput) {
+  // A MatMul-first network consumes an {M, P} input. The transposed {P, M}
+  // one has the right element count but the wrong layout.
+  nn::Network net("mm-first");
+  net.add(nn::make_matmul("fc", 16, 4, 1));
+  net.validate_graph();
+  const WeightStore ws = WeightStore::random_for(net, 1);
+  EXPECT_THROW(run_network(net, nn::Tensor16({1, 16}), ws, ExecOptions{}),
+               ConfigError);
 }
 
 TEST(Executor, RejectsShapeMismatch) {
@@ -355,18 +366,51 @@ TEST(Executor, CalibrateShiftBoundariesAreExact) {
   }
 }
 
-TEST(Executor, GoogLeNetGraphExecutesEndToEnd) {
-  // Full GoogLeNet on the reference path: exercises every inception module,
-  // avg pooling and the classifier flatten (~1.6 G MACs, a few seconds).
-  const nn::Network net = nn::googlenet();
-  const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
-  Rng rng(23);
-  nn::Tensor16 input({3, 224, 224});
-  input.fill_random(rng, 3);
+/// FNV-1a over an output's dims and values.
+std::uint64_t output_digest(const nn::Tensor16& t) {
+  Hash64 h;
+  for (const int d : t.dims()) h.i32(d);
+  for (std::int64_t i = 0; i < t.size(); ++i) h.i32(t[i]);
+  return h.digest();
+}
 
-  const ExecResult r = run_network(net, input, ws, ExecOptions{});
-  EXPECT_EQ(r.output.dims(), (std::vector<int>{1000, 1}));
-  EXPECT_EQ(r.runs.size(), net.layers().size());
+TEST(Executor, ZooOutputsMatchReferenceDigests) {
+  // Zoo-scale pin of executor == nn reference. Each digest is of the output
+  // the nn-reference forward pass gives for these weights and this input
+  // (weight seed 5, input seed 23, magnitude 3). That pass takes about 40 s
+  // over the four networks, so only its digests are committed. GoogLeNet
+  // covers every inception module, avg pooling and the classifier flatten;
+  // at 4x2x3 its classifier and ResNet50's fc1000 run as weight groups, with
+  // a shorter last part. Outputs do not depend on the schedule (they are the
+  // same at the default 8 k budget), so a small search budget keeps the
+  // warm-ups cheap.
+  const std::pair<nn::Network, std::uint64_t> cases[] = {
+      {nn::googlenet(), 0x69e28f2b6fb38cf1ull},
+      {nn::resnet50(), 0x2abcebab24b59506ull},
+      {nn::mobilenet_v1(), 0xb6449252e474ae5bull},
+      {nn::sentimental_seqcnn(), 0x26d55c485ddfc883ull},
+  };
+  ExecOptions opt;
+  opt.config = small_config();
+  opt.search_budget_per_layer = 1'000;
+  for (const auto& [net, digest] : cases) {
+    const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
+    const nn::Layer& first = net.layers().front();
+    nn::Tensor16 input =
+        first.kind == nn::LayerKind::MatMul
+            ? nn::Tensor16({static_cast<int>(first.mm_m),
+                            static_cast<int>(first.mm_p)})
+            : nn::Tensor16({first.in_c, first.in_h, first.in_w});
+    Rng rng(23);
+    input.fill_random(rng, 3);
+
+    const ExecResult r = run_network(net, input, ws, opt);
+    EXPECT_EQ(output_digest(r.output), digest) << net.name();
+    EXPECT_EQ(r.runs.size(), net.layers().size()) << net.name();
+    if (net.name() == "GoogLeNet") {
+      EXPECT_EQ(r.output.dims(), (std::vector<int>{1000, 1}));
+    }
+  }
 }
 
 TEST(Graph, ValidateCatchesBadReferences) {

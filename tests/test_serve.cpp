@@ -23,7 +23,7 @@ namespace ftdl::serve {
 namespace {
 
 /// Small conv -> pool -> fc network: a request costs tens of microseconds
-/// on the reference path, so serving tests finish instantly.
+/// on the simulator, so serving tests finish instantly.
 nn::Network tiny_net() {
   nn::Network net("tiny-serve");
   net.add(nn::make_conv("c1", 3, 12, 12, 8, 3, 1, 1));
@@ -256,7 +256,6 @@ TEST(Server, CycleSimPathIsDeterministicAcrossWorkers) {
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 21);
 
   runtime::ExecOptions exec;
-  exec.path = runtime::OverlayPath::CycleSim;
   exec.config.d1 = 4;
   exec.config.d2 = 2;
   exec.config.d3 = 3;
@@ -363,7 +362,6 @@ TEST(Server, ExecutionFailureSurfacesThroughFuture) {
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 1);
   ServerOptions opt;
   opt.workers = 1;
-  opt.exec.path = runtime::OverlayPath::CycleSim;
   opt.exec.config.d1 = 4;
   opt.exec.config.d2 = 2;
   opt.exec.config.d3 = 3;
@@ -400,7 +398,6 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
   ServerOptions opt;
   opt.workers = 1;
   opt.batch_timeout_us = 0;
-  opt.exec.path = runtime::OverlayPath::CycleSim;
   opt.exec.config.d1 = 4;
   opt.exec.config.d2 = 2;
   opt.exec.config.d3 = 3;
@@ -553,7 +550,6 @@ TEST_F(ServeObsTest, WorkersShareOneWarmUp) {
     obs::Registry::global().reset();
     ServerOptions opt;
     opt.workers = workers;
-    opt.exec.path = runtime::OverlayPath::CycleSim;
     opt.exec.config.d1 = 4;
     opt.exec.config.d2 = 2;
     opt.exec.config.d3 = 3;

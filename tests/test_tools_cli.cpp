@@ -93,6 +93,20 @@ TEST(ToolsCli, FtdlServeReportsWarmUpFailureAndExitsOne) {
       << r.output;
 }
 
+TEST(ToolsCli, FtdlServeCheckReplaysBitIdentical) {
+  // --check replays every request on a one-worker server and compares the
+  // outputs of the concurrent run bit for bit.
+  TempDir dir;
+  const RunResult r = run("cd " + dir.path + " && " +
+                          std::string(FTDL_SERVE_PATH) +
+                          " --requests 8 --workers 4 --check");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("check: 8 outputs bit-identical"), std::string::npos)
+      << r.output;
+  // There is one execution path, so there is no flag to pick it.
+  EXPECT_EQ(run(std::string(FTDL_SERVE_PATH) + " --path sim").exit_code, 2);
+}
+
 TEST(ToolsCli, FtdlProfRejectsGarbageNumericFlags) {
   for (const char* flags : {"--jobs x8", "--budget 8k", "--sim-macs-limit -1",
                             "--jobs 0"}) {

@@ -233,7 +233,6 @@ int main(int argc, char** argv) {
         const runtime::WeightStore weights =
             runtime::WeightStore::random_for(net, 2);
         runtime::ExecOptions opt;
-        opt.path = runtime::OverlayPath::CycleSim;
         opt.config = sim_config();
         opt.search_budget_per_layer = args.budget;
         const runtime::ExecResult r =

@@ -3,7 +3,8 @@
 // Stands up an ftdl::serve::Server over a model-zoo network (or an .ftdl
 // spec), drives it with a multi-client load generator — closed-loop by
 // default, fixed-rate with --rate — and reports throughput, batching and
-// latency percentiles. With observability on it also writes
+// latency percentiles. Requests run on the cycle-level simulator over a
+// scaled-down 4x2x3 overlay. With observability on it also writes
 //   trace.json    enqueue/batch/execute spans on client and worker tracks
 //   metrics.json  serve/* counters, queue-depth and latency gauges
 //
@@ -18,7 +19,6 @@
 //     --timeout-us N   batch coalescing timeout        (default 2000)
 //     --depth N        admission queue depth           (default 64)
 //     --rate R         submissions/sec across all clients (0 = closed loop)
-//     --path ref|sim   execution path                  (default ref)
 //     --seed N         request input seed base         (default 1)
 //     --check          verify outputs bit-identical to a workers=1 rerun
 //     --trace FILE     trace output path               (default trace.json)
@@ -69,7 +69,6 @@ struct Args {
   double rate = 0.0;  ///< 0 = closed loop
   std::uint64_t seed = 1;
   std::string cache_dir;
-  bool sim_path = false;
   bool check = false;
   bool list = false;
 };
@@ -80,9 +79,9 @@ struct Args {
                "usage: ftdl-serve [MODEL|SPEC.ftdl] [--requests N] "
                "[--clients N] [--workers N]\n"
                "                  [--batch N] [--timeout-us N] [--depth N] "
-               "[--rate R] [--path ref|sim]\n"
-               "                  [--seed N] [--check] [--trace FILE] "
-               "[--metrics FILE] [--stream FILE]\n"
+               "[--rate R] [--seed N]\n"
+               "                  [--check] [--trace FILE] [--metrics FILE] "
+               "[--stream FILE]\n"
                "                  [--cache-dir DIR] [--list]\n");
   std::exit(2);
 }
@@ -137,11 +136,6 @@ Args parse_args(int argc, char** argv) {
       args.seed = static_cast<std::uint64_t>(
           parse_int_flag(a, next(i), 0, 9'223'372'036'854'775'807LL));
     else if (std::strcmp(a, "--cache-dir") == 0) args.cache_dir = next(i);
-    else if (std::strcmp(a, "--path") == 0) {
-      const std::string p = next(i);
-      if (p == "sim") args.sim_path = true;
-      else if (p != "ref") usage("--path must be ref or sim");
-    }
     else if (std::strcmp(a, "--check") == 0) args.check = true;
     else if (std::strcmp(a, "--trace") == 0) args.trace_path = next(i);
     else if (std::strcmp(a, "--metrics") == 0) args.metrics_path = next(i);
@@ -246,13 +240,10 @@ serve::ServerOptions server_options(const Args& args) {
   opt.max_batch = args.max_batch;
   opt.batch_timeout_us = args.timeout_us;
   opt.queue_depth = args.depth;
-  if (args.sim_path) {
-    opt.exec.path = runtime::OverlayPath::CycleSim;
-    // Scaled-down overlay: the functional simulator executes every MACC.
-    opt.exec.config.d1 = 4;
-    opt.exec.config.d2 = 2;
-    opt.exec.config.d3 = 3;
-  }
+  // Scaled-down overlay: the functional simulator executes every MACC.
+  opt.exec.config.d1 = 4;
+  opt.exec.config.d2 = 2;
+  opt.exec.config.d3 = 3;
   return opt;
 }
 
