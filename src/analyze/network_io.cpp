@@ -1,10 +1,10 @@
 #include "analyze/network_io.h"
 
-#include <fstream>
-#include <map>
+#include <cstdint>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/str_util.h"
 #include "compiler/program_io.h"
 
@@ -16,18 +16,14 @@ constexpr const char* kMagic = "ftdl-network";
 constexpr int kVersion = 1;
 constexpr const char* kProgramMarker = "%% program ";
 
+constexpr std::int64_t kMaxEntries = std::int64_t{1} << 20;
+constexpr std::int64_t kMaxEwopOps = std::int64_t{1} << 40;
+constexpr std::int64_t kMaxElemWords = 1024;
+
+/// The six shared layer keys (compiler/program_io.h) plus the four host keys.
 std::string serialize_layer(std::size_t i, const nn::Layer& l) {
   const std::string p = strformat("layer.%zu.", i);
-  std::string out;
-  out += p + "name=" + l.name + "\n";
-  out += p + strformat("kind=%d\n", static_cast<int>(l.kind));
-  out += p + strformat("geom=%d %d %d %d %d %d %d %d\n", l.in_c, l.in_h,
-                       l.in_w, l.out_c, l.kh, l.kw, l.stride, l.pad);
-  out += p + strformat("mm=%lld %lld %lld\n", static_cast<long long>(l.mm_m),
-                       static_cast<long long>(l.mm_n),
-                       static_cast<long long>(l.mm_p));
-  out += p + strformat("relu=%d\n", l.relu ? 1 : 0);
-  out += p + strformat("repeat=%d\n", l.repeat);
+  std::string out = compiler::serialize_layer_keys(l, p);
   out += p + strformat("pool_op=%d\n", static_cast<int>(l.pool_op));
   out += p + strformat("ewop_op=%d\n", static_cast<int>(l.ewop_op));
   out += p + strformat("ewop_ops=%lld\n",
@@ -41,104 +37,13 @@ std::string serialize_layer(std::size_t i, const nn::Layer& l) {
   return out;
 }
 
-std::map<std::string, std::string> parse_kv(const std::string& text) {
-  std::map<std::string, std::string> kv;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      throw Error("malformed network bundle line: " + line);
-    if (!kv.emplace(line.substr(0, eq), line.substr(eq + 1)).second)
-      throw Error("duplicate key in network bundle: " + line.substr(0, eq));
-  }
-  return kv;
-}
-
-const std::string& require(const std::map<std::string, std::string>& kv,
-                           const std::string& key) {
-  auto it = kv.find(key);
-  if (it == kv.end()) throw Error("network bundle missing key " + key);
-  return it->second;
-}
-
-std::vector<std::int64_t> parse_ints(const std::string& s,
-                                     const std::string& key,
-                                     std::size_t expect) {
-  std::vector<std::int64_t> out;
-  std::istringstream in(s);
-  std::int64_t v;
-  while (in >> v) out.push_back(v);
-  if (out.size() != expect)
-    throw Error("network bundle: bad value for " + key);
-  return out;
-}
-
-std::int64_t parse_int(const std::string& s, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(s, &pos);
-    if (pos != s.size()) throw Error("");
-    return v;
-  } catch (const std::exception&) {
-    throw Error("network bundle: bad integer for " + key + ": " + s);
-  }
-}
-
-/// "<base> <words> ... <name>": numbers first so names may contain spaces.
-struct RangeLine {
-  std::vector<std::int64_t> nums;
-  std::string name;
-};
-
-RangeLine parse_range_line(const std::string& s, const std::string& key,
-                           std::size_t num_count) {
-  RangeLine out;
-  std::istringstream in(s);
-  for (std::size_t i = 0; i < num_count; ++i) {
-    std::int64_t v;
-    if (!(in >> v) || v < 0)
-      throw Error("network bundle: bad value for " + key);
-    out.nums.push_back(v);
-  }
-  std::getline(in, out.name);
-  const auto start = out.name.find_first_not_of(' ');
-  out.name = start == std::string::npos ? "" : out.name.substr(start);
-  if (out.name.empty())
-    throw Error("network bundle: missing name in " + key);
-  return out;
-}
-
-nn::Layer parse_layer(const std::map<std::string, std::string>& kv,
-                      std::size_t i) {
-  const std::string p = strformat("layer.%zu.", i);
-  nn::Layer l;
-  l.name = require(kv, p + "name");
-  l.kind = static_cast<nn::LayerKind>(
-      static_cast<int>(parse_int(require(kv, p + "kind"), p + "kind")));
-  const auto geom = parse_ints(require(kv, p + "geom"), p + "geom", 8);
-  l.in_c = static_cast<int>(geom[0]);
-  l.in_h = static_cast<int>(geom[1]);
-  l.in_w = static_cast<int>(geom[2]);
-  l.out_c = static_cast<int>(geom[3]);
-  l.kh = static_cast<int>(geom[4]);
-  l.kw = static_cast<int>(geom[5]);
-  l.stride = static_cast<int>(geom[6]);
-  l.pad = static_cast<int>(geom[7]);
-  const auto mm = parse_ints(require(kv, p + "mm"), p + "mm", 3);
-  l.mm_m = mm[0];
-  l.mm_n = mm[1];
-  l.mm_p = mm[2];
-  l.relu = require(kv, p + "relu") == "1";
-  l.repeat =
-      static_cast<int>(parse_int(require(kv, p + "repeat"), p + "repeat"));
-  l.pool_op = static_cast<nn::PoolOp>(
-      static_cast<int>(parse_int(require(kv, p + "pool_op"), p + "pool_op")));
-  l.ewop_op = static_cast<nn::EwopOp>(
-      static_cast<int>(parse_int(require(kv, p + "ewop_op"), p + "ewop_op")));
-  l.explicit_ewop_ops = parse_int(require(kv, p + "ewop_ops"), p + "ewop_ops");
-  const std::string& inputs = require(kv, p + "inputs");
+nn::Layer parse_layer(const compiler::KeyValueReader& kv, std::int64_t i) {
+  const std::string p = strformat("layer.%lld.", static_cast<long long>(i));
+  nn::Layer l = compiler::parse_layer_keys(kv, p);
+  l.pool_op = kv.enumerator(p + "pool_op", nn::PoolOp::Avg);
+  l.ewop_op = kv.enumerator(p + "ewop_op", nn::EwopOp::AddRelu);
+  l.explicit_ewop_ops = kv.integer(p + "ewop_ops", 0, kMaxEwopOps);
+  const std::string& inputs = kv.str(p + "inputs");
   std::size_t pos = 0;
   while (pos < inputs.size()) {
     const std::size_t comma = inputs.find(',', pos);
@@ -211,52 +116,48 @@ ScheduledNetwork parse_network_bundle(const std::string& text,
     *current += '\n';
   }
 
-  const auto kv = parse_kv(head_text);
+  const compiler::KeyValueReader kv(head_text, kMagic);
 
-  nn::Network net(require(kv, "name"));
-  const std::int64_t n_layers = parse_int(require(kv, "layers"), "layers");
-  if (n_layers < 0) throw Error("network bundle: bad layer count");
-  for (std::int64_t i = 0; i < n_layers; ++i) {
-    net.add(parse_layer(kv, static_cast<std::size_t>(i)));
-  }
+  nn::Network net(kv.str("name"));
+  const std::int64_t n_layers = kv.integer("layers", 0, kMaxEntries);
+  for (std::int64_t i = 0; i < n_layers; ++i) net.add(parse_layer(kv, i));
 
   MemoryPlan memory;
-  memory.image_words = static_cast<std::uint64_t>(
-      parse_int(require(kv, "image_words"), "image_words"));
-  const std::int64_t n_tensors = parse_int(require(kv, "tensors"), "tensors");
+  memory.image_words =
+      static_cast<std::uint64_t>(kv.integer("image_words", 0, INT64_MAX));
+  const std::int64_t n_tensors = kv.integer("tensors", 0, kMaxEntries);
   for (std::int64_t i = 0; i < n_tensors; ++i) {
     const std::string key = strformat("tensor.%lld", static_cast<long long>(i));
-    const RangeLine rl = parse_range_line(require(kv, key), key, 3);
+    std::string producer;
+    const auto nums = kv.integers(key, 3, 0, INT64_MAX, &producer);
+    if (nums[2] > kMaxElemWords) kv.fail(key, "element size out of range");
     memory.tensors.push_back(TensorPlan{
-        rl.name,
-        MemRange{static_cast<std::uint64_t>(rl.nums[0]),
-                 static_cast<std::uint64_t>(rl.nums[1])},
-        static_cast<int>(rl.nums[2])});
+        producer,
+        MemRange{static_cast<std::uint64_t>(nums[0]),
+                 static_cast<std::uint64_t>(nums[1])},
+        static_cast<int>(nums[2])});
   }
-  const std::int64_t n_weights = parse_int(require(kv, "weights"), "weights");
+  const std::int64_t n_weights = kv.integer("weights", 0, kMaxEntries);
   for (std::int64_t i = 0; i < n_weights; ++i) {
     const std::string key = strformat("weight.%lld", static_cast<long long>(i));
-    const RangeLine rl = parse_range_line(require(kv, key), key, 2);
+    std::string layer;
+    const auto nums = kv.integers(key, 2, 0, INT64_MAX, &layer);
     memory.weights.push_back(WeightPlan{
-        rl.name, MemRange{static_cast<std::uint64_t>(rl.nums[0]),
-                          static_cast<std::uint64_t>(rl.nums[1])}});
+        layer, MemRange{static_cast<std::uint64_t>(nums[0]),
+                        static_cast<std::uint64_t>(nums[1])}});
   }
 
-  const std::int64_t n_programs =
-      parse_int(require(kv, "programs"), "programs");
-  if (n_programs != static_cast<std::int64_t>(program_texts.size()))
-    throw Error(strformat("network bundle: %lld programs declared, %zu "
-                          "embedded",
-                          static_cast<long long>(n_programs),
-                          program_texts.size()));
+  if (kv.integer("programs", 0, kMaxEntries) !=
+      static_cast<std::int64_t>(program_texts.size()))
+    kv.fail("programs", strformat("%zu programs embedded",
+                                  program_texts.size()));
 
   // Per-program validation first (analytical model + stream verifier),
   // exactly as loading each .ftdlprog individually would.
   compiler::NetworkSchedule sched;
   sched.network_name = net.name();
   sched.config = config;
-  sched.objective = static_cast<compiler::Objective>(
-      static_cast<int>(parse_int(require(kv, "objective"), "objective")));
+  sched.objective = kv.enumerator("objective", compiler::Objective::Balance);
   double e_wbuf_weighted = 0.0;
   std::int64_t weight_words = 0;
   for (const std::string& ptext : program_texts) {
@@ -292,18 +193,14 @@ ScheduledNetwork deserialize_network(const std::string& text,
 }
 
 void save_network(const ScheduledNetwork& sn, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write network bundle " + path);
-  out << serialize_network(sn);
+  write_file_atomic(path, serialize_network(sn));
 }
 
 ScheduledNetwork load_network(const std::string& path,
                               const arch::OverlayConfig& config) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open network bundle " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return deserialize_network(buf.str(), config);
+  const auto text = read_file(path);
+  if (!text) throw Error("cannot open network bundle " + path);
+  return deserialize_network(*text, config);
 }
 
 }  // namespace ftdl::analyze

@@ -1,5 +1,7 @@
 #include "arch/isa.h"
 
+#include <charconv>
+
 #include "common/error.h"
 #include "common/str_util.h"
 
@@ -76,6 +78,15 @@ Instruction set_weight_base(std::uint64_t addr) {
 }
 Instruction launch() { return Instruction{Opcode::Launch, 0, 0}; }
 Instruction barrier() { return Instruction{Opcode::Barrier, 0, 0}; }
+
+std::uint64_t parse_word(const std::string& token) {
+  std::uint64_t word = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, word, 16);
+  if (ptr != end || ec != std::errc{})
+    throw Error("not a hex InstBUS word: " + token);
+  return word;
+}
 
 InstStream decode_stream(const std::vector<std::uint64_t>& words) {
   InstStream out;

@@ -57,6 +57,11 @@ std::uint64_t encode(const Instruction& inst);
 /// Undefined field values decode verbatim; ftdl::verify flags them.
 Instruction decode(std::uint64_t word);
 
+/// Parses one InstBUS word as artifacts and dumps write it: hex digits only
+/// (no sign, prefix or surrounding text) with a value that fits 64 bits.
+/// Throws ftdl::Error quoting the token otherwise.
+std::uint64_t parse_word(const std::string& token);
+
 /// Convenience builders.
 Instruction set_loop(TemporalLevel level, std::uint64_t trip);
 Instruction set_act_tile(std::uint64_t words);

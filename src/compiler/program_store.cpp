@@ -1,15 +1,12 @@
 #include "compiler/program_store.h"
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <system_error>
 #include <utility>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
@@ -44,17 +41,6 @@ std::string footer_line(const std::string& payload) {
   return strformat("footer bytes=%llu checksum=%016llx\n",
                    static_cast<unsigned long long>(payload.size()),
                    static_cast<unsigned long long>(payload_checksum(payload)));
-}
-
-/// Reads a whole file; false when it does not exist or cannot be read.
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return false;
-  *out = std::move(text);
-  return true;
 }
 
 }  // namespace
@@ -109,8 +95,8 @@ void ProgramStore::evict(std::uint64_t key, const std::string& why) {
 
 std::optional<LayerProgram> ProgramStore::load(
     std::uint64_t key, const arch::OverlayConfig& config) {
-  std::string text;
-  if (!read_file(entry_path(key), &text)) {
+  const std::optional<std::string> file = read_file(entry_path(key));
+  if (!file) {
     MutexLock lock(mu_);
     ++stats_.misses;
     obs::count("session/disk_misses");
@@ -129,6 +115,7 @@ std::optional<LayerProgram> ProgramStore::load(
     return std::nullopt;
   };
 
+  const std::string& text = *file;
   const std::size_t header_end = text.find('\n');
   if (header_end == std::string::npos) return invalid("no header line");
   if (text.substr(0, header_end) + "\n" != header_line(key, config)) {
@@ -170,34 +157,10 @@ void ProgramStore::put(std::uint64_t key, const arch::OverlayConfig& config,
   const std::string content =
       header_line(key, config) + payload + footer_line(payload);
 
-  // Unique temp name per (process, call): concurrent writers — including
-  // other processes sharing the directory — never collide before the
-  // atomic rename, and a crashed writer leaves only a stray .tmp file.
-  const std::string temp = strformat(
-      "%s.tmp.%d.%llu", entry_path(key).c_str(), static_cast<int>(::getpid()),
-      static_cast<unsigned long long>(
-          temp_seq_.fetch_add(1, std::memory_order_relaxed)));
-
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("program store: cannot write " + temp);
-    out << content;
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(temp, ec);
-      throw Error("program store: error writing " + temp +
-                  " (disk full or I/O error)");
-    }
-  }
-
-  std::error_code ec;
-  fs::rename(temp, entry_path(key), ec);
-  if (ec) {
-    std::error_code rm;
-    fs::remove(temp, rm);
-    throw Error("program store: cannot publish " + entry_path(key) + ": " +
-                ec.message());
+  try {
+    write_file_atomic(entry_path(key), content);
+  } catch (const Error& e) {
+    throw Error(std::string("program store: ") + e.what());
   }
 
   {

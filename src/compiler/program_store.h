@@ -40,7 +40,6 @@
 // session/disk_write_failures from the session's write-through path.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -90,7 +89,8 @@ class ProgramStore {
   std::optional<LayerProgram> load(std::uint64_t key,
                                    const arch::OverlayConfig& config);
 
-  /// Publishes `program` under `key` via temp-file + atomic rename. Throws
+  /// Publishes `program` under `key` via write_file_atomic (temp file +
+  /// atomic rename, common/file_io.h). Throws
   /// ftdl::Error when the entry cannot be written (disk full, permissions);
   /// the final path is never left half-written.
   void put(std::uint64_t key, const arch::OverlayConfig& config,
@@ -108,7 +108,6 @@ class ProgramStore {
   void evict(std::uint64_t key, const std::string& why);
 
   std::string dir_;
-  std::atomic<std::uint64_t> temp_seq_{0};
   mutable Mutex mu_;
   StoreStats stats_ FTDL_GUARDED_BY(mu_);
 };

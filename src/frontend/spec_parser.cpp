@@ -1,12 +1,14 @@
 #include "frontend/spec_parser.h"
 
-#include <fstream>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/str_util.h"
+#include "nn/model_zoo.h"
 
 namespace ftdl::frontend {
 
@@ -29,14 +31,16 @@ struct Statement {
 
   bool flag(const std::string& f) const { return options.contains(f); }
 
+  /// A whole-token integer in [0, 2^31 - 1]: every option is a count or
+  /// an extent that ends up in an int.
   std::optional<std::int64_t> get_int(const std::string& key, int line) const {
     auto it = options.find(key);
     if (it == options.end()) return std::nullopt;
-    try {
-      return std::stoll(it->second);
-    } catch (const std::exception&) {
-      fail(line, "option " + key + " is not an integer: " + it->second);
-    }
+    std::int64_t v = 0;
+    if (!parse_int_strict(it->second.c_str(), 0, INT32_MAX, &v))
+      fail(line, "option " + key + " is not an integer in [0, 2147483647]: " +
+                     it->second);
+    return v;
   }
 
   std::int64_t require_int(const std::string& key, int line) const {
@@ -260,11 +264,14 @@ nn::Network parse_network_spec(const std::string& text) {
 }
 
 nn::Network parse_network_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open spec file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_network_spec(buf.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw ConfigError("cannot open spec file: " + path);
+  return parse_network_spec(*text);
+}
+
+nn::Network load_model(const std::string& model) {
+  if (model.ends_with(".ftdl")) return parse_network_file(model);
+  return nn::model_by_name(model);
 }
 
 }  // namespace ftdl::frontend

@@ -32,4 +32,9 @@ nn::Network parse_network_spec(const std::string& text);
 /// Reads `path` and parses it.
 nn::Network parse_network_file(const std::string& path);
 
+/// The network the tools' MODEL argument names: a path ending in `.ftdl`
+/// is parsed as a spec (parse_network_file), anything else is a model-zoo
+/// name (nn::model_by_name).
+nn::Network load_model(const std::string& model);
+
 }  // namespace ftdl::frontend

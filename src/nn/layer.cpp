@@ -104,16 +104,27 @@ std::int64_t Layer::out_elems() const {
   return 0;
 }
 
-namespace {
-void check_conv_geometry(const Layer& l) {
-  if (l.in_c <= 0 || l.in_h <= 0 || l.in_w <= 0)
-    throw ConfigError(l.name + ": input extents must be positive");
-  if (l.kh <= 0 || l.kw <= 0 || l.stride <= 0 || l.pad < 0)
-    throw ConfigError(l.name + ": bad kernel geometry");
-  if (l.out_h() <= 0 || l.out_w() <= 0)
-    throw ConfigError(l.name + ": kernel does not fit input");
+void validate(const Layer& l) {
+  const bool windowed = l.kind == LayerKind::Conv ||
+                        l.kind == LayerKind::Depthwise ||
+                        l.kind == LayerKind::Pool;
+  if (windowed) {
+    if (l.in_c <= 0 || l.in_h <= 0 || l.in_w <= 0)
+      throw ConfigError(l.name + ": input extents must be positive");
+    if (l.kh <= 0 || l.kw <= 0 || l.stride <= 0 || l.pad < 0)
+      throw ConfigError(l.name + ": bad kernel geometry");
+    if (l.out_h() <= 0 || l.out_w() <= 0)
+      throw ConfigError(l.name + ": kernel does not fit input");
+  }
+  if (l.kind == LayerKind::Conv && l.out_c <= 0)
+    throw ConfigError(l.name + ": output channels must be positive");
+  if (l.kind == LayerKind::Depthwise && l.out_c != l.in_c)
+    throw ConfigError(l.name + ": depthwise output channels must equal input");
+  if (l.kind == LayerKind::MatMul &&
+      (l.mm_m <= 0 || l.mm_n <= 0 || l.mm_p <= 0))
+    throw ConfigError(l.name + ": matmul extents must be positive");
+  if (l.repeat <= 0) throw ConfigError(l.name + ": repeat must be positive");
 }
-}  // namespace
 
 Layer make_conv(const std::string& name, int in_c, int in_h, int in_w,
                 int out_c, int k, int stride, int pad, bool relu) {
@@ -134,7 +145,7 @@ Layer make_depthwise(const std::string& name, int channels, int in_h,
   l.stride = stride;
   l.pad = pad;
   l.relu = relu;
-  check_conv_geometry(l);
+  validate(l);
   return l;
 }
 
@@ -152,16 +163,12 @@ Layer make_conv2(const std::string& name, int in_c, int in_h, int in_w,
   l.stride = stride;
   l.pad = pad;
   l.relu = relu;
-  if (out_c <= 0) throw ConfigError(name + ": output channels must be positive");
-  check_conv_geometry(l);
+  validate(l);
   return l;
 }
 
 Layer make_matmul(const std::string& name, std::int64_t m, std::int64_t n,
                   std::int64_t p, bool relu, int repeat) {
-  if (m <= 0 || n <= 0 || p <= 0)
-    throw ConfigError(name + ": matmul extents must be positive");
-  if (repeat <= 0) throw ConfigError(name + ": repeat must be positive");
   Layer l;
   l.name = name;
   l.kind = LayerKind::MatMul;
@@ -170,6 +177,7 @@ Layer make_matmul(const std::string& name, std::int64_t m, std::int64_t n,
   l.mm_p = p;
   l.relu = relu;
   l.repeat = repeat;
+  validate(l);
   return l;
 }
 
@@ -190,7 +198,7 @@ Layer make_pool2(const std::string& name, int in_c, int in_h, int in_w, int kh,
   l.kw = kw;
   l.stride = stride;
   l.pad = pad;
-  check_conv_geometry(l);
+  validate(l);
   return l;
 }
 

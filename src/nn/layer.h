@@ -97,6 +97,13 @@ struct Layer {
   }
 };
 
+/// Throws ftdl::ConfigError unless `l` is well formed for its kind: positive
+/// extents, stride and kernel, and a kernel that fits the padded input for
+/// CONV/DWCONV/POOL; output channels for CONV (equal to the input channels
+/// for DWCONV); positive MM extents; a positive repeat. The factories below
+/// and the artifact loaders (compiler/program_io.h) call it.
+void validate(const Layer& l);
+
 /// 2D convolution; validates extents and that the kernel covers the input.
 Layer make_conv(const std::string& name, int in_c, int in_h, int in_w,
                 int out_c, int k, int stride, int pad, bool relu = true);

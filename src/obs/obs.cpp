@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "obs/stream_format.h"
 #include "obs/stream_writer.h"
 
@@ -38,9 +38,6 @@ thread_local std::string t_track_name = "main";
 void set_thread_track_name(const std::string& name) { t_track_name = name; }
 const std::string& thread_track_name() { return t_track_name; }
 
-namespace {
-
-/// Escapes a string for inclusion inside JSON double quotes.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -64,6 +61,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+namespace {
+
 /// Shortest representation of a double that round-trips through strtod.
 std::string json_double(double v) {
   char buf[32];
@@ -75,13 +74,6 @@ std::string json_double(double v) {
     if (std::strtod(cand, nullptr) == v) return cand;
   }
   return buf;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open " + path + " for writing");
-  out << content;
-  if (!out.flush()) throw Error("write to " + path + " failed");
 }
 
 }  // namespace
@@ -433,11 +425,11 @@ std::string Registry::chrome_trace_json() const {
 std::string Registry::metrics_json() const { return render_metrics_json(metrics()); }
 
 void Registry::write_chrome_trace(const std::string& path) const {
-  write_file(path, chrome_trace_json());
+  write_file_atomic(path, chrome_trace_json());
 }
 
 void Registry::write_metrics(const std::string& path) const {
-  write_file(path, metrics_json());
+  write_file_atomic(path, metrics_json());
 }
 
 void Registry::reset() {

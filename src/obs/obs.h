@@ -128,6 +128,10 @@ std::string render_chrome_trace(const std::vector<TrackNames>& tracks,
 /// Renders the ftdl-metrics-v1 document for a metrics snapshot.
 std::string render_metrics_json(const Metrics& m);
 
+/// Escapes a string for inclusion inside JSON double quotes (shared with
+/// ftdl-lint's --json report).
+std::string json_escape(const std::string& s);
+
 class Registry {
  public:
   /// The process-wide registry every instrumentation site writes to.

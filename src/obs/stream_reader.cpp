@@ -2,21 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <unordered_map>
 
 #include "common/error.h"
+#include "common/file_io.h"
 
 namespace ftdl::obs::stream {
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open " + path + " for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
 
 namespace {
 
@@ -133,7 +125,9 @@ std::vector<Record> records_in_seq_order(const LoadedLog& log) {
 }  // namespace
 
 LoadedLog load_stream(const std::string& path) {
-  return parse_stream_bytes(read_file_bytes(path), path);
+  const auto bytes = read_file(path);
+  if (!bytes) throw Error("cannot open " + path + " for reading");
+  return parse_stream_bytes(*bytes, path);
 }
 
 ReconstructedLog reconstruct(const LoadedLog& log) {

@@ -108,7 +108,4 @@ std::vector<Transaction> reconstruct_transactions(const ReconstructedLog& r);
 /// example, which tests/test_obs_stream.cpp regenerates byte-for-byte.
 std::string format_hex_dump(const std::string& bytes);
 
-/// Reads a whole file into a string (throws ftdl::Error when unreadable).
-std::string read_file_bytes(const std::string& path);
-
 }  // namespace ftdl::obs::stream

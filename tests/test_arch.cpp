@@ -81,6 +81,16 @@ TEST(Isa, DecodeRejectsUnknownOpcode) {
   EXPECT_THROW(decode(std::uint64_t{0xFF} << 56), Error);
 }
 
+TEST(Isa, ParseWordIsStrict) {
+  EXPECT_EQ(parse_word("0102000000000023"), 0x0102000000000023ULL);
+  EXPECT_EQ(parse_word("FFffFFffFFffFFff"), ~0ULL);
+  EXPECT_EQ(parse_word("7"), 7u);
+  for (const char* bad : {"", "0x12", "-1", "+1", " 12", "12 ", "12zz", "g",
+                          "10000000000000000"}) {
+    EXPECT_THROW(parse_word(bad), Error) << "'" << bad << "'";
+  }
+}
+
 TEST(Isa, EncodeRejectsOutOfRangeFields) {
   // SetLoop only defines temporal levels 0-2.
   EXPECT_THROW(encode(Instruction{Opcode::SetLoop, 3, 1}), Error);

@@ -126,6 +126,12 @@ TEST(SpecParser, RejectsMalformedSpecs) {
   EXPECT_THROW(
       parse_network_spec("network x\ninput 3 8 8\nconv c out=zz\n"),
       ConfigError);  // non-integer option
+  EXPECT_THROW(
+      parse_network_spec("network x\ninput 3 8 8\nconv c out=6x\n"),
+      ConfigError);  // trailing junk (std::stoll read 6)
+  EXPECT_THROW(
+      parse_network_spec("network x\ninput 3 8 8\nconv c out=99999999999\n"),
+      ConfigError);  // does not fit an int
 }
 
 TEST(SpecParser, FileRoundtrip) {
@@ -136,8 +142,11 @@ TEST(SpecParser, FileRoundtrip) {
   }
   const nn::Network net = parse_network_file(path);
   EXPECT_EQ(net.layers().size(), 6u);
+  EXPECT_EQ(load_model(path).layers().size(), 6u);
   std::filesystem::remove(path);
   EXPECT_THROW(parse_network_file("nonexistent.ftdl"), ConfigError);
+  EXPECT_THROW(load_model("nonexistent.ftdl"), ConfigError);
+  EXPECT_EQ(load_model("Sentimental-seqCNN").name(), "Sentimental-seqCNN");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "obs/obs.h"
 #include "obs/stream_reader.h"
 #include "obs/stream_writer.h"
@@ -92,7 +93,7 @@ std::string write_canonical_two_span_log(const std::string& path) {
   r[5].payload = double_bits(25.0);
   w.publish(r, 6);
   w.finish();
-  return read_file_bytes(path);
+  return read_file(path).value();
 }
 
 /// A small multi-chunk log: `groups` publishes of `per_chunk` CounterAdd
@@ -112,7 +113,7 @@ std::string write_chunked_counter_log(const std::string& path, int groups,
     w.publish(recs.data(), recs.size());
   }
   w.finish();
-  return read_file_bytes(path);
+  return read_file(path).value();
 }
 
 TEST_F(ObsStreamTest, EmptyLogIsJustTheFileHeader) {
@@ -174,7 +175,7 @@ TEST_F(ObsStreamTest, SpecWorkedExampleMatchesWriterBytes) {
   const std::string dump = format_hex_dump(bytes);
 
   const std::string doc =
-      read_file_bytes(std::string(FTDL_DOCS_DIR) + "/obs-stream-format.md");
+      read_file(std::string(FTDL_DOCS_DIR) + "/obs-stream-format.md").value();
   const std::string marker = "<!-- worked-example-hex-dump -->";
   const std::size_t at = doc.find(marker);
   ASSERT_NE(at, std::string::npos)

@@ -3,10 +3,16 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
+#include <utility>
+#include <vector>
 
+#include "analyze/network_io.h"
 #include "common/error.h"
 #include "compiler/program_io.h"
 #include "host/lstm_runner.h"
+#include "obs/obs.h"
+#include "rtlgen/verilog_gen.h"
 
 namespace ftdl {
 namespace {
@@ -67,17 +73,38 @@ TEST(ProgramIo, FileRoundTrip) {
   EXPECT_THROW(compiler::load_program("missing.ftdlprog", cfg()), Error);
 }
 
-// Regression: save_program never checked the stream after writing, so a
-// disk-full or I/O error published a silently truncated artifact.
+// Regression: save_program, save_network, ftdlc --emit, ftdl-obsq and
+// write_rtl_bundle once published a silently truncated artifact on a
+// disk-full or I/O error. Every saver goes through write_file_atomic now.
 TEST(ProgramIo, SaveToUnwritablePathThrows) {
   const LayerProgram orig = example_program();
-  // A path under a file can never be opened for writing.
-  EXPECT_THROW(compiler::save_program(orig, "/proc/self/cmdline/x.ftdlprog"),
-               Error);
-  // /dev/full opens fine but every write fails with ENOSPC — exactly the
-  // silent-truncation case: without the flush+check the call "succeeds".
-  if (std::filesystem::exists("/dev/full")) {
-    EXPECT_THROW(compiler::save_program(orig, "/dev/full"), Error);
+  const analyze::ScheduledNetwork sn;
+  const rtlgen::RtlBundle rtl = rtlgen::generate_overlay_rtl(cfg());
+  using Saver = std::function<void(const std::string&)>;
+  const std::vector<std::pair<const char*, Saver>> savers = {
+      {"save_program",
+       [&](const std::string& p) { compiler::save_program(orig, p); }},
+      {"save_network",
+       [&](const std::string& p) { analyze::save_network(sn, p); }},
+      {"write_rtl_bundle",
+       [&](const std::string& p) { rtlgen::write_rtl_bundle(rtl, p); }},
+      {"write_chrome_trace",
+       [](const std::string& p) {
+         obs::Registry::global().write_chrome_trace(p);
+       }},
+      {"write_metrics",
+       [](const std::string& p) { obs::Registry::global().write_metrics(p); }},
+  };
+  for (const auto& [name, save] : savers) {
+    // A path under a file can never be created.
+    EXPECT_THROW(save("/proc/self/cmdline/x"), Error) << name;
+    // /dev/full opens fine but every write fails with ENOSPC: the saver
+    // must report it, and must write the device in place, never rename a
+    // temp file over it (this suite may run as root).
+    if (std::filesystem::exists("/dev/full")) {
+      EXPECT_THROW(save("/dev/full"), Error) << name;
+      EXPECT_TRUE(std::filesystem::is_character_file("/dev/full")) << name;
+    }
   }
 }
 

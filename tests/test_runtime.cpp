@@ -209,9 +209,10 @@ TEST(Executor, FullSizeWeightGroupSlicesReuseTheLayerProgram) {
   // The warm-up runs a full-size weight-group slice on the layer's own
   // program (its search ran on weight_group_slice) instead of compiling the
   // slice again: that program, relabelled to the slice with one group, must
-  // equal what compiling the slice yields, for every split layer.
+  // equal what compiling the slice yields, for every split layer. The
+  // programs are compared with each other, so a small budget suffices.
   const arch::OverlayConfig cfg = small_config();
-  const std::int64_t budget = ExecOptions{}.search_budget_per_layer;
+  const std::int64_t budget = 1'000;
   compiler::CompilerSession& session = compiler::CompilerSession::global();
   const auto compile = [&](const nn::Layer& l) {
     return session.compile(l, cfg, compiler::Objective::Performance, budget);

@@ -33,17 +33,18 @@ nn::Network tiny_net() {
   return net;
 }
 
-nn::Tensor16 seeded_input(std::uint64_t seed) {
+nn::Tensor16 seeded_input(std::uint64_t seed,
+                          const nn::Dims& shape = {3, 12, 12}) {
   Rng rng(seed);
-  nn::Tensor16 t({3, 12, 12});
+  nn::Tensor16 t(shape);
   t.fill_random(rng);
   return t;
 }
 
 /// Runs `n` distinctly-seeded requests through a server and returns the
 /// outputs keyed by seed. Submission is closed-loop per client thread.
-std::map<std::uint64_t, nn::Tensor16> serve_all(Server& server, int n,
-                                                int clients) {
+std::map<std::uint64_t, nn::Tensor16> serve_all(
+    Server& server, int n, int clients, const nn::Dims& shape = {3, 12, 12}) {
   std::map<std::uint64_t, nn::Tensor16> out;
   std::mutex out_mu;
   std::atomic<int> next{0};
@@ -56,7 +57,7 @@ std::map<std::uint64_t, nn::Tensor16> serve_all(Server& server, int n,
         const int i = next.fetch_add(1);
         if (i >= n) return;
         const auto seed = static_cast<std::uint64_t>(i);
-        Submission s = server.submit(seeded_input(seed));
+        Submission s = server.submit(seeded_input(seed, shape));
         ASSERT_TRUE(s.accepted) << to_string(s.reject_reason);
         InferenceResult r = s.result.get();
         std::lock_guard<std::mutex> lock(out_mu);
@@ -212,84 +213,63 @@ TEST(Server, RejectsAmbiguousAndEmptyGraphs) {
 // ---- determinism ----------------------------------------------------------
 
 TEST(Server, EightWorkersBitIdenticalToOneWorkerAndSerialRun) {
-  const nn::Network net = tiny_net();
-  const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 7);
-  constexpr int kRequests = 24;
+  // tiny_net at the default overlay, served by 1 worker and by 8 workers in
+  // batches of 4; and a lone conv on the 4x2x3 overlay, served by 4 workers
+  // in batches of 2.
+  struct ServerShape {
+    int workers;
+    int max_batch;
+    std::int64_t batch_timeout_us;
+  };
+  struct Case {
+    nn::Network net;
+    nn::Dims input;
+    std::uint64_t weight_seed;
+    int requests;
+    runtime::ExecOptions exec;
+    std::vector<ServerShape> servers;
+  };
+  nn::Network conv("serve-sim");
+  conv.add(nn::make_conv("c", 6, 8, 8, 8, 3, 1, 1));
+  conv.validate_graph();
+  runtime::ExecOptions small;
+  small.config.d1 = 4;
+  small.config.d2 = 2;
+  small.config.d3 = 3;
+  const std::vector<Case> cases = {
+      {tiny_net(), {3, 12, 12}, 7, 24, {}, {{1, 1, 0}, {8, 4, 200}}},
+      {conv, {6, 8, 8}, 21, 6, small,
+       {{4, 2, ServerOptions{}.batch_timeout_us}}},
+  };
 
-  // Ground truth: serial one-at-a-time run_network.
-  std::map<std::uint64_t, nn::Tensor16> serial;
-  for (int i = 0; i < kRequests; ++i) {
-    const auto seed = static_cast<std::uint64_t>(i);
-    serial.emplace(seed, runtime::run_network(net, seeded_input(seed), ws,
-                                              runtime::ExecOptions{})
-                             .output);
-  }
+  for (const Case& c : cases) {
+    const runtime::WeightStore ws =
+        runtime::WeightStore::random_for(c.net, c.weight_seed);
+    // Ground truth: serial one-at-a-time run_network.
+    std::map<std::uint64_t, nn::Tensor16> serial;
+    for (int i = 0; i < c.requests; ++i) {
+      const auto seed = static_cast<std::uint64_t>(i);
+      serial.emplace(seed, runtime::run_network(
+                               c.net, seeded_input(seed, c.input), ws, c.exec)
+                               .output);
+    }
+    for (const ServerShape& shape : c.servers) {
+      ServerOptions opt;
+      opt.workers = shape.workers;
+      opt.max_batch = shape.max_batch;
+      opt.batch_timeout_us = shape.batch_timeout_us;
+      opt.exec = c.exec;
+      Server server(c.net, ws, opt);
+      const auto out = serve_all(server, c.requests, shape.workers, c.input);
+      server.stop();
 
-  ServerOptions one;
-  one.workers = 1;
-  one.max_batch = 1;
-  one.batch_timeout_us = 0;
-  Server s1(net, ws, one);
-  const auto out1 = serve_all(s1, kRequests, 1);
-  s1.stop();
-
-  ServerOptions eight;
-  eight.workers = 8;
-  eight.max_batch = 4;
-  eight.batch_timeout_us = 200;
-  Server s8(net, ws, eight);
-  const auto out8 = serve_all(s8, kRequests, 8);
-  s8.stop();
-
-  ASSERT_EQ(out1.size(), serial.size());
-  ASSERT_EQ(out8.size(), serial.size());
-  for (const auto& [seed, expect] : serial) {
-    EXPECT_EQ(out1.at(seed), expect) << "workers=1, seed " << seed;
-    EXPECT_EQ(out8.at(seed), expect) << "workers=8, seed " << seed;
-  }
-}
-
-TEST(Server, CycleSimPathIsDeterministicAcrossWorkers) {
-  nn::Network net("serve-sim");
-  net.add(nn::make_conv("c", 6, 8, 8, 8, 3, 1, 1));
-  net.validate_graph();
-  const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 21);
-
-  runtime::ExecOptions exec;
-  exec.config.d1 = 4;
-  exec.config.d2 = 2;
-  exec.config.d3 = 3;
-
-  std::map<std::uint64_t, nn::Tensor16> serial;
-  for (int i = 0; i < 6; ++i) {
-    const auto seed = static_cast<std::uint64_t>(i);
-    Rng rng(seed);
-    nn::Tensor16 in({6, 8, 8});
-    in.fill_random(rng);
-    serial.emplace(seed, runtime::run_network(net, in, ws, exec).output);
-  }
-
-  ServerOptions opt;
-  opt.workers = 4;
-  opt.max_batch = 2;
-  opt.exec = exec;
-  Server server(net, ws, opt);
-  std::map<std::uint64_t, nn::Tensor16> served;
-  std::vector<std::pair<std::uint64_t, std::future<InferenceResult>>> pending;
-  for (int i = 0; i < 6; ++i) {
-    const auto seed = static_cast<std::uint64_t>(i);
-    Rng rng(seed);
-    nn::Tensor16 in({6, 8, 8});
-    in.fill_random(rng);
-    Submission s = server.submit(std::move(in));
-    ASSERT_TRUE(s.accepted);
-    pending.emplace_back(seed, std::move(s.result));
-  }
-  for (auto& [seed, fut] : pending) served.emplace(seed, fut.get().output);
-  server.stop();
-
-  for (const auto& [seed, expect] : serial) {
-    EXPECT_EQ(served.at(seed), expect) << "seed " << seed;
+      ASSERT_EQ(out.size(), serial.size());
+      for (const auto& [seed, expect] : serial) {
+        EXPECT_EQ(out.at(seed), expect)
+            << c.net.name() << " workers=" << shape.workers << ", seed "
+            << seed;
+      }
+    }
   }
 }
 

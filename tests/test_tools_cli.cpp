@@ -141,6 +141,25 @@ TEST(ToolsCli, FtdlLintRejectsGarbageNumericFlags) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
 }
 
+// A malformed value in a program artifact is a lint failure (exit 1 with a
+// FAIL: line), not an uncaught std::invalid_argument (exit 134).
+TEST(ToolsCli, FtdlLintRejectsMalformedProgram) {
+  TempDir dir;
+  std::ifstream in(std::string(FTDL_GOLDEN_DIR) + "/program_split.ftdlprog");
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const std::size_t at = text.find("\ngroups=");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, text.find('\n', at + 1) - at, "\ngroups=abc");
+  const std::string path = dir.path + "/bad.ftdlprog";
+  std::ofstream(path) << text;
+
+  const RunResult r = run(std::string(FTDL_LINT_PATH) + " " + path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("FAIL: ftdl-program: groups:"), std::string::npos)
+      << r.output;
+}
+
 // ---- cross-process persistent cache ---------------------------------------
 
 TEST(ToolsCli, FtdlcWarmStartsFromAnotherProcessesCache) {

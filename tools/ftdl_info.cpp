@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 
+#include "common/file_io.h"
 #include "common/str_util.h"
 #include "common/table.h"
 #include "ftdl/ftdl.h"
@@ -94,11 +96,12 @@ int cmd_disasm(int argc, char** argv) {
     std::fprintf(stderr, "usage: ftdl-info disasm FILE.hex\n");
     return 2;
   }
-  std::ifstream in(argv[2]);
-  if (!in) {
+  const std::optional<std::string> text = read_file(argv[2]);
+  if (!text) {
     std::fprintf(stderr, "cannot open %s\n", argv[2]);
     return 1;
   }
+  std::istringstream in(*text);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') {
@@ -106,10 +109,9 @@ int cmd_disasm(int argc, char** argv) {
       continue;
     }
     try {
-      const arch::Instruction inst =
-          arch::decode(std::stoull(line, nullptr, 16));
+      const arch::Instruction inst = arch::decode(arch::parse_word(line));
       std::printf("%s    %s\n", line.c_str(), inst.to_string().c_str());
-    } catch (const std::exception& e) {
+    } catch (const Error& e) {
       std::printf("%s    <malformed: %s>\n", line.c_str(), e.what());
     }
   }

@@ -30,7 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,9 +40,11 @@
 #include "arch/isa.h"
 #include "arch/overlay_config.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/str_util.h"
 #include "compiler/program_io.h"
 #include "compiler/program_verify.h"
+#include "obs/obs.h"
 #include "verify/verifier.h"
 
 namespace {
@@ -161,44 +163,21 @@ struct Report {
   }
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void print_json(const Args& args, const Report& report) {
   std::printf("{\n  \"schema\": \"ftdl-lint-v1\",\n  \"file\": \"%s\",\n"
               "  \"mode\": \"%s\",\n  \"diagnostics\": [",
-              json_escape(args.path).c_str(), report.mode.c_str());
+              obs::json_escape(args.path).c_str(), report.mode.c_str());
   bool first = true;
   for (const ReportEntry& e : report.entries) {
     std::printf("%s\n    {\"severity\": \"%s\", \"check\": \"%s\"",
                 first ? "" : ",", e.severity.c_str(), e.check.c_str());
     first = false;
     if (!e.section.empty())
-      std::printf(", \"section\": \"%s\"", json_escape(e.section).c_str());
+      std::printf(", \"section\": \"%s\"", obs::json_escape(e.section).c_str());
     if (!e.where.empty())
-      std::printf(", \"where\": \"%s\"", json_escape(e.where).c_str());
+      std::printf(", \"where\": \"%s\"", obs::json_escape(e.where).c_str());
     if (e.index >= 0) std::printf(", \"index\": %d", e.index);
-    std::printf(", \"message\": \"%s\"}", json_escape(e.message).c_str());
+    std::printf(", \"message\": \"%s\"}", obs::json_escape(e.message).c_str());
   }
   std::printf("%s],\n  \"errors\": %d,\n  \"warnings\": %d\n}\n",
               report.entries.empty() ? "" : "\n  ", report.errors,
@@ -231,15 +210,7 @@ std::vector<HexSection> parse_hex_dump(const std::string& text) {
       }
       continue;
     }
-    std::size_t pos = 0;
-    std::uint64_t word = 0;
-    try {
-      word = std::stoull(line, &pos, 16);
-    } catch (const std::exception&) {
-      throw Error("not a hex InstBUS word: " + line);
-    }
-    if (pos != line.size()) throw Error("not a hex InstBUS word: " + line);
-    current().words.push_back(word);
+    current().words.push_back(arch::parse_word(line));
   }
   return sections;
 }
@@ -300,14 +271,12 @@ void lint_network(const std::string& text, const Args& args, Report& report) {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-  std::ifstream in(args.path);
-  if (!in) {
+  const std::optional<std::string> file = read_file(args.path);
+  if (!file) {
     std::fprintf(stderr, "ftdl-lint: cannot open %s\n", args.path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  const std::string& text = *file;
   Report report;
   try {
     const bool is_network = text.rfind("ftdl-network", 0) == 0;
@@ -325,8 +294,8 @@ int main(int argc, char** argv) {
       std::printf("{\n  \"schema\": \"ftdl-lint-v1\",\n  \"file\": \"%s\",\n"
                   "  \"fatal\": \"%s\",\n  \"errors\": 1,\n"
                   "  \"warnings\": 0\n}\n",
-                  json_escape(args.path).c_str(),
-                  json_escape(e.what()).c_str());
+                  obs::json_escape(args.path).c_str(),
+                  obs::json_escape(e.what()).c_str());
     } else {
       std::printf("FAIL: %s\n", e.what());
     }

@@ -25,11 +25,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "obs/obs.h"
 #include "obs/stream_reader.h"
 
@@ -76,12 +76,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-void write_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open " + path + " for writing");
-  out << body;
-}
-
 void print_summary(const Args& args, const LoadedLog& log,
                    const ReconstructedLog& r) {
   std::printf("%s: ftdl-stream-v%u, %llu bytes\n", args.log_path.c_str(),
@@ -121,8 +115,9 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   try {
     if (args.hexdump) {
-      std::fputs(format_hex_dump(read_file_bytes(args.log_path)).c_str(),
-                 stdout);
+      const auto bytes = read_file(args.log_path);
+      if (!bytes) throw Error("cannot open " + args.log_path + " for reading");
+      std::fputs(format_hex_dump(*bytes).c_str(), stdout);
       return 0;
     }
 
@@ -130,9 +125,10 @@ int main(int argc, char** argv) {
     const ReconstructedLog r = reconstruct(log);
 
     if (!args.trace_path.empty())
-      write_file(args.trace_path, obs::render_chrome_trace(r.tracks, r.events));
+      write_file_atomic(args.trace_path,
+                        obs::render_chrome_trace(r.tracks, r.events));
     if (!args.metrics_path.empty())
-      write_file(args.metrics_path, obs::render_metrics_json(r.metrics));
+      write_file_atomic(args.metrics_path, obs::render_metrics_json(r.metrics));
 
     if (args.check) {
       const CheckReport report = check_log(log);

@@ -28,9 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "analyze/analyze.h"
@@ -116,17 +114,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-nn::Network load_network(const std::string& model) {
-  if (model.size() > 5 && model.substr(model.size() - 5) == ".ftdl") {
-    std::ifstream in(model);
-    if (!in) throw Error("cannot open spec " + model);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return frontend::parse_network_spec(text.str());
-  }
-  return nn::model_by_name(model);
-}
-
 /// Overlay the cycle-level phase runs on: small enough that functional
 /// simulation of a whole network finishes in seconds (the schedule phase
 /// still uses the full paper overlay).
@@ -186,7 +173,7 @@ int main(int argc, char** argv) {
       session.set_store(std::make_shared<compiler::ProgramStore>(cache_dir));
     }
 
-    const nn::Network net = load_network(args.model);
+    const nn::Network net = frontend::load_model(args.model);
     std::printf("ftdl-prof: %s (%lld overlay MACs)\n", net.name().c_str(),
                 static_cast<long long>(overlay_macs(net)));
 

@@ -33,9 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,17 +147,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-nn::Network load_network(const std::string& model) {
-  if (model.size() > 5 && model.substr(model.size() - 5) == ".ftdl") {
-    std::ifstream in(model);
-    if (!in) throw Error("cannot open spec " + model);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return frontend::parse_network_spec(text.str());
-  }
-  return nn::model_by_name(model);
-}
-
 nn::Tensor16 request_input(const nn::Network& net, std::uint64_t seed) {
   const nn::Layer& first = net.layers().front();
   nn::Tensor16 input =
@@ -271,7 +258,7 @@ int main(int argc, char** argv) {
           std::make_shared<compiler::ProgramStore>(cache_dir));
     }
 
-    const nn::Network net = load_network(args.model);
+    const nn::Network net = frontend::load_model(args.model);
     const runtime::WeightStore weights =
         runtime::WeightStore::random_for(net, args.seed + 1'000);
 

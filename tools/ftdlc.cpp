@@ -25,12 +25,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 
 #include "analyze/analyze.h"
 #include "analyze/network_io.h"
+#include "common/file_io.h"
 #include "common/str_util.h"
 #include "common/table.h"
 #include "compiler/program_store.h"
@@ -256,15 +256,15 @@ int main(int argc, char** argv) {
     }
 
     if (!args.emit_path.empty()) {
-      std::ofstream out(args.emit_path);
-      if (!out) throw Error("cannot open " + args.emit_path);
+      std::string dump;
       for (const compiler::LayerProgram& lp : report.schedule.layers) {
-        out << "# " << lp.layer.name << " (x" << lp.weight_groups
-            << " weight groups)\n";
+        dump += strformat("# %s (x%d weight groups)\n", lp.layer.name.c_str(),
+                          lp.weight_groups);
         for (std::uint64_t word : lp.encoded_stream()) {
-          out << strformat("%016llx\n", static_cast<unsigned long long>(word));
+          dump += strformat("%016llx\n", static_cast<unsigned long long>(word));
         }
       }
+      write_file_atomic(args.emit_path, dump);
       std::printf("instruction streams written to %s\n",
                   args.emit_path.c_str());
     }
