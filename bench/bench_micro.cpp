@@ -110,10 +110,14 @@ void BM_SimulateConvLayer(benchmark::State& state) {
   nn::Tensor16 weights({12, 8, 3, 3});
   input.fill_random(rng);
   weights.fill_random(rng);
-  sim::SimOptions opt;
-  opt.collect_trace = false;
+  nn::AccTensor out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::simulate_layer(prog, cfg, weights, input, opt));
+    // The whole layer: runner construction (stream checks, timing pass)
+    // and the functional pass.
+    const sim::CachedLayerSim runner(prog, cfg);
+    runner.run(weights, input, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * layer.macs());
 }
@@ -127,7 +131,7 @@ BENCHMARK(BM_SimulateConvLayer);
 void bench_fc_functional(benchmark::State& state, bool simd_on) {
   const arch::OverlayConfig cfg = arch::paper_config();
   // One of the two weight groups fc1000 (2048 -> 1000) runs as on this
-  // overlay: a simulated program maps one group's slice.
+  // overlay.
   const nn::Layer layer = nn::make_matmul("bench_fc", 2048, 500, 1);
   // Budget matches bench_sim's.
   const auto prog = compiler::compile_layer(layer, cfg,
@@ -138,13 +142,13 @@ void bench_fc_functional(benchmark::State& state, bool simd_on) {
   nn::Tensor16 weights({500, 2048});
   input.fill_random(rng);
   weights.fill_random(rng);
-  sim::SimOptions opt;
-  opt.collect_trace = false;
-  opt.jobs = 1;
+  const sim::CachedLayerSim runner(prog, cfg);
+  nn::AccTensor out;
   simd::set_enabled(simd_on);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::simulate_layer(prog, cfg, weights, input, opt));
+    runner.run(weights, input, out);  // serial functional pass
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   simd::set_enabled(true);
   state.SetItemsProcessed(state.iterations() * layer.macs());

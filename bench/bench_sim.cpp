@@ -1,13 +1,15 @@
 // Simulator-engine benchmarks (google-benchmark): wall-clock of
-// simulate_layer on a ResNet50 layer sweep at 1/2/8 jobs and of the
-// stats-only simulate_layer_stats path, with MACCs/s reported per run.
+// CachedLayerSim::run on a ResNet50 layer sweep on pools of 1/2/8 jobs and
+// of the stats-only simulate_layer_stats path, with MACCs/s reported per
+// run.
 //
 // The sweep covers the shapes that stress different engine paths: the
 // pad-heavy 7x7 stride-2 stem (int32 tiles over 2x2 phase planes), a 1x1
 // bottleneck reduce and a 3x3 mid-stage conv (int32 tiles over one padded
 // copy), the 1x1 stride-2 downsample (int32 tiles over the one phase plane
 // with taps: a subsampled 1x1), and the fc1000 matmul (dot sweeps). Layers
-// the compiler splits into weight groups run one group's slice. Outputs are
+// the compiler splits into weight groups run one full-size part's slice, so
+// both benchmarks time the same single-part program. Outputs are
 // bit-identical at every jobs count (pinned by tests/test_sim_engine.cpp);
 // these benchmarks measure only speed.
 //
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "compiler/codegen.h"
 #include "nn/model_zoo.h"
 #include "sim/ftdl_sim.h"
@@ -45,9 +48,8 @@ LayerCase make_case(const std::string& label, const nn::Layer& full) {
   c.label = label;
   c.prog = compiler::compile_layer(full, cfg, compiler::Objective::Performance,
                                    kBudget);
-  // simulate_layer takes a program that maps the whole layer, so a layer
-  // split into weight groups is measured on one group's slice. (The runtime
-  // runs all groups in one call of the layer-level CachedLayerSim.)
+  // simulate_layer_stats times one part, so a layer split into weight
+  // groups is measured on one full-size part's slice.
   const nn::Layer layer =
       compiler::weight_group_slice(full, c.prog.weight_groups);
   if (c.prog.weight_groups > 1)
@@ -99,17 +101,16 @@ void report_rate(benchmark::State& state, std::int64_t padded,
 void BM_SimLayer(benchmark::State& state, std::size_t idx) {
   const LayerCase& c = cases()[idx];
   const arch::OverlayConfig cfg = arch::paper_config();
-  sim::SimOptions opt;
-  opt.jobs = static_cast<int>(state.range(0));
-  std::int64_t padded = 0, valid = 0;
+  const auto jobs = static_cast<int>(state.range(0));
+  ThreadPool pool(jobs);
+  const sim::CachedLayerSim runner(c.prog, cfg);
+  nn::AccTensor out;
   for (auto _ : state) {
-    const sim::SimResult r =
-        sim::simulate_layer(c.prog, cfg, c.weights, c.input, opt);
-    padded = r.stats.padded_maccs;
-    valid = r.stats.valid_maccs;
-    benchmark::DoNotOptimize(r.stats.cycles);
+    runner.run(c.weights, c.input, out, jobs == 1 ? nullptr : &pool);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  report_rate(state, padded, valid);
+  report_rate(state, runner.stats().padded_maccs, runner.stats().valid_maccs);
 }
 
 void BM_SimStatsOnly(benchmark::State& state, std::size_t idx) {

@@ -48,13 +48,14 @@ int main() {
   input.fill_random(rng);
   weights.fill_random(rng);
 
-  const sim::SimResult simulated =
-      sim::simulate_layer(tiny_prog, small, weights, input);
+  const sim::CachedLayerSim simulated(tiny_prog, small);
+  nn::AccTensor output;
+  simulated.run(weights, input, output);
   const nn::AccTensor expected = nn::conv2d_reference(tiny, input, weights);
   std::printf("Cycle-level simulation of %s: %lld cycles, %lld MACCs, "
               "output %s the scalar reference.\n",
-              tiny.name.c_str(), static_cast<long long>(simulated.stats.cycles),
-              static_cast<long long>(simulated.stats.valid_maccs),
-              simulated.output == expected ? "bit-matches" : "DIFFERS FROM");
-  return simulated.output == expected ? 0 : 1;
+              tiny.name.c_str(), static_cast<long long>(simulated.stats().cycles),
+              static_cast<long long>(simulated.stats().valid_maccs),
+              output == expected ? "bit-matches" : "DIFFERS FROM");
+  return output == expected ? 0 : 1;
 }

@@ -60,16 +60,6 @@ LayerProgram lower_solution(const nn::Layer& layer, const Workload& w,
 
 namespace {
 
-/// Sets the dimension weight_only_extent reads (a depthwise layer's output
-/// channels follow its input channels).
-void set_weight_only_extent(nn::Layer& layer, int extent) {
-  switch (layer.kind) {
-    case nn::LayerKind::Conv: layer.out_c = extent; break;
-    case nn::LayerKind::Depthwise: layer.in_c = layer.out_c = extent; break;
-    default: layer.mm_n = extent;
-  }
-}
-
 /// The group count compile_layer tries after `groups`: doubling, then the
 /// one-channel slice (`extent` groups) when doubling overshoots it, then
 /// past the end.
@@ -94,23 +84,28 @@ int weight_only_extent(const nn::Layer& layer) {
   }
 }
 
-nn::Layer weight_group_slice(const nn::Layer& layer, int groups) {
+nn::Layer with_weight_only_extent(const nn::Layer& layer, int extent) {
   nn::Layer part = layer;
-  set_weight_only_extent(
-      part, static_cast<int>(ceil_div(weight_only_extent(layer), groups)));
+  switch (part.kind) {
+    case nn::LayerKind::Conv: part.out_c = extent; break;
+    case nn::LayerKind::Depthwise: part.in_c = part.out_c = extent; break;
+    default: part.mm_n = extent;
+  }
   return part;
 }
 
-std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
-                                           int groups) {
-  const int total = weight_only_extent(layer);
-  const int size = weight_only_extent(weight_group_slice(layer, groups));
-  std::vector<nn::Layer> out;
-  for (int off = 0; off < total; off += size) {
-    nn::Layer& part = out.emplace_back(layer);
-    set_weight_only_extent(part, std::min(size, total - off));
-  }
-  return out;
+nn::Layer weight_group_slice(const nn::Layer& layer, int groups) {
+  return with_weight_only_extent(
+      layer, static_cast<int>(ceil_div(weight_only_extent(layer), groups)));
+}
+
+std::int64_t weight_reload_cycles(const Performance& perf,
+                                  const arch::OverlayConfig& config) {
+  if (!config.charge_weight_reload) return 0;
+  const double bytes = 2.0 * double(perf.buffers.wbuf_words_per_tpe) *
+                       double(config.tpes());
+  return static_cast<std::int64_t>(
+      std::ceil(bytes / config.dram_rd_bytes_per_cycle()));
 }
 
 LayerProgram compile_layer(const nn::Layer& layer,
@@ -139,20 +134,23 @@ LayerProgram compile_layer(const nn::Layer& layer,
         obs::ScopedSpan lower_span("compiler", "codegen");
         prog = lower_solution(part, w, s);
         prog.layer = layer;  // programs carry the original layer identity
-        prog.weight_groups = groups;
-        if (config.charge_weight_reload) {
-          // One group's weights stream in from DRAM (2 bytes/word) over the
-          // read channel, duplication included.
-          const double group_bytes =
-              2.0 * double(prog.perf.buffers.wbuf_words_per_tpe) *
-              double(config.tpes());
-          prog.reload_cycles_per_group = static_cast<std::int64_t>(
-              std::ceil(group_bytes / config.dram_rd_bytes_per_cycle()));
-        }
+        const int slice = weight_only_extent(part);
+        prog.weight_groups = static_cast<int>(ceil_div(max_groups, slice));
+        prog.reload_cycles_per_group = weight_reload_cycles(prog.perf, config);
       }
       {
         obs::ScopedSpan verify_span("compiler", "verify");
         assert_program_verified(prog, config);
+      }
+      if (const int rest = max_groups % weight_only_extent(part); rest != 0) {
+        // The shorter last part runs a program of its own.
+        LayerProgram tail = compile_layer(with_weight_only_extent(layer, rest),
+                                          config, objective, max_candidates);
+        if (tail.weight_groups != 1) {
+          obs::count("compiler/infeasible_retries");
+          continue;  // the tail would need a split of its own
+        }
+        prog.tail = std::make_shared<const LayerProgram>(std::move(tail));
       }
       obs::count("compiler/layers_compiled");
       obs::count("compiler/programs_verified");

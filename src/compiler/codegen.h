@@ -8,6 +8,7 @@
 // cycle-level simulator needs.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "arch/isa.h"
@@ -20,27 +21,37 @@ namespace ftdl::compiler {
 /// A fully compiled overlay layer.
 struct LayerProgram {
   nn::Layer layer;
-  Workload workload;   ///< workload of ONE weight group (== layer if 1 group)
+  Workload workload;   ///< workload of ONE full-size part (== layer if 1 part)
   Mapping mapping;
-  Performance perf;    ///< performance of one weight group
+  Performance perf;    ///< performance of one full-size part
   arch::InstStream row_stream;  ///< per-row controller configuration
 
   /// Layers whose weights exceed the total WBUF capacity are executed as
-  /// `weight_groups` sequential groups along the weight-only dimension
+  /// `weight_groups` sequential parts along the weight-only dimension
   /// (output channels / output features), each with its weights preloaded
   /// in turn — the paper's weight-stationary methodology applied piecewise.
+  /// Every part but `tail` maps the full-size slice this program describes.
   int weight_groups = 1;
 
-  /// DRAM-fed weight-reload cycles per group (0 unless the overlay charges
-  /// reload; see OverlayConfig::charge_weight_reload).
+  /// DRAM-fed weight-reload cycles per full-size part (0 unless the overlay
+  /// charges reload; see OverlayConfig::charge_weight_reload).
   std::int64_t reload_cycles_per_group = 0;
 
-  /// Execution cycles for the whole layer (all groups, incl. any charged
-  /// reload time; the first group's preload is charged too when enabled —
-  /// conservative for back-to-back frames where no idle preload slot
-  /// exists).
+  /// When the full-size slice does not divide the weight-only extent: the
+  /// compiled program of the shorter last part (one part, its own layer is
+  /// that slice). Null for an even split or a single part.
+  std::shared_ptr<const LayerProgram> tail;
+
+  /// The parts that run this program's mapping.
+  int full_size_parts() const { return weight_groups - (tail ? 1 : 0); }
+
+  /// Execution cycles for the whole layer: every part the overlay runs,
+  /// incl. any charged reload time (the first part's preload is charged
+  /// too when enabled — conservative for back-to-back frames where no idle
+  /// preload slot exists).
   std::int64_t total_cycles() const {
-    return (perf.c_exe + reload_cycles_per_group) * weight_groups;
+    return (perf.c_exe + reload_cycles_per_group) * full_size_parts() +
+           (tail ? tail->total_cycles() : 0);
   }
 
   /// Encoded 64-bit InstBUS words (what the hardware would receive).
@@ -57,12 +68,22 @@ arch::InstStream generate_row_stream(const Workload& w, const Mapping& m,
 /// feasible mapping exists, with the one-channel slice tried last when
 /// doubling overshoots the weight-only extent). A group count whose slice
 /// has more weight words than all TPEs' WBUFs hold is skipped without a
-/// search. Throws ftdl::InfeasibleError only when even the one-channel slice
-/// has no feasible mapping.
+/// search. The program records the parts the overlay runs: ceil(E / S)
+/// parts of the slice extent S = ceil(E / groups), and, when S does not
+/// divide E, the compiled shorter last part in `tail` (compiled by this
+/// function at the same budget; a tail that needs a split of its own makes
+/// the group count infeasible). Throws ftdl::InfeasibleError only when even
+/// the one-channel slice has no feasible mapping.
 LayerProgram compile_layer(const nn::Layer& layer,
                            const arch::OverlayConfig& config,
                            Objective objective = Objective::Performance,
                            std::int64_t max_candidates = 200'000);
+
+/// DRAM-fed weight-reload cycles of one part mapped as `perf`: its weights
+/// (duplication included, 2 bytes per word) stream in over the read
+/// channel. 0 unless config.charge_weight_reload.
+std::int64_t weight_reload_cycles(const Performance& perf,
+                                  const arch::OverlayConfig& config);
 
 /// The extent of `layer`'s weight-only dimension (conv output channels,
 /// depthwise channels, MM output features): the dimension weight groups
@@ -73,13 +94,9 @@ int weight_only_extent(const nn::Layer& layer);
 /// dimension: the layer a program of `weight_groups == groups` maps.
 nn::Layer weight_group_slice(const nn::Layer& layer, int groups);
 
-/// Every weight-group slice of `layer` split `groups` ways, in channel
-/// order: weight_group_slice's extent each, the last slice the rest. The
-/// runtime runs the layer through one layer-level sim::CachedLayerSim over
-/// the slices' programs; a full-size slice reuses the layer's own program,
-/// so only a shorter last slice is compiled on its own.
-std::vector<nn::Layer> weight_group_layers(const nn::Layer& layer,
-                                           int groups);
+/// The layer with its weight-only extent set to `extent` (a depthwise
+/// layer's output channels follow its input channels).
+nn::Layer with_weight_only_extent(const nn::Layer& layer, int extent);
 
 /// Lowers an explicit solution (used by tests and the simulator harness).
 LayerProgram lower_solution(const nn::Layer& layer, const Workload& w,

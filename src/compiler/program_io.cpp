@@ -8,6 +8,7 @@
 #include "arch/isa.h"
 #include "common/error.h"
 #include "common/file_io.h"
+#include "common/math_util.h"
 #include "common/str_util.h"
 #include "compiler/program_verify.h"
 
@@ -145,54 +146,50 @@ nn::Layer parse_layer_keys(const KeyValueReader& kv,
   return l;
 }
 
-std::string serialize_program(const LayerProgram& program) {
+namespace {
+
+/// The mapping, check value and stream of one part's program, each key
+/// under `prefix` ("" for the program, "tail." for its shorter last part).
+std::string serialize_part(const LayerProgram& part,
+                           const std::string& prefix) {
   std::string out;
-  out += strformat("%s v%d\n", kMagic, kVersion);
-  out += serialize_layer_keys(program.layer, "layer.");
-  out += strformat("groups=%d\n", program.weight_groups);
   // The mapping: one line per hardware level, K tiles each.
   for (HwLevel level : kAllLevels) {
-    out += strformat("map.%s=", to_string(level));
-    for (int k = 0; k < program.mapping.k(); ++k) {
+    out += strformat("%smap.%s=", prefix.c_str(), to_string(level));
+    for (int k = 0; k < part.mapping.k(); ++k) {
       if (k) out += ' ';
-      out += std::to_string(program.mapping.tile(level, k));
+      out += std::to_string(part.mapping.tile(level, k));
     }
     out += '\n';
   }
   // Cross-check values.
-  out += strformat("check.c_exe=%lld\n",
-                   static_cast<long long>(program.perf.c_exe));
+  out += strformat("%scheck.c_exe=%lld\n", prefix.c_str(),
+                   static_cast<long long>(part.perf.c_exe));
   std::string words;
-  for (std::uint64_t w : program.encoded_stream()) {
+  for (std::uint64_t w : part.encoded_stream()) {
     if (!words.empty()) words += ' ';
     words += strformat("%016llx", static_cast<unsigned long long>(w));
   }
-  out += "stream=" + words + "\n";
+  out += prefix + "stream=" + words + "\n";
   return out;
 }
 
-LayerProgram deserialize_program(const std::string& text,
-                                 const arch::OverlayConfig& config) {
-  const std::size_t eol = std::min(text.find('\n'), text.size());
-  const std::string header = text.substr(0, eol);
-  if (header != strformat("%s v%d", kMagic, kVersion))
-    throw Error("not a v" + std::to_string(kVersion) + " ftdl program: " + header);
-  const KeyValueReader kv(text.substr(eol), kMagic);
-
+/// Reads back the keys serialize_part wrote under `prefix` for a part that
+/// maps `slice` and runs `parts` times, and re-validates them against
+/// `config`: re-evaluates the analytical model, then statically verifies
+/// the stored stream against it.
+LayerProgram parse_part(const KeyValueReader& kv, const std::string& prefix,
+                        const nn::Layer& slice, int parts,
+                        const arch::OverlayConfig& config) {
+  const std::string stored = prefix.empty() ? "stored" : "stored tail";
   LayerProgram prog;
-  prog.layer = parse_layer_keys(kv, "layer.");
-  if (!prog.layer.on_overlay())
-    kv.fail("layer.kind", "not an overlay layer (CONV, DWCONV or MM)");
-  prog.weight_groups = static_cast<int>(
-      kv.integer("groups", 1, weight_only_extent(prog.layer)));
-
-  // The stored mapping describes ONE weight group.
-  prog.workload =
-      Workload::from_layer(weight_group_slice(prog.layer, prog.weight_groups));
+  prog.layer = slice;
+  prog.weight_groups = parts;
+  prog.workload = Workload::from_layer(slice);
   prog.mapping = Mapping::identity(prog.workload.k());
-  double padded_macs = prog.weight_groups;
+  double padded_macs = parts;
   for (HwLevel level : kAllLevels) {
-    const std::string key = std::string("map.") + to_string(level);
+    const std::string key = prefix + "map." + to_string(level);
     const auto tiles = kv.integers(
         key, static_cast<std::size_t>(prog.workload.k()), 1, INT32_MAX);
     for (int k = 0; k < prog.workload.k(); ++k) {
@@ -205,20 +202,21 @@ LayerProgram deserialize_program(const std::string& text,
       kv.fail(key, "mapping covers too many padded MACs");
   }
 
-  // ---- re-validate everything -------------------------------------------------
   if (!satisfies_logical_constraints(prog.mapping, prog.workload, config.d1,
                                      config.d2, config.d3))
-    throw ConfigError("stored mapping violates the overlay constraints");
+    throw ConfigError(stored + " mapping violates the overlay constraints");
   prog.perf = evaluate(prog.workload, prog.mapping, config);
   if (!prog.perf.feasible)
-    throw ConfigError("stored mapping is infeasible on this overlay");
+    throw ConfigError(stored + " mapping is infeasible on this overlay");
+  prog.reload_cycles_per_group = weight_reload_cycles(prog.perf, config);
 
-  const std::int64_t stored_cexe = kv.integer("check.c_exe", 0, INT64_MAX);
+  const std::int64_t stored_cexe =
+      kv.integer(prefix + "check.c_exe", 0, INT64_MAX);
   if (stored_cexe != prog.perf.c_exe)
     throw ConfigError(strformat(
-        "stored C_exe %lld disagrees with re-evaluation %lld (wrong overlay "
+        "%s C_exe %lld disagrees with re-evaluation %lld (wrong overlay "
         "config?)",
-        static_cast<long long>(stored_cexe),
+        stored.c_str(), static_cast<long long>(stored_cexe),
         static_cast<long long>(prog.perf.c_exe)));
 
   // The stored stream is the artifact that ships to hardware: decode it and
@@ -226,20 +224,64 @@ LayerProgram deserialize_program(const std::string& text,
   // with exactly the diagnostic compile_layer would produce for that stream.
   try {
     std::vector<std::uint64_t> words;
-    std::istringstream in(kv.str("stream"));
+    std::istringstream in(kv.str(prefix + "stream"));
     for (std::string tok; in >> tok;) words.push_back(arch::parse_word(tok));
     prog.row_stream = arch::decode_stream(words);
   } catch (const ConfigError&) {
     throw;
   } catch (const Error& e) {
-    throw ConfigError(std::string("stored instruction stream does not decode: ") +
+    throw ConfigError(stored + " instruction stream does not decode: " +
                       e.what());
   }
   const verify::VerifyResult vr = verify_program(prog, config);
   if (const verify::Diagnostic* d = vr.first_error())
-    throw ConfigError("stored instruction stream disagrees with the mapping: " +
+    throw ConfigError(stored +
+                      " instruction stream disagrees with the mapping: " +
                       d->to_string());
+  return prog;
+}
 
+}  // namespace
+
+std::string serialize_program(const LayerProgram& program) {
+  std::string out;
+  out += strformat("%s v%d\n", kMagic, kVersion);
+  out += serialize_layer_keys(program.layer, "layer.");
+  out += strformat("groups=%d\n", program.weight_groups);
+  out += serialize_part(program, "");
+  if (program.tail) out += serialize_part(*program.tail, "tail.");
+  return out;
+}
+
+LayerProgram deserialize_program(const std::string& text,
+                                 const arch::OverlayConfig& config) {
+  const std::size_t eol = std::min(text.find('\n'), text.size());
+  const std::string header = text.substr(0, eol);
+  if (header != strformat("%s v%d", kMagic, kVersion))
+    throw Error("not a v" + std::to_string(kVersion) + " ftdl program: " + header);
+  const KeyValueReader kv(text.substr(eol), kMagic);
+
+  const nn::Layer layer = parse_layer_keys(kv, "layer.");
+  if (!layer.on_overlay())
+    kv.fail("layer.kind", "not an overlay layer (CONV, DWCONV or MM)");
+  const int extent = weight_only_extent(layer);
+  const int groups = static_cast<int>(kv.integer("groups", 1, extent));
+  // The stored mapping describes ONE full-size part; `groups` counts the
+  // parts that run, so it is the count compile_layer derives from the slice.
+  const nn::Layer slice = weight_group_slice(layer, groups);
+  const int size = weight_only_extent(slice);
+  if (ceil_div(extent, size) != groups)
+    kv.fail("groups", strformat("%d is not a part count: slices of %d "
+                                "channels run as %lld parts",
+                                groups, size,
+                                static_cast<long long>(ceil_div(extent, size))));
+
+  LayerProgram prog = parse_part(kv, "", slice, groups, config);
+  prog.layer = layer;
+  if (const int rest = extent % size; rest != 0) {
+    prog.tail = std::make_shared<const LayerProgram>(parse_part(
+        kv, "tail.", with_weight_only_extent(layer, rest), 1, config));
+  }
   return prog;
 }
 

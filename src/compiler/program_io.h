@@ -63,13 +63,17 @@ std::string serialize_layer_keys(const nn::Layer& layer,
 /// magnitude caps that keep its derived counts within int64.
 nn::Layer parse_layer_keys(const KeyValueReader& kv, const std::string& prefix);
 
-/// Serializes a program to its text form.
+/// Serializes a program to its text form: the layer, the part count, and
+/// the mapping, check value and stream of the full-size part, then those of
+/// the tail under `tail.` when the program has one.
 std::string serialize_program(const LayerProgram& program);
 
-/// Parses a serialized program and re-validates it against `config`
-/// (re-evaluates the analytical model, regenerates and compares the
-/// instruction stream). Throws ftdl::Error on version/format problems and
-/// ftdl::ConfigError on semantic mismatches.
+/// Parses a serialized program and re-validates each part against
+/// `config` (re-evaluates the analytical model, regenerates and compares
+/// the instruction stream, restores the weight-reload cycles). Throws
+/// ftdl::Error on version/format problems, a part count compile_layer would
+/// not write, or a missing tail key, and ftdl::ConfigError on semantic
+/// mismatches.
 LayerProgram deserialize_program(const std::string& text,
                                  const arch::OverlayConfig& config);
 

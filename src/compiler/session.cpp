@@ -18,8 +18,9 @@ namespace ftdl::compiler {
 namespace {
 
 /// Bumped whenever the meaning of any hashed field changes, so stale keys
-/// from an older layout can never alias a new one.
-constexpr std::uint64_t kKeyFormatVersion = 1;
+/// from an older layout can never alias a new one. Version 2: a program
+/// carries the compiled tail of an uneven weight-group split.
+constexpr std::uint64_t kKeyFormatVersion = 2;
 
 /// Approximate resident size of a cached program (heap payloads + struct;
 /// the mapping's tiles are inline in the struct).
@@ -28,7 +29,7 @@ std::int64_t approx_program_bytes(const LayerProgram& p) {
   b += static_cast<std::int64_t>(p.row_stream.size() * sizeof(arch::Instruction));
   b += static_cast<std::int64_t>(p.workload.loops.size() * sizeof(WorkloadLoop));
   b += static_cast<std::int64_t>(p.layer.name.size() + p.workload.name.size());
-  return b;
+  return p.tail ? b + approx_program_bytes(*p.tail) : b;
 }
 
 }  // namespace

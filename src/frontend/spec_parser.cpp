@@ -74,14 +74,15 @@ Statement tokenize(const std::string& line, int line_no) {
   // `input C H W` uses positional integers.
   if (st.keyword == "input") {
     std::istringstream again(line);
-    std::string kw;
-    int c = 0, h = 0, w = 0;
-    again >> kw >> c >> h >> w;
-    if (!again && !(c > 0 && h > 0 && w > 0))
-      fail(line_no, "input expects: input C H W");
-    st.options["c"] = std::to_string(c);
-    st.options["h"] = std::to_string(h);
-    st.options["w"] = std::to_string(w);
+    std::string tok;
+    again >> tok;  // the keyword
+    for (const char* key : {"c", "h", "w"}) {
+      std::int64_t v = 0;
+      if (!(again >> tok) || !parse_int_strict(tok.c_str(), 1, INT32_MAX, &v))
+        fail(line_no, "input expects: input C H W (positive integers)");
+      st.options[key] = std::to_string(v);
+    }
+    if (again >> tok) fail(line_no, "input expects: input C H W, found " + tok);
   }
   return st;
 }

@@ -127,37 +127,15 @@ struct CompiledModel {
   }
 
   /// Warm-up for one overlay layer: compile the layer through the shared
-  /// session (repeated shapes reuse one search) and build one runner over
-  /// its weight groups. The layer's program already maps the full-size
-  /// slice (its search ran on weight_group_slice), so every part of that
-  /// size reuses it; only a shorter last part is compiled on its own.
+  /// session (repeated shapes reuse one search) and build its runner. The
+  /// program carries every part the overlay runs.
   void warm_overlay(CompiledLayer& lc) {
-    const Layer& layer = *lc.layer;
-    const auto compile = [this](const Layer& l) {
-      return compiler::CompilerSession::global().compile(
-          l, opt.config, compiler::Objective::Performance,
-          opt.search_budget_per_layer);
-    };
-    const compiler::LayerProgram master = compile(layer);
-    lc.weight_groups = master.weight_groups;
-    const int slice = compiler::weight_only_extent(
-        compiler::weight_group_slice(layer, master.weight_groups));
-    std::vector<compiler::LayerProgram> groups;
-    for (const Layer& part :
-         compiler::weight_group_layers(layer, master.weight_groups)) {
-      if (compiler::weight_only_extent(part) != slice) {
-        groups.push_back(compile(part));
-        continue;
-      }
-      compiler::LayerProgram& prog = groups.emplace_back(master);
-      prog.layer = part;
-      prog.weight_groups = 1;
-    }
-    // The context only consumes output accumulators and cycle counts;
-    // never collect a DRAM trace.
-    sim::SimOptions sim_opt;
-    sim_opt.collect_trace = false;
-    lc.sim.emplace(layer, groups, opt.config, sim_opt);
+    const compiler::LayerProgram prog =
+        compiler::CompilerSession::global().compile(
+            *lc.layer, opt.config, compiler::Objective::Performance,
+            opt.search_budget_per_layer);
+    lc.weight_groups = prog.weight_groups;
+    lc.sim.emplace(prog, opt.config);
   }
 };
 

@@ -2,8 +2,9 @@
 //
 // Runs a whole feed-forward network on int16 data: CONV/MM layers execute
 // as compiled instruction streams on the cycle-level overlay simulator (a
-// layer split into weight groups is timed group by group and computed in
-// one pass); pooling / concat / residual EWOP run as host-side kernels.
+// layer split into weight groups is timed once per distinct part program
+// and computed in one pass); pooling / concat / residual EWOP run as
+// host-side kernels.
 // Between layers, wide accumulators are requantized back to int16 with a
 // per-layer shift chosen by a simple max-abs calibration — the host EWOP
 // stage of Sec. V-A.
@@ -39,9 +40,10 @@ struct ExecOptions {
   /// are scaled into roughly +-2^(7) so the next layer's accumulators
   /// cannot overflow 48 bits.
   int target_magnitude_bits = 7;
-  /// Worker parallelism of each simulator functional burst, forwarded to
-  /// sim::SimOptions::jobs (0 = the shared CompilerSession pool, 1 = serial,
-  /// N > 1 = a dedicated pool). Outputs are bit-identical at every value.
+  /// Worker parallelism of each simulator functional burst, the pool handed
+  /// to sim::CachedLayerSim::run (0 = the shared CompilerSession pool,
+  /// 1 = serial, N > 1 = a dedicated pool). Outputs are bit-identical at
+  /// every value.
   int sim_jobs = 0;
   /// Record a LayerRun per layer into ExecResult::runs. The serving runtime
   /// turns this off: the per-layer name strings would be the last heap
@@ -55,7 +57,7 @@ struct LayerRun {
   nn::LayerKind kind{};
   int requant_shift = 0;      ///< 0 for host layers
   std::int64_t sim_cycles = 0;  ///< 0 for host layers
-  int weight_groups = 1;
+  int weight_groups = 1;        ///< parts the overlay ran (tail included)
 };
 
 struct ExecResult {
@@ -80,16 +82,16 @@ int calibrate_shift(const nn::AccTensor& acc, int target_bits);
 ///
 /// Construction is the warm-up: the graph is validated, the sink and
 /// per-layer dataflow inputs are resolved, weights are looked up, and every
-/// overlay layer is compiled, along with a shorter last weight-group slice
-/// when the group split leaves one. The group programs become one
-/// layer-level sim::CachedLayerSim: its cycles are the sum of the groups',
-/// and each request runs the whole layer as one engine call over the layer's
-/// own weight tensor — a weight group is a contiguous channel range of it,
-/// so no per-group weights or outputs exist. run() then re-executes the
-/// network with all tensor storage (the simulator's padded input copies
-/// included) drawn from an owned TensorArena, so a warm context performs
-/// zero heap allocations per request with collect_runs off and observability
-/// disabled (pinned by the allocation-counter test in tests/test_serve.cpp).
+/// overlay layer is compiled into one program that carries all its
+/// weight-group parts. Each program becomes one sim::CachedLayerSim: its
+/// cycles are the sum of the parts', and each request runs the whole layer
+/// as one engine call over the layer's own weight tensor — a weight group is
+/// a contiguous channel range of it, so no per-group weights or outputs
+/// exist. run() then re-executes the network with all tensor storage (the
+/// simulator's padded input copies included) drawn from an owned
+/// TensorArena, so a warm context performs zero heap allocations per request
+/// with collect_runs off and observability disabled (pinned by the
+/// allocation-counter test in tests/test_serve.cpp).
 ///
 /// `net` and `weights` must outlive the context and its copies, unmutated.
 /// A context is not thread-safe; give each thread its own copy. Copies share

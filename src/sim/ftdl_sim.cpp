@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <span>
 #include <string>
 
 #include "arch/isa.h"
 #include "common/error.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
-#include "compiler/session.h"
 #include "obs/obs.h"
 #include "sim/sim_engine.h"
 
@@ -119,8 +116,8 @@ Timing make_timing(const compiler::LayerProgram& program,
 /// refills, LoopX overlapping PSumBUF drains, the slower side stalling —
 /// Eqn. 12's max() as emergent per-iteration behaviour. Fills the cycle /
 /// stall / refill / drain fields of `st`, the DRAM trace, and the obs
-/// timelines. Runs the same way on the functional and stats-only paths, so
-/// stats and trace are bit-identical across them by construction.
+/// timelines. CachedLayerSim and simulate_layer_stats both time a part
+/// here, so their stats are bit-identical by construction.
 void run_timing(const Timing& tm, const SimOptions& options,
                 const std::string& layer_name, SimStats& st,
                 dram::AccessTrace& trace) {
@@ -132,8 +129,8 @@ void run_timing(const Timing& tm, const SimOptions& options,
   std::uint32_t tr_burst = 0, tr_refill = 0, tr_drain = 0, tr_stall = 0;
   if (obs_on) {
     obs::Registry& reg = obs::Registry::global();
-    // A fresh process per simulation instance: re-simulating a layer (weight
-    // groups, repeated runs, cached warm-up passes) must not append
+    // A fresh process per simulation instance: re-simulating a layer (its
+    // tail part, repeated runs, cached warm-up passes) must not append
     // earlier-than-last timestamps to an existing track. The disambiguator
     // is a dedicated counter this function owns — tying it to a caller-side
     // counter breaks as soon as a caller (CachedLayerSim warm-up) runs
@@ -226,17 +223,6 @@ void count_stats(const SimStats& st) {
   obs::count("sim/psum_drains", st.psum_drains);
 }
 
-/// A program split into weight groups maps only one group's slice, so a
-/// functional run refuses it up front rather than computing part of the
-/// layer.
-void check_single_group(const compiler::LayerProgram& program) {
-  if (program.weight_groups != 1)
-    throw ConfigError(program.layer.name + ": the program runs as " +
-                      std::to_string(program.weight_groups) +
-                      " weight groups; build the layer-level CachedLayerSim "
-                      "from the programs of compiler::weight_group_layers");
-}
-
 /// Refuses a program whose padded iteration space exceeds
 /// options.max_padded_macs.
 void check_padded_limit(const compiler::LayerProgram& program,
@@ -277,71 +263,48 @@ void check_coverage(const std::string& layer_name, std::int64_t executed,
                         std::to_string(executed) + " MACCs");
 }
 
-/// Functional pass on the worker pool SimOptions::jobs names.
-/// Returns the MACCs executed.
-std::int64_t run_engine(const detail::EngineTables& tables,
-                        const nn::Tensor16& weights, const nn::Tensor16& input,
-                        const SimOptions& options, nn::AccTensor& output) {
-  const std::int16_t* wp = weights.data();
-  const std::int16_t* ip = input.data();
-  acc_t* op = output.data();
-  if (options.jobs == 1)
-    return detail::run_functional(tables, wp, ip, op, nullptr);
-  if (options.jobs == 0)
-    return detail::run_functional(tables, wp, ip, op,
-                                  &compiler::CompilerSession::global().pool());
-  ThreadPool pool(options.jobs);
-  return detail::run_functional(tables, wp, ip, op, &pool);
+/// The checks and the timing pass of one part's program: refuses an
+/// oversized or stream-inconsistent program, then times it. valid_maccs is
+/// the mapping's coverage count.
+SimStats time_part(const compiler::LayerProgram& part,
+                   const arch::OverlayConfig& config,
+                   const SimOptions& options, dram::AccessTrace& trace) {
+  FTDL_ASSERT(part.mapping.k() == part.workload.k());
+  check_padded_limit(part, options);
+  check_stream(part);
+  SimStats st;
+  st.valid_maccs = detail::count_valid_maccs(detail::build_tables(part));
+  st.padded_maccs = part.mapping.padded_macs();
+  run_timing(make_timing(part, config), options, part.layer.name, st, trace);
+  return st;
 }
 
-/// One simulated layer: the functional pass when `weights` and `input` are
-/// given (simulate_layer), tensor-free when both are null
-/// (simulate_layer_stats). valid_maccs is the mapping's coverage count on
-/// both paths, and the timing pass is the same code.
-SimResult simulate_impl(const compiler::LayerProgram& program,
-                        const arch::OverlayConfig& config,
-                        const nn::Tensor16* weights, const nn::Tensor16* input,
-                        const SimOptions& options) {
-  FTDL_ASSERT(program.mapping.k() == program.workload.k());
-  FTDL_ASSERT((weights == nullptr) == (input == nullptr));
-  check_padded_limit(program, options);
-  const Layouts layouts = layouts_of(program.layer);
-  if (weights != nullptr) {
-    check_single_group(program);
-    check_tensors(program.layer.name, layouts, *weights, *input);
-  }
-  check_stream(program);
-
-  SimResult result;
-  SimStats& st = result.stats;
-  const detail::EngineTables tables = detail::build_tables(program);
-  st.valid_maccs = detail::count_valid_maccs(tables);
-  st.padded_maccs = program.mapping.padded_macs();
-  if (weights != nullptr) {
-    result.output = nn::AccTensor(layouts.output);
-    check_coverage(program.layer.name,
-                   run_engine(tables, *weights, *input, options, result.output),
-                   st.valid_maccs);
-  }
-  run_timing(make_timing(program, config), options, program.layer.name, st,
-             result.trace);
-  count_stats(st);
-  return result;
+/// Adds `times` runs of `part` to `total`.
+void accumulate(SimStats& total, const SimStats& part, std::int64_t times) {
+  total.cycles += part.cycles * times;
+  total.compute_cycles += part.compute_cycles * times;
+  total.act_stall_cycles += part.act_stall_cycles * times;
+  total.psum_stall_cycles += part.psum_stall_cycles * times;
+  total.valid_maccs += part.valid_maccs * times;
+  total.padded_maccs += part.padded_maccs * times;
+  total.act_refills += part.act_refills * times;
+  total.psum_drains += part.psum_drains * times;
 }
 
 }  // namespace
 
-SimResult simulate_layer(const compiler::LayerProgram& program,
-                         const arch::OverlayConfig& config,
-                         const nn::Tensor16& weights, const nn::Tensor16& input,
-                         const SimOptions& options) {
-  return simulate_impl(program, config, &weights, &input, options);
-}
-
 SimResult simulate_layer_stats(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options) {
-  return simulate_impl(program, config, nullptr, nullptr, options);
+  if (program.weight_groups != 1)
+    throw ConfigError(program.layer.name + ": the program runs as " +
+                      std::to_string(program.weight_groups) +
+                      " weight groups; simulate_layer_stats times one part, "
+                      "so run the layer through CachedLayerSim");
+  SimResult result;
+  result.stats = time_part(program, config, options, result.trace);
+  count_stats(result.stats);
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -355,86 +318,23 @@ struct CachedLayerSim::Impl {
   Layouts layouts;
 };
 
-namespace {
-
-/// Zeroes the weight-only extent a weight group splits (conv output
-/// channels, depthwise channels, MatMul output features) and returns it.
-std::int64_t take_group_extent(detail::EngineTables& t) {
-  std::int64_t& field = t.kind == WorkloadKind::MatMul ? t.mm_n : t.out_c;
-  const std::int64_t extent = field;
-  field = 0;
-  if (t.kind == WorkloadKind::DepthwiseConv) t.in_c = 0;
-  return extent;
-}
-
-/// Refuses a group list that does not tile `layer`: every group must equal
-/// the layer but for the split extent, and the extents must sum to the
-/// layer's.
-void check_tiling(const nn::Layer& layer,
-                  std::span<const compiler::LayerProgram> groups) {
-  detail::EngineTables whole = detail::build_tables(layer);
-  const std::int64_t extent = take_group_extent(whole);
-  std::int64_t covered = 0;
-  for (const compiler::LayerProgram& g : groups) {
-    detail::EngineTables part = detail::build_tables(g.layer);
-    covered += take_group_extent(part);
-    if (g.layer.kind != layer.kind || part != whole)
-      throw ConfigError(layer.name + ": weight group " + g.layer.name +
-                        " is not a slice of the layer");
-  }
-  if (groups.empty() || covered != extent)
-    throw ConfigError(layer.name + ": " + std::to_string(groups.size()) +
-                      " weight groups cover " + std::to_string(covered) +
-                      " of the layer's " + std::to_string(extent) +
-                      " channels");
-}
-
-}  // namespace
-
 CachedLayerSim::CachedLayerSim(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options)
-    : CachedLayerSim(program.layer, std::span(&program, 1), config, options) {}
-
-CachedLayerSim::CachedLayerSim(const nn::Layer& layer,
-                               std::span<const compiler::LayerProgram> groups,
-                               const arch::OverlayConfig& config,
-                               const SimOptions& options)
     : impl_(std::make_unique<Impl>()) {
-  for (const compiler::LayerProgram& g : groups) check_single_group(g);
-  check_tiling(layer, groups);
-
-  impl_->name = layer.name;
-  impl_->layouts = layouts_of(layer);
-  impl_->tables = detail::build_tables(layer);
-
-  // The overlay runs the groups back to back, and a group's SimStats do not
-  // depend on the data: the layer's stats are the groups' sums, computed
-  // once here. Timing runs without a trace.
+  impl_->name = program.layer.name;
+  impl_->layouts = layouts_of(program.layer);
+  impl_->tables = detail::build_tables(program.layer);
+  // Every full-size part runs the same program, so one timing pass stands
+  // for all of them. Timing runs without a trace.
   SimOptions topt = options;
   topt.collect_trace = false;
-  SimStats& total = impl_->stats;
-  for (const compiler::LayerProgram& g : groups) {
-    const Mapping& m = g.mapping;
-    FTDL_ASSERT(m.k() == g.workload.k());
-    check_padded_limit(g, options);
-    // Same controller-stream cross-check as simulate_layer: the cached
-    // runner must refuse exactly the programs the one-shot path refuses.
-    check_stream(g);
-    SimStats st;
-    st.valid_maccs = detail::count_valid_maccs(detail::build_tables(g));
-    st.padded_maccs = m.padded_macs();
-    dram::AccessTrace trace;
-    run_timing(make_timing(g, config), topt, g.layer.name, st, trace);
-    total.cycles += st.cycles;
-    total.compute_cycles += st.compute_cycles;
-    total.act_stall_cycles += st.act_stall_cycles;
-    total.psum_stall_cycles += st.psum_stall_cycles;
-    total.valid_maccs += st.valid_maccs;
-    total.padded_maccs += st.padded_maccs;
-    total.act_refills += st.act_refills;
-    total.psum_drains += st.psum_drains;
-  }
+  dram::AccessTrace no_trace;
+  accumulate(impl_->stats, time_part(program, config, topt, no_trace),
+             program.full_size_parts());
+  if (program.tail)
+    accumulate(impl_->stats, time_part(*program.tail, config, topt, no_trace),
+               1);
 }
 
 CachedLayerSim::~CachedLayerSim() = default;

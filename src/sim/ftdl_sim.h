@@ -11,16 +11,18 @@
 //     emergent per-iteration behaviour rather than a formula;
 //   * every off-chip transfer is logged to a dram::AccessTrace.
 //
-// One engine computes the MACCs (sim_engine.h), in workload-loop order
-// rather than the hardware's: integer accumulation does not depend on the
-// order, so the accumulators equal the hardware order's bit for bit. The
-// test suite bit-compares them against nn::conv2d_reference /
-// nn::depthwise_reference / nn::matmul_reference. simulate_layer_stats
-// runs the same validation and timing without tensors.
+// One runner, CachedLayerSim, runs any compiled program, a layer split into
+// weight groups included: it times each distinct part program once and
+// computes the layer's MACCs in one engine call (sim_engine.h), in
+// workload-loop order rather than the hardware's. Integer accumulation does
+// not depend on the order, so the accumulators equal the hardware order's
+// bit for bit; the test suite bit-compares them against
+// nn::conv2d_reference / nn::depthwise_reference / nn::matmul_reference.
+// simulate_layer_stats runs the same validation and timing of one part
+// without tensors, and also yields the DRAM access trace.
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "arch/overlay_config.h"
 #include "compiler/codegen.h"
@@ -36,21 +38,16 @@ namespace ftdl::sim {
 // Field-by-field units and paper mappings: docs/observability.md
 // ("SimStats <-> paper quantities").
 struct SimOptions {
-  /// Log every off-chip transfer into SimResult::trace (a dram::AccessTrace
-  /// of {cycle, kind, bytes} records) — the input of the DRAM power model
-  /// and the Fig. 7 roofline's traffic axis. On by default; turn off for
-  /// microbenchmarks where the trace allocation would dominate.
+  /// simulate_layer_stats: log every off-chip transfer into
+  /// SimResult::trace (a dram::AccessTrace of {cycle, kind, bytes} records)
+  /// — the input of the DRAM power model and the Fig. 7 roofline's traffic
+  /// axis. On by default; turn off for microbenchmarks where the trace
+  /// allocation would dominate. CachedLayerSim never collects a trace.
   bool collect_trace = true;
   /// Guard for accidental huge runs, in padded MACCs (the Eqn. 2 iteration
   /// space, Mapping::padded_macs). Runs larger than the limit throw
   /// ftdl::Error instead of hanging.
   std::int64_t max_padded_macs = std::int64_t{1} << 33;
-  /// Worker-pool parallelism of the functional pass:
-  /// 0 uses the shared CompilerSession pool (FTDL_JOBS / hardware threads),
-  /// 1 runs serially on the caller, N > 1 runs on a transient pool of N.
-  /// Outputs and SimStats are bit-identical at every value — each output
-  /// accumulator is owned by exactly one worker.
-  int jobs = 0;
 };
 
 struct SimStats {
@@ -86,64 +83,38 @@ struct SimStats {
 };
 
 struct SimResult {
-  nn::AccTensor output;   ///< wide accumulators (pre-requantization)
   SimStats stats;
   dram::AccessTrace trace;
 };
 
-/// Simulates one compiled layer. `weights` / `input` use the reference
-/// layouts (conv: {out_c, in_c, kh, kw} and {in_c, h, w}; MM: {N, M} and
-/// {M, P}). `program` must map the whole layer (weight_groups == 1): a
-/// program split into weight groups maps one group's slice, so run a split
-/// layer through the layer-level CachedLayerSim instead. Throws
-/// ftdl::ConfigError on layout mismatch or a split program, ftdl::Error
-/// when the padded iteration space exceeds options.max_padded_macs, and
-/// ftdl::InternalError when the mapping leaves part of a loop uncovered.
-SimResult simulate_layer(const compiler::LayerProgram& program,
-                         const arch::OverlayConfig& config,
-                         const nn::Tensor16& weights, const nn::Tensor16& input,
-                         const SimOptions& options = {});
-
-/// Stats-only simulation without tensors: produces SimStats and the DRAM
-/// AccessTrace bit-identical to simulate_layer on the same program, with
-/// SimResult::output left empty and valid_maccs counted from the mapping's
-/// loop coverage. The cheap path for Table II / Fig. 7 / roofline sweeps
-/// that never look at the output; `options.jobs` is unused.
+/// Stats-only simulation of a program that maps the whole layer
+/// (weight_groups == 1): SimStats, with valid_maccs counted from the
+/// mapping's loop coverage, and the DRAM AccessTrace, without tensors. The
+/// path for Table II / Fig. 7 / roofline sweeps that never look at an
+/// output. Throws ftdl::ConfigError on a split program (run it through
+/// CachedLayerSim), ftdl::Error when the padded iteration space exceeds
+/// options.max_padded_macs or the stream disagrees with the mapping.
 SimResult simulate_layer_stats(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options = {});
 
-/// Reusable functional runner for one overlay layer — the steady-state
-/// path of the serving runtime. All input-independent work (instruction
-/// stream decode and cross-check, engine tables, the timing pass, the
-/// valid-MACC count) happens once at construction; run() executes only the
-/// functional pass, as one engine call over the whole layer, so a warm
-/// runner allocates nothing beyond what the calling thread's TensorArena
-/// pools. SimStats are input-independent, hence cached and identical to
-/// what simulate_layer would report on every call.
+/// Reusable functional runner for one compiled overlay layer — the only
+/// functional path, and the steady state of the serving runtime. All
+/// input-independent work (instruction stream decode and cross-check,
+/// engine tables, the timing pass, the valid-MACC count) happens once at
+/// construction; run() executes only the functional pass, as one engine
+/// call over the whole layer, so a warm runner allocates nothing beyond
+/// what the calling thread's TensorArena pools.
 class CachedLayerSim {
  public:
-  /// Runner for a program that maps the whole layer. Analyses `program` as
-  /// simulate_layer would (same validation and throwing behaviour, so a
-  /// program split into weight groups is refused with ftdl::ConfigError).
-  /// `options.jobs` is unused: run() takes its pool.
+  /// Runner for `program`, split into weight groups or not. The overlay
+  /// runs the parts back to back and a part's SimStats do not depend on the
+  /// data, so each distinct part program (the full-size one, and the tail
+  /// if there is one) is timed once, without a trace, and the cached stats
+  /// are the full-size part's times its count plus the tail's. Throws
+  /// ftdl::Error when a part's padded iteration space exceeds
+  /// options.max_padded_macs or its stream disagrees with its mapping.
   CachedLayerSim(const compiler::LayerProgram& program,
-                 const arch::OverlayConfig& config,
-                 const SimOptions& options = {});
-
-  /// Runner for `layer` split into weight groups: `groups` holds the
-  /// compiled program of each group's slice (each weight_groups == 1), in
-  /// channel order. A weight group is a contiguous range of the layer's
-  /// weight-only extent (conv output channels, depthwise channels, MatMul
-  /// output features); the groups' extents must tile the layer's and every
-  /// other dimension must equal it, else ftdl::ConfigError. The overlay runs
-  /// the groups back to back, so the cached SimStats are the sums of the
-  /// groups' stats, and each run cross-checks the MACCs executed against
-  /// the sum of the groups' mapped coverage. run() takes the layer's full
-  /// weight tensor and produces the layer's full output in one call. With
-  /// one group spanning the layer this is the single-program runner above.
-  CachedLayerSim(const nn::Layer& layer,
-                 std::span<const compiler::LayerProgram> groups,
                  const arch::OverlayConfig& config,
                  const SimOptions& options = {});
   ~CachedLayerSim();
@@ -151,16 +122,20 @@ class CachedLayerSim {
   CachedLayerSim& operator=(CachedLayerSim&&) noexcept;
 
   /// The cached per-run statistics (cycles, MACC counts, refills/drains),
-  /// summed over the weight groups.
+  /// summed over the parts.
   const SimStats& stats() const;
 
-  /// Functional pass: validates layouts, reshapes `out` to the layer's
-  /// output shape if it does not already match (the only potential
-  /// allocation — pooled under an installed TensorArena), zeroes it and
-  /// accumulates the layer. `pool` as in SimOptions::jobs: nullptr runs
-  /// serially on the caller. Bit-identical to simulate_layer's output.
-  /// Throws ftdl::InternalError when the mapping leaves part of a loop
-  /// uncovered (the coverage cross-check, docs/simulator.md).
+  /// Functional pass: validates layouts (conv weights {out_c, in_c, kh, kw}
+  /// and input {in_c, h, w}; depthwise weights {c, kh, kw}; MM weights
+  /// {N, M} and input {M, P}; else ftdl::ConfigError), reshapes `out` to
+  /// the layer's output shape if it does not already match (the only
+  /// potential allocation — pooled under an installed TensorArena), zeroes
+  /// it and accumulates the whole layer over its full weight tensor (a
+  /// weight group is a contiguous channel range of it). The pass fans out
+  /// over `pool`; nullptr runs serially on the caller, and the output is
+  /// bit-identical at every pool size. Throws ftdl::InternalError when the
+  /// parts' mappings leave part of a loop uncovered (the coverage
+  /// cross-check, docs/simulator.md).
   void run(const nn::Tensor16& weights, const nn::Tensor16& input,
            nn::AccTensor& out, ThreadPool* pool = nullptr) const;
 

@@ -1,13 +1,13 @@
 // Artifact formats and their loaders.
 //
 // ArtifactGolden: `ftdl-program v1` and `ftdl-network v1` text is pinned
-// byte for byte by the files in tests/golden/ (one split and one unsplit
-// layer program, and the bundle of examples/specs/lenet.ftdl), and the
-// goldens load back field-equal.
+// byte for byte by the files in tests/golden/ (an unsplit layer program, an
+// evenly split one and one whose last part is shorter, and the bundle of
+// examples/specs/lenet.ftdl), and the goldens load back field-equal.
 //
 // ArtifactFuzz: every loader of untrusted bytes (deserialize_program,
-// ProgramStore::load, deserialize_network) meets seeded mutants of a valid
-// artifact — byte flips, truncation at every line, duplicated and swapped
+// ProgramStore::load, deserialize_network, and the network spec parser)
+// meets seeded mutants of a valid artifact — byte flips, truncation at every line, duplicated and swapped
 // lines, and numeric tokens swapped for non-numeric, oversized, negative
 // and junk-suffixed text. Each outcome must be a successful load or an
 // ftdl::Error (for the store: a miss plus an eviction); any other
@@ -20,6 +20,7 @@
 #include <cctype>
 #include <filesystem>
 #include <functional>
+#include <tuple>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "compiler/program_store.h"
 #include "compiler/scheduler.h"
 #include "frontend/spec_parser.h"
+#include "nn/model_zoo.h"
 
 namespace ftdl {
 namespace {
@@ -70,8 +72,32 @@ void expect_program_eq(const compiler::LayerProgram& a,
   EXPECT_EQ(a.weight_groups, b.weight_groups);
   EXPECT_EQ(a.mapping, b.mapping);
   EXPECT_EQ(a.perf.c_exe, b.perf.c_exe);
+  EXPECT_EQ(a.reload_cycles_per_group, b.reload_cycles_per_group);
   EXPECT_EQ(a.total_cycles(), b.total_cycles());
   EXPECT_EQ(a.encoded_stream(), b.encoded_stream());
+  ASSERT_EQ(a.tail != nullptr, b.tail != nullptr);
+  if (a.tail) expect_program_eq(*a.tail, *b.tail);
+}
+
+/// The 4x2x3 overlay GoogLeNet's classifier splits unevenly on.
+arch::OverlayConfig small_cfg() {
+  arch::OverlayConfig c = arch::paper_config();
+  c.d1 = 4;
+  c.d2 = 2;
+  c.d3 = 3;
+  return c;
+}
+
+/// GoogLeNet's loss3/classifier (1024 -> 1000) at 4x2x3: 63 parts of 16
+/// output features, the last of 8.
+compiler::LayerProgram tail_program() {
+  const nn::Network net = nn::googlenet();
+  for (const nn::Layer& l : net.layers()) {
+    if (l.name == "loss3/classifier")
+      return compiler::compile_layer(l, small_cfg(),
+                                     compiler::Objective::Performance, 2'000);
+  }
+  throw Error("GoogLeNet has no loss3/classifier");
 }
 
 analyze::ScheduledNetwork lenet_scheduled() {
@@ -94,6 +120,7 @@ TEST(ArtifactGolden, LayerProgramsAreByteIdentical) {
       compiler::Objective::Performance, 5'000);
   ASSERT_EQ(unsplit.weight_groups, 1);
   ASSERT_GT(split.weight_groups, 1);
+  ASSERT_EQ(split.tail, nullptr);
   for (const auto& [prog, file] :
        {std::pair{&unsplit, "program_unsplit.ftdlprog"},
         std::pair{&split, "program_split.ftdlprog"}}) {
@@ -101,6 +128,16 @@ TEST(ArtifactGolden, LayerProgramsAreByteIdentical) {
     EXPECT_EQ(compiler::serialize_program(*prog), text) << file;
     expect_program_eq(compiler::deserialize_program(text, cfg()), *prog);
   }
+}
+
+TEST(ArtifactGolden, TailProgramIsByteIdentical) {
+  const compiler::LayerProgram prog = tail_program();
+  ASSERT_EQ(prog.weight_groups, 63);
+  ASSERT_NE(prog.tail, nullptr);
+  EXPECT_EQ(prog.tail->layer.mm_n, 8);
+  const std::string text = golden("program_tail.ftdlprog");
+  EXPECT_EQ(compiler::serialize_program(prog), text);
+  expect_program_eq(compiler::deserialize_program(text, small_cfg()), prog);
 }
 
 TEST(ArtifactGolden, LenetBundleIsByteIdentical) {
@@ -290,14 +327,19 @@ void expect_rejected(const std::string& text, const std::string& key,
 // ---- programs ---------------------------------------------------------------
 
 TEST(ArtifactFuzz, ProgramMutantsLoadOrThrowFtdlError) {
-  const std::string text = c1_program();
-  ASSERT_NO_THROW(compiler::deserialize_program(text, cfg()));
-  const auto ms = mutants(text, 101);
-  const Outcomes o = load_all(ms, [](const std::string& m) {
-    compiler::deserialize_program(m, cfg());
-  });
-  EXPECT_EQ(o.loaded + o.rejected, static_cast<int>(ms.size()));
-  EXPECT_GT(o.rejected, static_cast<int>(ms.size()) / 2);
+  // LeNet's unsplit c1, and a program with a tail so the tail.* keys are
+  // mutated too.
+  for (const auto& [text, config, seed] :
+       {std::tuple{c1_program(), cfg(), 101},
+        std::tuple{golden("program_tail.ftdlprog"), small_cfg(), 102}}) {
+    ASSERT_NO_THROW(compiler::deserialize_program(text, config));
+    const auto ms = mutants(text, seed);
+    const Outcomes o = load_all(ms, [&](const std::string& m) {
+      compiler::deserialize_program(m, config);
+    });
+    EXPECT_EQ(o.loaded + o.rejected, static_cast<int>(ms.size()));
+    EXPECT_GT(o.rejected, static_cast<int>(ms.size()) / 2);
+  }
 }
 
 TEST(ArtifactFuzz, MalformedProgramValuesThrowFtdlError) {
@@ -319,6 +361,29 @@ TEST(ArtifactFuzz, MalformedProgramValuesThrowFtdlError) {
     expect_rejected(with_value(text, key, value), key, load);
   }
   expect_rejected(text + "groups=1\n", "groups", load);  // duplicate key
+}
+
+/// `text` without the line of `key`.
+std::string without_key(const std::string& text, const std::string& key) {
+  const std::size_t at = text.find("\n" + key + "=");
+  if (at == std::string::npos) throw Error("no key " + key);
+  return text.substr(0, at) + text.substr(text.find('\n', at + 1));
+}
+
+TEST(ArtifactFuzz, MalformedTailProgramThrowsFtdlError) {
+  const std::string text = golden("program_tail.ftdlprog");
+  const auto load = [](const std::string& t) {
+    compiler::deserialize_program(t, small_cfg());
+  };
+  // 1000 features in slices of 16 run as 63 parts; 64 groups of that slice
+  // size is not a part count the compiler writes.
+  expect_rejected(with_value(text, "groups", "64"), "groups", load);
+  for (const char* key : {"tail.map.D1", "tail.map.T", "tail.check.c_exe",
+                          "tail.stream"})
+    expect_rejected(without_key(text, key), key, load);
+  expect_rejected(with_value(text, "tail.check.c_exe", "1x"),
+                  "tail.check.c_exe", load);
+  expect_rejected(with_value(text, "tail.map.D1", "1 1"), "tail.map.D1", load);
 }
 
 // ---- store entries ----------------------------------------------------------
@@ -442,6 +507,40 @@ TEST(ArtifactFuzz, MalformedBundleValuesThrowFtdlError) {
            {"programs", "4"}}) {
     expect_rejected(with_value(text, key, value), key, load);
   }
+}
+
+// ---- network specs ----------------------------------------------------------
+
+TEST(ArtifactFuzz, SpecMutantsParseOrThrowFtdlError) {
+  for (const auto& [file, seed] :
+       {std::pair{"lenet.ftdl", 505}, std::pair{"inception_module.ftdl", 506},
+        std::pair{"tiny_mobilenet.ftdl", 507}}) {
+    const auto text =
+        read_file(std::string(FTDL_EXAMPLES_DIR) + "/specs/" + file);
+    ASSERT_TRUE(text) << file;
+    ASSERT_NO_THROW(frontend::parse_network_spec(*text)) << file;
+    const auto ms = mutants(*text, seed);
+    const Outcomes o = load_all(ms, [](const std::string& m) {
+      frontend::parse_network_spec(m);
+    });
+    EXPECT_EQ(o.loaded + o.rejected, static_cast<int>(ms.size())) << file;
+    EXPECT_GT(o.rejected, 0) << file;
+  }
+}
+
+TEST(ArtifactFuzz, MalformedSpecInputThrowsFtdlError) {
+  const std::string body = "conv c1 out=6 k=5 pad=2\n";
+  for (const char* input : {"input 1 28 28x", "input 1 28", "input 1 28 28 5",
+                            "input 0 28 28", "input 1 -28 28",
+                            "input 1 99999999999 28"}) {
+    EXPECT_THROW(frontend::parse_network_spec("network n\n" +
+                                              std::string(input) + "\n" +
+                                              body),
+                 Error)
+        << input;
+  }
+  EXPECT_NO_THROW(
+      frontend::parse_network_spec("network n\ninput 1 28 28\n" + body));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "arch/overlay_config.h"
 #include "common/alloc_stats.h"
@@ -561,32 +562,70 @@ TEST(Search, RefinementNeverHurtsAndOftenHelps) {
   EXPECT_EQ(plain.refinement_improvements, 0);
 }
 
-// A layer's weight-group slices tile its weight-only extent in channel
-// order: weight_group_slice's extent each, the remainder last.
+// A split program's parts tile its layer's weight-only extent in channel
+// order: weight_groups counts them, every part but the tail maps the
+// program's own slice (weight_group_slice's extent), and the tail, present
+// exactly when that extent does not divide the layer's, maps the remainder
+// as one part and differs from the layer in that extent alone.
 TEST(Codegen, WeightGroupLayersTileTheExtent) {
-  const nn::Layer conv = nn::make_conv("wg_conv", 8, 6, 6, 51, 3, 1, 1);
-  std::vector<int> extents;
-  for (const nn::Layer& part : weight_group_layers(conv, 4)) {
-    EXPECT_EQ(part.in_c, conv.in_c);
-    extents.push_back(part.out_c);
+  OverlayConfig cfg = paper_config();
+  cfg.d1 = 4;
+  cfg.d2 = 2;
+  cfg.d3 = 3;
+  cfg.wbuf_words = 256;  // small WBUF: every layer below splits
+  cfg.validate();
+  const nn::Layer layers[] = {
+      nn::make_conv("wg_conv", 16, 6, 6, 51, 3, 1, 1),
+      nn::make_matmul("wg_fc", 300, 70, 1),
+      nn::make_matmul("wg_fc_even", 256, 64, 1),
+      nn::make_depthwise("wg_dw", 301, 5, 5, 3, 1, 1),
+  };
+  const auto trips = [](const Workload& w) {
+    std::vector<std::int64_t> t;
+    for (const WorkloadLoop& loop : w.loops) t.push_back(loop.trip);
+    return t;
+  };
+  const auto geometry = [](const nn::Layer& l) {
+    return std::make_tuple(l.kind, l.in_c, l.in_h, l.in_w, l.out_c, l.kh, l.kw,
+                           l.stride, l.pad, l.mm_m, l.mm_n, l.mm_p);
+  };
+  int tails = 0, even = 0;
+  for (const nn::Layer& layer : layers) {
+    SCOPED_TRACE(layer.name);
+    const LayerProgram prog =
+        compile_layer(layer, cfg, Objective::Performance, 2'000);
+    ASSERT_GT(prog.weight_groups, 1);
+    const int extent = weight_only_extent(layer);
+    const nn::Layer slice = weight_group_slice(layer, prog.weight_groups);
+    const int size = weight_only_extent(slice);
+    EXPECT_EQ(trips(prog.workload), trips(Workload::from_layer(slice)));
+    EXPECT_EQ(prog.weight_groups, ceil_div(extent, size));
+    ASSERT_EQ(prog.tail != nullptr, extent % size != 0);
+    if (!prog.tail) {
+      ++even;
+      EXPECT_EQ(prog.full_size_parts() * size, extent);
+      continue;
+    }
+    ++tails;
+    const LayerProgram& tail = *prog.tail;
+    EXPECT_EQ(tail.weight_groups, 1);
+    EXPECT_EQ(tail.tail, nullptr);
+    EXPECT_EQ(prog.full_size_parts() * size + weight_only_extent(tail.layer),
+              extent);
+    EXPECT_EQ(geometry(with_weight_only_extent(tail.layer, extent)),
+              geometry(layer));
+    EXPECT_EQ(prog.total_cycles(),
+              (prog.perf.c_exe + prog.reload_cycles_per_group) *
+                      (prog.weight_groups - 1) +
+                  tail.total_cycles());
   }
-  EXPECT_EQ(extents, (std::vector<int>{13, 13, 13, 12}));
+  EXPECT_GT(tails, 0);
+  EXPECT_GT(even, 0);
 
-  const nn::Layer fc = nn::make_matmul("wg_fc", 64, 10, 1);
-  std::vector<std::int64_t> features;
-  for (const nn::Layer& part : weight_group_layers(fc, 8))
-    features.push_back(part.mm_n);
-  EXPECT_EQ(features, (std::vector<std::int64_t>{2, 2, 2, 2, 2}));
-
-  const nn::Layer dw = nn::make_depthwise("wg_dw", 7, 5, 5, 3, 1, 1);
-  std::vector<int> channels;
-  for (const nn::Layer& part : weight_group_layers(dw, 2)) {
-    EXPECT_EQ(part.out_c, part.in_c);
-    channels.push_back(part.in_c);
-  }
-  EXPECT_EQ(channels, (std::vector<int>{4, 3}));
-  ASSERT_EQ(weight_group_layers(conv, 1).size(), 1u);
-  EXPECT_EQ(weight_group_layers(conv, 1).front().out_c, conv.out_c);
+  // A depthwise layer's output channels follow its input channels.
+  const nn::Layer dw = with_weight_only_extent(layers[3], 7);
+  EXPECT_EQ(dw.in_c, 7);
+  EXPECT_EQ(dw.out_c, 7);
 }
 
 TEST(Codegen, WeightReloadChargedWhenEnabled) {
@@ -634,14 +673,6 @@ TEST(Codegen, OneChannelSliceWhenExtentIsNotAPowerOfTwo) {
 }
 
 // ---- the WBUF lower bound compile_layer skips weight groups by -------------
-
-int weight_only_extent(const nn::Layer& layer) {
-  switch (layer.kind) {
-    case nn::LayerKind::Conv: return layer.out_c;
-    case nn::LayerKind::Depthwise: return layer.in_c;
-    default: return static_cast<int>(layer.mm_n);
-  }
-}
 
 OverlayConfig small_config() {
   OverlayConfig cfg = paper_config();

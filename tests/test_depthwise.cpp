@@ -12,6 +12,7 @@
 #include "reference_forward.h"
 #include "runtime/executor.h"
 #include "sim/ftdl_sim.h"
+#include "sim_run.h"
 
 namespace ftdl {
 namespace {
@@ -77,7 +78,7 @@ TEST(Depthwise, SimMatchesReferenceBitExact) {
     nn::Tensor16 weights({layer.in_c, layer.kh, layer.kw});
     input.fill_random(rng);
     weights.fill_random(rng);
-    const sim::SimResult r = sim::simulate_layer(prog, cfg, weights, input);
+    const SimRun r = simulate(prog, cfg, weights, input);
     EXPECT_EQ(r.output, nn::depthwise_reference(layer, input, weights))
         << layer.name;
   }

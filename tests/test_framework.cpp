@@ -344,6 +344,11 @@ TEST(Framework, ReproducesTableIISchedules) {
   EXPECT_EQ(r.schedule.total_cycles, 3'979'085);
   EXPECT_NEAR(g.fps(), 406.1, 0.05);
   EXPECT_NEAR(r.fps(), 163.4, 0.05);
+  // Every split layer at this config divides evenly: no part is shorter.
+  for (const NetworkReport* report : {&g, &r}) {
+    for (const compiler::LayerProgram& lp : report->schedule.layers)
+      EXPECT_EQ(lp.tail, nullptr) << lp.layer.name;
+  }
   {
     SCOPED_TRACE("GoogLeNet");
     expect_layer_schedules(g, kGoogLeNetSchedule);

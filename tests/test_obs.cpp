@@ -10,6 +10,7 @@
 #include "nn/layer.h"
 #include "obs/obs.h"
 #include "sim/ftdl_sim.h"
+#include "sim_run.h"
 
 namespace {
 
@@ -41,7 +42,7 @@ arch::OverlayConfig small_config() {
   return c;
 }
 
-sim::SimResult simulate_small_conv() {
+SimRun simulate_small_conv() {
   const nn::Layer layer = nn::make_conv("obs_conv", 8, 10, 10, 12, 3, 1, 1);
   const arch::OverlayConfig cfg = small_config();
   const compiler::LayerProgram prog =
@@ -52,7 +53,7 @@ sim::SimResult simulate_small_conv() {
   nn::Tensor16 weights({12, 8, 3, 3});
   input.fill_random(rng);
   weights.fill_random(rng);
-  return sim::simulate_layer(prog, cfg, weights, input);
+  return simulate(prog, cfg, weights, input);
 }
 
 /// Walks recorded events and checks the Chrome trace-event invariants: on
@@ -197,11 +198,11 @@ TEST_F(ObsTest, ResimulatingALayerKeepsTracksMonotonic) {
 }
 
 TEST_F(ObsTest, DisablingObservabilityLeavesSimOutputsBitIdentical) {
-  const sim::SimResult off = simulate_small_conv();
+  const SimRun off = simulate_small_conv();
   EXPECT_EQ(obs::Registry::global().event_count(), 0u);
 
   obs::set_enabled(true);
-  const sim::SimResult on = simulate_small_conv();
+  const SimRun on = simulate_small_conv();
   EXPECT_GT(obs::Registry::global().event_count(), 0u);
 
   ASSERT_EQ(off.output.size(), on.output.size());

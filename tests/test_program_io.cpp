@@ -52,6 +52,24 @@ TEST(ProgramIo, RoundTripWithWeightGroups) {
   EXPECT_EQ(back.total_cycles(), orig.total_cycles());
 }
 
+TEST(ProgramIo, RoundTripKeepsChargedWeightReload) {
+  // On an overlay that charges weight reload, the loader restores each
+  // part's reload cycles with the compiler's formula, so a loaded program
+  // models the compiled cycle count.
+  arch::OverlayConfig charged = cfg();
+  charged.charge_weight_reload = true;
+  const LayerProgram orig = compiler::compile_layer(
+      nn::make_matmul("big_fc", 2048, 4096, 2), charged,
+      compiler::Objective::Performance, 5'000);
+  ASSERT_EQ(orig.weight_groups, 8);
+  ASSERT_GT(orig.reload_cycles_per_group, 0);
+  EXPECT_EQ(orig.total_cycles(), 490'192);
+  const LayerProgram back = compiler::deserialize_program(
+      compiler::serialize_program(orig), charged);
+  EXPECT_EQ(back.reload_cycles_per_group, orig.reload_cycles_per_group);
+  EXPECT_EQ(back.total_cycles(), 490'192);
+}
+
 TEST(ProgramIo, DepthwiseRoundTrip) {
   const LayerProgram orig = compiler::compile_layer(
       nn::make_depthwise("dw", 64, 14, 14, 3, 1, 1), cfg(),

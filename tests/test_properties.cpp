@@ -8,6 +8,7 @@
 #include "compiler/codegen.h"
 #include "nn/reference.h"
 #include "sim/ftdl_sim.h"
+#include "sim_run.h"
 
 namespace ftdl {
 namespace {
@@ -100,7 +101,7 @@ TEST_P(PropertySweep, PipelineInvariantsHold) {
   }
   if (prog.weight_groups != 1) return;  // stitching covered in test_runtime
 
-  const sim::SimResult r = sim::simulate_layer(prog, cfg, weights, input);
+  const SimRun r = simulate(prog, cfg, weights, input);
   EXPECT_EQ(r.output, expected) << m.to_string(w);
   // The simulated schedule is never faster than the analytical bound and
   // stays within a modest envelope above it.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "compiler/codegen.h"
 #include "compiler/session.h"
 #include "nn/model_zoo.h"
+#include "obs/obs.h"
 #include "reference_forward.h"
 #include "runtime/executor.h"
 #include "sim/ftdl_sim.h"
@@ -122,12 +124,22 @@ TEST(Executor, MatchesReferenceForwardPass) {
   }
 }
 
+/// The slice each part of `prog` maps, one entry per part the overlay runs:
+/// the full-size slice, then the tail's.
+std::vector<nn::Layer> part_layers(const compiler::LayerProgram& prog) {
+  std::vector<nn::Layer> parts(
+      static_cast<std::size_t>(prog.full_size_parts()),
+      compiler::weight_group_slice(prog.layer, prog.weight_groups));
+  if (prog.tail) parts.push_back(prog.tail->layer);
+  return parts;
+}
+
 TEST(Executor, WeightGroupStitchingIsExact) {
   // Layers whose weights exceed one WBUF per TPE on a tiny overlay, so the
-  // compiler must split them into groups. Each runs as one layer-level
-  // runner over its full weight tensor: outputs must still be bit-exact,
-  // and each layer's cycles are the sum of its per-group single-program
-  // runners' — the groups run back to back on the overlay.
+  // compiler must split them into groups. Each runs as one runner over its
+  // full weight tensor: outputs must still be bit-exact, and each layer's
+  // cycles are the sum of single-program runners over its parts' slices —
+  // the parts run back to back on the overlay.
   arch::OverlayConfig cfg = small_config();
   cfg.wbuf_words = 256;  // force splitting
   nn::Network net("wide");
@@ -155,8 +167,7 @@ TEST(Executor, WeightGroupStitchingIsExact) {
     ASSERT_GT(master.weight_groups, 1) << layer.name;
     EXPECT_EQ(simd.runs[i].weight_groups, master.weight_groups);
     std::int64_t layer_cycles = 0;
-    for (const nn::Layer& part :
-         compiler::weight_group_layers(layer, master.weight_groups)) {
+    for (const nn::Layer& part : part_layers(master)) {
       const compiler::LayerProgram prog =
           session.compile(part, cfg, compiler::Objective::Performance,
                           sim_opt.search_budget_per_layer);
@@ -206,11 +217,11 @@ void expect_same_program(const compiler::LayerProgram& a,
 }
 
 TEST(Executor, FullSizeWeightGroupSlicesReuseTheLayerProgram) {
-  // The warm-up runs a full-size weight-group slice on the layer's own
-  // program (its search ran on weight_group_slice) instead of compiling the
-  // slice again: that program, relabelled to the slice with one group, must
-  // equal what compiling the slice yields, for every split layer. The
-  // programs are compared with each other, so a small budget suffices.
+  // A split program runs its own mapping on every full-size part and its
+  // tail's on the shorter last part. Relabelled to the full-size slice with
+  // one part, the program must equal what compiling that slice yields, and
+  // its tail what compiling the tail's slice yields, for every split layer.
+  // The programs are compared with each other, so a small budget suffices.
   const arch::OverlayConfig cfg = small_config();
   const std::int64_t budget = 1'000;
   compiler::CompilerSession& session = compiler::CompilerSession::global();
@@ -219,32 +230,35 @@ TEST(Executor, FullSizeWeightGroupSlicesReuseTheLayerProgram) {
   };
   for (const nn::Network& net :
        {nn::googlenet(), nn::mobilenet_v1(), nn::sentimental_seqcnn()}) {
-    int reused = 0;
+    int split = 0;
     for (const nn::Layer& layer : net.layers()) {
       if (!layer.on_overlay()) continue;
       const compiler::LayerProgram master = compile(layer);
       if (master.weight_groups == 1) continue;
-      const int slice = compiler::weight_only_extent(
-          compiler::weight_group_slice(layer, master.weight_groups));
-      for (const nn::Layer& part :
-           compiler::weight_group_layers(layer, master.weight_groups)) {
-        if (compiler::weight_only_extent(part) != slice) continue;
-        compiler::LayerProgram prog = master;
-        prog.layer = part;
-        prog.weight_groups = 1;
-        SCOPED_TRACE(net.name() + "/" + layer.name);
-        expect_same_program(prog, compile(part), cfg);
-        ++reused;
+      SCOPED_TRACE(net.name() + "/" + layer.name);
+      const std::vector<nn::Layer> parts = part_layers(master);
+      ASSERT_EQ(static_cast<int>(parts.size()), master.weight_groups);
+      compiler::LayerProgram prog = master;
+      prog.layer = parts.front();
+      prog.weight_groups = 1;
+      prog.tail = nullptr;
+      expect_same_program(prog, compile(parts.front()), cfg);
+      if (master.tail) {
+        EXPECT_EQ(master.tail->weight_groups, 1);
+        expect_same_program(*master.tail, compile(parts.back()), cfg);
       }
+      ++split;
     }
-    EXPECT_GT(reused, 0) << net.name() << " has no split layer at 4x2x3";
+    EXPECT_GT(split, 0) << net.name() << " has no split layer at 4x2x3";
   }
 }
 
 TEST(Executor, ColdGoogLeNetWarmUpSearchesEachSliceShapeOnce) {
-  // A cold GoogLeNet warm-up at 4x2x3 searches each distinct layer shape and
-  // each shorter last slice once: 51 session misses. Compiling every slice
-  // on its own, full-size ones included, made 76.
+  // A cold GoogLeNet warm-up at 4x2x3 searches each distinct layer shape
+  // once (the session misses) and, inside that layer's compile, each
+  // shorter last slice once: 51 searches. Compiling every slice on its own,
+  // full-size ones included, made 76. The runners time each distinct part
+  // program once: 59 timing passes, where timing every part made 424.
   const nn::Network net = nn::googlenet();
   const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
   ExecOptions opt;
@@ -252,8 +266,32 @@ TEST(Executor, ColdGoogLeNetWarmUpSearchesEachSliceShapeOnce) {
   compiler::CompilerSession& session = compiler::CompilerSession::global();
   session.clear_cache();
   const std::int64_t before = session.stats().misses;
-  const ExecContext ctx(net, ws, opt);
-  EXPECT_EQ(session.stats().misses - before, 51);
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  reg.set_capacity(1'024);  // only the counters are read
+  obs::set_enabled(true);
+  { const ExecContext ctx(net, ws, opt); }
+  obs::set_enabled(false);
+  const std::int64_t passes = reg.counter("sim/timing_passes");
+  reg.reset();
+  reg.set_capacity(std::size_t{1} << 20);
+  const std::int64_t misses = session.stats().misses - before;
+
+  std::set<std::uint64_t> shapes;
+  int tails = 0;
+  for (const nn::Layer& layer : net.overlay_layers()) {
+    const std::uint64_t key = compiler::program_cache_key(
+        compiler::Workload::from_layer(layer), opt.config,
+        compiler::Objective::Performance, opt.search_budget_per_layer);
+    if (!shapes.insert(key).second) continue;
+    tails += session
+                 .compile(layer, opt.config, compiler::Objective::Performance,
+                          opt.search_budget_per_layer)
+                 .tail != nullptr;
+  }
+  EXPECT_EQ(misses, static_cast<std::int64_t>(shapes.size()));
+  EXPECT_EQ(misses + tails, 51);
+  EXPECT_EQ(passes, 59);
 }
 
 TEST(Executor, CalibrationKeepsOutputsInRange) {
@@ -381,20 +419,27 @@ TEST(Executor, ZooOutputsMatchReferenceDigests) {
   // (weight seed 5, input seed 23, magnitude 3). That pass takes about 40 s
   // over the four networks, so only its digests are committed. GoogLeNet
   // covers every inception module, avg pooling and the classifier flatten;
-  // at 4x2x3 its classifier and ResNet50's fc1000 run as weight groups, with
-  // a shorter last part. Outputs do not depend on the schedule (they are the
+  // at 4x2x3 its classifier (with a shorter last part) and ResNet50's fc1000
+  // run as weight groups. Outputs do not depend on the schedule (they are the
   // same at the default 8 k budget), so a small search budget keeps the
-  // warm-ups cheap.
-  const std::pair<nn::Network, std::uint64_t> cases[] = {
-      {nn::googlenet(), 0x69e28f2b6fb38cf1ull},
-      {nn::resnet50(), 0x2abcebab24b59506ull},
-      {nn::mobilenet_v1(), 0xb6449252e474ae5bull},
-      {nn::sentimental_seqcnn(), 0x26d55c485ddfc883ull},
+  // warm-ups cheap. The simulated cycles at this budget are pinned too: they
+  // were recorded when the runtime still compiled and timed every weight
+  // group on its own.
+  struct Case {
+    nn::Network net;
+    std::uint64_t digest;
+    std::int64_t sim_cycles;
+  };
+  const Case cases[] = {
+      {nn::googlenet(), 0x69e28f2b6fb38cf1ull, 76'742'908},
+      {nn::resnet50(), 0x2abcebab24b59506ull, 193'393'657},
+      {nn::mobilenet_v1(), 0xb6449252e474ae5bull, 30'938'844},
+      {nn::sentimental_seqcnn(), 0x26d55c485ddfc883ull, 558'638},
   };
   ExecOptions opt;
   opt.config = small_config();
   opt.search_budget_per_layer = 1'000;
-  for (const auto& [net, digest] : cases) {
+  for (const auto& [net, digest, sim_cycles] : cases) {
     const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
     const nn::Layer& first = net.layers().front();
     nn::Tensor16 input =
@@ -407,6 +452,7 @@ TEST(Executor, ZooOutputsMatchReferenceDigests) {
 
     const ExecResult r = run_network(net, input, ws, opt);
     EXPECT_EQ(output_digest(r.output), digest) << net.name();
+    EXPECT_EQ(r.total_sim_cycles, sim_cycles) << net.name();
     EXPECT_EQ(r.runs.size(), net.layers().size()) << net.name();
     if (net.name() == "GoogLeNet") {
       EXPECT_EQ(r.output.dims(), (std::vector<int>{1000, 1}));

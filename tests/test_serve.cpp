@@ -13,6 +13,7 @@
 
 #include "common/alloc_stats.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
@@ -271,6 +272,40 @@ TEST(Server, EightWorkersBitIdenticalToOneWorkerAndSerialRun) {
       }
     }
   }
+}
+
+TEST(Server, ZooOutputMatchesReferenceDigest) {
+  // serve == serial at zoo scale: GoogLeNet on the 4x2x3 overlay, whose
+  // classifier runs as weight groups with a shorter last part, served by 2
+  // workers in batches of up to 2. Every request carries the input of
+  // Executor.ZooOutputsMatchReferenceDigests (weight seed 5, input seed 23,
+  // magnitude 3), so every future must return that test's committed
+  // nn-reference digest.
+  const nn::Network net = nn::googlenet();
+  ServerOptions opt;
+  opt.workers = 2;
+  opt.max_batch = 2;
+  opt.exec.config.d1 = 4;
+  opt.exec.config.d2 = 2;
+  opt.exec.config.d3 = 3;
+  opt.exec.search_budget_per_layer = 1'000;
+  const nn::Layer& first = net.layers().front();
+  nn::Tensor16 input({first.in_c, first.in_h, first.in_w});
+  Rng rng(23);
+  input.fill_random(rng, 3);
+  Server server(net, runtime::WeightStore::random_for(net, 5, /*magnitude=*/3),
+                opt);
+  std::vector<Submission> subs;
+  for (int i = 0; i < 4; ++i) subs.push_back(server.submit(input));
+  for (Submission& s : subs) {
+    ASSERT_TRUE(s.accepted) << to_string(s.reject_reason);
+    const nn::Tensor16 out = s.result.get().output;
+    Hash64 h;  // the digest of Executor.ZooOutputsMatchReferenceDigests
+    for (const int d : out.dims()) h.i32(d);
+    for (std::int64_t i = 0; i < out.size(); ++i) h.i32(out[i]);
+    EXPECT_EQ(h.digest(), 0x69e28f2b6fb38cf1ull);
+  }
+  server.stop();
 }
 
 // ---- admission control / rejection accounting -----------------------------

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "nn/reference.h"
 #include "sim/ftdl_sim.h"
+#include "sim_run.h"
 
 namespace ftdl::sim {
 namespace {
@@ -28,7 +29,7 @@ arch::OverlayConfig small_config() {
   return c;
 }
 
-SimResult run_conv(const nn::Layer& layer, const arch::OverlayConfig& cfg,
+SimRun run_conv(const nn::Layer& layer, const arch::OverlayConfig& cfg,
                    nn::AccTensor* reference_out, Objective obj,
                    std::uint64_t seed = 7) {
   const compiler::LayerProgram prog =
@@ -39,10 +40,10 @@ SimResult run_conv(const nn::Layer& layer, const arch::OverlayConfig& cfg,
   input.fill_random(rng);
   weights.fill_random(rng);
   if (reference_out) *reference_out = nn::conv2d_reference(layer, input, weights);
-  return simulate_layer(prog, cfg, weights, input);
+  return simulate(prog, cfg, weights, input);
 }
 
-SimResult run_mm(const nn::Layer& layer, const arch::OverlayConfig& cfg,
+SimRun run_mm(const nn::Layer& layer, const arch::OverlayConfig& cfg,
                  nn::AccTensor* reference_out, std::uint64_t seed = 11) {
   const compiler::LayerProgram prog =
       compiler::compile_layer(layer, cfg, Objective::Performance, 8'000);
@@ -53,13 +54,13 @@ SimResult run_mm(const nn::Layer& layer, const arch::OverlayConfig& cfg,
   act.fill_random(rng);
   weights.fill_random(rng);
   if (reference_out) *reference_out = nn::matmul_reference(layer, act, weights);
-  return simulate_layer(prog, cfg, weights, act);
+  return simulate(prog, cfg, weights, act);
 }
 
 TEST(Sim, ConvMatchesReferenceBitExact) {
   const nn::Layer layer = nn::make_conv("c", 8, 10, 10, 12, 3, 1, 1);
   nn::AccTensor ref;
-  const SimResult r = run_conv(layer, small_config(), &ref,
+  const SimRun r = run_conv(layer, small_config(), &ref,
                                Objective::Performance);
   EXPECT_EQ(r.output, ref);
   EXPECT_EQ(r.stats.valid_maccs, layer.macs() - /*padding skips*/ 0 -
@@ -70,7 +71,7 @@ TEST(Sim, ConvMatchesReferenceBitExact) {
 TEST(Sim, StridedConvMatchesReference) {
   const nn::Layer layer = nn::make_conv("c", 6, 12, 12, 10, 3, 2, 1);
   nn::AccTensor ref;
-  const SimResult r = run_conv(layer, small_config(), &ref,
+  const SimRun r = run_conv(layer, small_config(), &ref,
                                Objective::Performance);
   EXPECT_EQ(r.output, ref);
 }
@@ -78,7 +79,7 @@ TEST(Sim, StridedConvMatchesReference) {
 TEST(Sim, NoPaddingConvMatchesReference) {
   const nn::Layer layer = nn::make_conv("c", 5, 9, 9, 7, 3, 1, 0);
   nn::AccTensor ref;
-  const SimResult r = run_conv(layer, small_config(), &ref,
+  const SimRun r = run_conv(layer, small_config(), &ref,
                                Objective::Performance);
   EXPECT_EQ(r.output, ref);
 }
@@ -86,20 +87,20 @@ TEST(Sim, NoPaddingConvMatchesReference) {
 TEST(Sim, MatMulMatchesReferenceBitExact) {
   const nn::Layer layer = nn::make_matmul("fc", 32, 24, 8);
   nn::AccTensor ref;
-  const SimResult r = run_mm(layer, small_config(), &ref);
+  const SimRun r = run_mm(layer, small_config(), &ref);
   EXPECT_EQ(r.output, ref);
 }
 
 TEST(Sim, BalanceObjectiveMappingIsAlsoExact) {
   const nn::Layer layer = nn::make_conv("c", 8, 10, 10, 12, 3, 1, 1);
   nn::AccTensor ref;
-  const SimResult r = run_conv(layer, small_config(), &ref, Objective::Balance);
+  const SimRun r = run_conv(layer, small_config(), &ref, Objective::Balance);
   EXPECT_EQ(r.output, ref);
 }
 
 TEST(Sim, ValidMaccsEqualTrueMacs) {
   const nn::Layer layer = nn::make_conv("c", 7, 11, 11, 9, 3, 1, 1);
-  const SimResult r =
+  const SimRun r =
       run_conv(layer, small_config(), nullptr, Objective::Performance);
   // Every true iteration executes exactly once; padded iterations are
   // dropped (conv padding skips are boundary zeros, not workload MACs,
@@ -118,7 +119,7 @@ TEST(Sim, CyclesTrackAnalyticalModelForComputeBound) {
   nn::Tensor16 weights({16, 16, 3, 3});
   input.fill_random(rng);
   weights.fill_random(rng);
-  const SimResult r = simulate_layer(prog, cfg, weights, input);
+  const SimRun r = simulate(prog, cfg, weights, input);
   // The simulated schedule can only be slower than the analytical max
   // (per-iteration maxima vs global maxima) but should stay close.
   EXPECT_GE(r.stats.cycles, prog.perf.c_exe * 95 / 100);
@@ -128,15 +129,17 @@ TEST(Sim, CyclesTrackAnalyticalModelForComputeBound) {
 
 TEST(Sim, TraceRecordsAllTraffic) {
   const nn::Layer layer = nn::make_conv("c", 8, 10, 10, 8, 3, 1, 1);
-  const SimResult r =
-      run_conv(layer, small_config(), nullptr, Objective::Performance);
+  const compiler::LayerProgram prog = compiler::compile_layer(
+      layer, small_config(), Objective::Performance, 8'000);
+  const SimResult r = simulate_layer_stats(prog, small_config());
+  EXPECT_EQ(r.stats.cycles,
+            run_conv(layer, small_config(), nullptr, Objective::Performance)
+                .stats.cycles);
   EXPECT_FALSE(r.trace.events.empty());
   EXPECT_GT(r.trace.read_bytes(), 0u);
   EXPECT_GT(r.trace.write_bytes(), 0u);
   EXPECT_EQ(r.trace.total_cycles, static_cast<std::uint64_t>(r.stats.cycles));
   // Refill/drain counts match the mapping's loop structure.
-  const compiler::LayerProgram prog = compiler::compile_layer(
-      layer, small_config(), Objective::Performance, 8'000);
   EXPECT_EQ(r.stats.act_refills, prog.perf.x * prog.perf.l);
   EXPECT_EQ(r.stats.psum_drains, prog.perf.x);
 }
@@ -148,7 +151,7 @@ TEST(Sim, LayoutMismatchThrows) {
       compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
   nn::Tensor16 bad_input({4, 10, 10});
   nn::Tensor16 weights({8, 8, 3, 3});
-  EXPECT_THROW(simulate_layer(prog, cfg, weights, bad_input), ConfigError);
+  EXPECT_THROW(simulate(prog, cfg, weights, bad_input), ConfigError);
 }
 
 TEST(Sim, OversizedIterationSpaceRejected) {
@@ -163,7 +166,7 @@ TEST(Sim, OversizedIterationSpaceRejected) {
   weights.fill_random(rng);
   SimOptions opt;
   opt.max_padded_macs = 10;  // absurdly small
-  EXPECT_THROW(simulate_layer(prog, cfg, weights, input, opt), Error);
+  EXPECT_THROW(simulate(prog, cfg, weights, input, opt), Error);
 }
 
 // ---- property sweep: random shapes, both kinds, bit-exactness --------------
@@ -179,7 +182,7 @@ TEST_P(ConvSweep, SimEqualsReference) {
   const nn::Layer layer =
       nn::make_conv("sweep", p.in_c, p.hw, p.hw, p.out_c, p.k, p.stride, p.pad);
   nn::AccTensor ref;
-  const SimResult r = run_conv(layer, small_config(), &ref,
+  const SimRun r = run_conv(layer, small_config(), &ref,
                                Objective::Performance,
                                /*seed=*/p.in_c * 131 + p.out_c);
   EXPECT_EQ(r.output, ref);
@@ -202,7 +205,7 @@ TEST_P(MmSweep, SimEqualsReference) {
   const auto [m, n, p] = GetParam();
   const nn::Layer layer = nn::make_matmul("sweep", m, n, p);
   nn::AccTensor ref;
-  const SimResult r = run_mm(layer, small_config(), &ref,
+  const SimRun r = run_mm(layer, small_config(), &ref,
                              /*seed=*/std::uint64_t(m * 7 + n * 3 + p));
   EXPECT_EQ(r.output, ref);
 }

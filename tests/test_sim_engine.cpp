@@ -1,7 +1,7 @@
 // Pins the simulator's functional engine to the nn:: reference kernels:
 // bit-identical outputs across odd strides / pads / tail sizes, at every
-// jobs count and with SIMD on and off, and SimStats / DRAM traces identical
-// on the stats-only path (docs/simulator.md). A tensor-free walker over the
+// jobs count and with SIMD on and off, and SimStats identical on the
+// stats-only path (docs/simulator.md). A tensor-free walker over the
 // padded Eqn. 2 space is the oracle for the MACC counts and for the Eqn.
 // 10-11 buffer bounds.
 #include <gtest/gtest.h>
@@ -16,9 +16,11 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "compiler/codegen.h"
+#include "compiler/session.h"
 #include "nn/reference.h"
 #include "sim/ftdl_sim.h"
 #include "sim/sim_engine.h"
+#include "sim_run.h"
 
 namespace ftdl {
 namespace {
@@ -108,6 +110,16 @@ SweepCase sweep_case(int seed) {
 bool takes_tiles(const compiler::LayerProgram& prog, const LayerData& data) {
   return sim::detail::uses_int32_tiles(sim::detail::build_tables(prog),
                                        data.weights.data(), data.input.data());
+}
+
+/// One functional run of `prog` fanned over a pool of `jobs` workers (1 runs
+/// serially on the caller).
+SimRun run_jobs(const compiler::LayerProgram& prog,
+                const arch::OverlayConfig& cfg, const LayerData& data,
+                int jobs) {
+  ThreadPool pool(jobs);
+  return simulate(prog, cfg, data.weights, data.input, {},
+                  jobs == 1 ? nullptr : &pool);
 }
 
 void expect_same_stats(const sim::SimStats& a, const sim::SimStats& b,
@@ -267,29 +279,20 @@ TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
   const LayerData data =
       make_data(layer, static_cast<std::uint64_t>(GetParam()) + 11);
 
-  // (a) jobs = 1 and jobs = 8 both equal the nn:: golden kernel, with
-  // identical SimStats and traces (each accumulator is owned by exactly one
-  // worker; integer sums are associative).
+  // (a) jobs = 1 and jobs = 8 both equal the nn:: golden kernel (each
+  // accumulator is owned by exactly one worker; integer sums are
+  // associative).
   const nn::AccTensor golden = nn_golden(layer, data);
-  sim::SimOptions fast_opt;
-  fast_opt.jobs = 1;
-  const sim::SimResult fast =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, fast_opt);
+  const SimRun fast = run_jobs(prog, cfg, data, 1);
   EXPECT_EQ(fast.output, golden) << prog.mapping.to_string(prog.workload);
-  sim::SimOptions par_opt;
-  par_opt.jobs = 8;
-  const sim::SimResult par =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, par_opt);
-  EXPECT_EQ(par.output, golden);
-  expect_same_stats(par.stats, fast.stats, "jobs=8 vs jobs=1");
-  EXPECT_EQ(par.trace, fast.trace);
+  EXPECT_EQ(run_jobs(prog, cfg, data, 8).output, golden);
 
-  // (b) stats-only: SimStats + trace identical to the functional run, no
-  // output tensor.
+  // (b) stats-only: SimStats identical to the functional runner's, and a
+  // trace spanning its cycles.
   const sim::SimResult stats = sim::simulate_layer_stats(prog, cfg);
   expect_same_stats(stats.stats, fast.stats, "stats-only vs functional");
-  EXPECT_EQ(stats.trace, fast.trace);
-  EXPECT_TRUE(stats.output.dims().empty());
+  EXPECT_EQ(stats.trace.total_cycles,
+            static_cast<std::uint64_t>(fast.stats.cycles));
 
   // (c) the walker counts the same MACCs, and its footprints stay within
   // the model's buffer bounds.
@@ -360,15 +363,11 @@ struct ScopedScalarOnly {
 void expect_simd_scalar_golden_agree(const compiler::LayerProgram& prog,
                                      const arch::OverlayConfig& cfg,
                                      const LayerData& data, int jobs) {
-  sim::SimOptions fast_opt;
-  fast_opt.jobs = jobs;
-  const sim::SimResult vec =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, fast_opt);
-
-  sim::SimResult sca;
+  const SimRun vec = run_jobs(prog, cfg, data, jobs);
+  SimRun sca;
   {
     ScopedScalarOnly scalar_only;
-    sca = sim::simulate_layer(prog, cfg, data.weights, data.input, fast_opt);
+    sca = run_jobs(prog, cfg, data, jobs);
   }
   EXPECT_EQ(vec.output, sca.output)
       << "SIMD vs scalar, jobs=" << jobs << ": "
@@ -492,12 +491,7 @@ TEST(SimEngine, ZooShapesMatchNnReference) {
         EXPECT_EQ(takes_tiles(prog, data), conv && simd::has_conv_tile())
             << layer->name << " " << kernels;
         for (int jobs : {1, 4}) {
-          sim::SimOptions opt;
-          opt.jobs = jobs;
-          opt.collect_trace = false;
-          const sim::SimResult fast =
-              sim::simulate_layer(prog, cfg, data.weights, data.input, opt);
-          EXPECT_EQ(fast.output, golden)
+          EXPECT_EQ(run_jobs(prog, cfg, data, jobs).output, golden)
               << layer->name << " " << kernels << " jobs=" << jobs;
         }
       };
@@ -516,12 +510,7 @@ void expect_fast_matches_golden(const compiler::LayerProgram& prog,
                                 const LayerData& data, const char* what) {
   const nn::AccTensor golden = nn_golden(prog.layer, data);
   for (int jobs : {1, 4}) {
-    sim::SimOptions opt;
-    opt.jobs = jobs;
-    opt.collect_trace = false;
-    EXPECT_EQ(
-        sim::simulate_layer(prog, cfg, data.weights, data.input, opt).output,
-        golden)
+    EXPECT_EQ(run_jobs(prog, cfg, data, jobs).output, golden)
         << prog.layer.name << " " << what << " jobs=" << jobs;
   }
 }
@@ -627,20 +616,11 @@ TEST(SimEngine, Int32TileShapesMatchNnReference) {
   }
 }
 
-/// The compiled programs of `layer`'s weight groups, in channel order.
-std::vector<compiler::LayerProgram> group_programs(
-    const nn::Layer& layer, const arch::OverlayConfig& cfg, int groups) {
-  std::vector<compiler::LayerProgram> out;
-  for (const nn::Layer& part : compiler::weight_group_layers(layer, groups))
-    out.push_back(
-        compiler::compile_layer(part, cfg, Objective::Performance, 4'000));
-  return out;
-}
-
-// The layer-level runner over a split layer: one run over the full weight
-// tensor equals the nn reference at jobs {1, 4}, and its cached stats are
-// the sums of the per-group single-program runners'. Group lists that do
-// not tile the layer are refused.
+// The runner over a split program: one run over the full weight tensor
+// equals the nn reference at jobs {1, 4}, the program counts the parts that
+// run, and the runner's cached stats are the sums of single-part runners
+// over each part's slice compiled on its own (the full-size slice times its
+// count, plus the tail).
 TEST(SimEngine, LayerRunnerOverWeightGroups) {
   arch::OverlayConfig cfg = bench_overlay();
   cfg.wbuf_words = 256;  // small WBUF: the layers split into weight groups
@@ -650,30 +630,44 @@ TEST(SimEngine, LayerRunnerOverWeightGroups) {
       nn::make_conv("runner_conv_s2", 16, 13, 11, 51, 3, 2, 1),
       nn::make_matmul("runner_fc", 300, 70, 1),
   };
+  int tails = 0;
   for (const nn::Layer& layer : layers) {
-    const compiler::LayerProgram master =
+    const compiler::LayerProgram prog =
         compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
-    ASSERT_GT(master.weight_groups, 1) << layer.name;
-    const std::vector<compiler::LayerProgram> groups =
-        group_programs(layer, cfg, master.weight_groups);
-    ASSERT_GT(groups.size(), 1u);
-    sim::SimOptions opt;
-    opt.collect_trace = false;
-    const sim::CachedLayerSim runner(layer, groups, cfg, opt);
+    ASSERT_GT(prog.weight_groups, 1) << layer.name;
+    const int extent = compiler::weight_only_extent(layer);
+    const nn::Layer slice =
+        compiler::weight_group_slice(layer, prog.weight_groups);
+    const int size = compiler::weight_only_extent(slice);
+    EXPECT_EQ(prog.weight_groups, (extent + size - 1) / size) << layer.name;
+    EXPECT_EQ(prog.tail != nullptr, extent % size != 0) << layer.name;
+    const sim::CachedLayerSim runner(prog, cfg);
 
+    const auto part_stats = [&](const nn::Layer& part) {
+      const compiler::LayerProgram p =
+          compiler::compile_layer(part, cfg, Objective::Performance, 4'000);
+      EXPECT_EQ(p.weight_groups, 1) << part.name;
+      return sim::CachedLayerSim(p, cfg).stats();
+    };
     sim::SimStats sum;
-    for (const compiler::LayerProgram& g : groups) {
-      const sim::SimStats st = sim::CachedLayerSim(g, cfg, opt).stats();
-      sum.cycles += st.cycles;
-      sum.compute_cycles += st.compute_cycles;
-      sum.act_stall_cycles += st.act_stall_cycles;
-      sum.psum_stall_cycles += st.psum_stall_cycles;
-      sum.valid_maccs += st.valid_maccs;
-      sum.padded_maccs += st.padded_maccs;
-      sum.act_refills += st.act_refills;
-      sum.psum_drains += st.psum_drains;
+    const auto add = [&sum](const sim::SimStats& st, std::int64_t times) {
+      sum.cycles += st.cycles * times;
+      sum.compute_cycles += st.compute_cycles * times;
+      sum.act_stall_cycles += st.act_stall_cycles * times;
+      sum.psum_stall_cycles += st.psum_stall_cycles * times;
+      sum.valid_maccs += st.valid_maccs * times;
+      sum.padded_maccs += st.padded_maccs * times;
+      sum.act_refills += st.act_refills * times;
+      sum.psum_drains += st.psum_drains * times;
+    };
+    add(part_stats(slice), extent / size);
+    if (prog.tail) {
+      ++tails;
+      EXPECT_EQ(prog.tail->weight_groups, 1);
+      EXPECT_EQ(compiler::weight_only_extent(prog.tail->layer), extent % size);
+      add(part_stats(prog.tail->layer), 1);
     }
-    expect_same_stats(runner.stats(), sum, "layer runner vs group runners");
+    expect_same_stats(runner.stats(), sum, "program runner vs part runners");
 
     const LayerData data = make_data(layer, 41);
     const nn::AccTensor golden = nn_golden(layer, data);
@@ -683,34 +677,14 @@ TEST(SimEngine, LayerRunnerOverWeightGroups) {
       runner.run(data.weights, data.input, out, &pool);
       EXPECT_EQ(out, golden) << layer.name << " jobs=" << jobs;
     }
-
-    // Lists that do not tile the layer: a group missing, a group twice, a
-    // group of another layer, and the split master program alone.
-    std::vector<compiler::LayerProgram> missing(groups.begin(),
-                                                groups.end() - 1);
-    std::vector<compiler::LayerProgram> twice = groups;
-    twice.push_back(groups.front());
-    nn::Layer stranger = groups.back().layer;
-    if (layer.kind == nn::LayerKind::MatMul)
-      stranger.mm_m += 1;
-    else
-      stranger.in_c += 1;
-    std::vector<compiler::LayerProgram> foreign = groups;
-    foreign.back() =
-        compiler::compile_layer(stranger, cfg, Objective::Performance, 4'000);
-    for (const auto* bad : {&missing, &twice, &foreign})
-      EXPECT_THROW(sim::CachedLayerSim(layer, *bad, cfg, opt), ConfigError)
-          << layer.name;
-    EXPECT_THROW(sim::CachedLayerSim(layer, std::span(&master, 1), cfg, opt),
-                 ConfigError)
-        << layer.name;
   }
+  EXPECT_GT(tails, 0);
 }
 
 // A mapping whose tile product no longer covers a loop's trip must be
-// refused by both functional entry points, never silently computed: the
-// engine walks the whole layer, and its MACC count no longer matches the
-// valid points of the mapping's padded space.
+// refused by every functional run, never silently computed: the engine
+// walks the whole layer, and its MACC count no longer matches the valid
+// points of the mapping's padded space.
 TEST(SimEngine, UncoveredMappingIsRefused) {
   const arch::OverlayConfig cfg = arch::paper_config();
   const nn::Layer layers[] = {
@@ -736,14 +710,8 @@ TEST(SimEngine, UncoveredMappingIsRefused) {
     }
     ASSERT_TRUE(cut) << layer.name << ": no spatial tile to shrink";
     const LayerData data = make_data(layer, 5);
+    const sim::CachedLayerSim cached(prog, cfg);
     for (int jobs : {1, 4}) {
-      sim::SimOptions opt;
-      opt.jobs = jobs;
-      EXPECT_THROW(
-          sim::simulate_layer(prog, cfg, data.weights, data.input, opt),
-          InternalError)
-          << layer.name;
-      const sim::CachedLayerSim cached(prog, cfg, opt);
       nn::AccTensor out;
       ThreadPool pool(jobs);
       EXPECT_THROW(cached.run(data.weights, data.input, out, &pool),
@@ -753,8 +721,9 @@ TEST(SimEngine, UncoveredMappingIsRefused) {
   }
 }
 
-// A program split into weight groups maps one group's slice, not the
-// layer: functional runs refuse it by name instead of computing a part.
+// A program split into weight groups runs whole on the runner and equals
+// the nn golden; the stats-only path times one part, so it refuses the
+// split program by name and accepts the single-part slice.
 TEST(SimEngine, SplitProgramIsRefused) {
   const arch::OverlayConfig cfg = arch::paper_config();
   const nn::Layer layer = nn::make_matmul("eng_split_fc", 2048, 1000, 1);
@@ -762,9 +731,15 @@ TEST(SimEngine, SplitProgramIsRefused) {
       compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
   ASSERT_GT(prog.weight_groups, 1);
   const LayerData data = make_data(layer, 9);
-  EXPECT_THROW(sim::simulate_layer(prog, cfg, data.weights, data.input),
-               ConfigError);
-  EXPECT_THROW(sim::CachedLayerSim(prog, cfg), ConfigError);
+  EXPECT_EQ(simulate(prog, cfg, data.weights, data.input).output,
+            nn_golden(layer, data));
+  try {
+    sim::simulate_layer_stats(prog, cfg);
+    ADD_FAILURE() << "a split program was timed as one part";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("eng_split_fc"), std::string::npos)
+        << e.what();
+  }
   // The slice compiles to a single-group program that simulates.
   const nn::Layer part =
       compiler::weight_group_slice(layer, prog.weight_groups);
@@ -776,7 +751,6 @@ TEST(SimEngine, SplitProgramIsRefused) {
 }
 
 TEST(SimEngine, SharedPoolAndTransientPoolAgree) {
-  Rng rng(2026);
   const arch::OverlayConfig cfg = arch::paper_config();
   const nn::Layer layer = nn::make_conv("eng_pool_conv", 16, 14, 14, 32, 3,
                                         /*stride=*/1, /*pad=*/1);
@@ -785,16 +759,17 @@ TEST(SimEngine, SharedPoolAndTransientPoolAgree) {
   ASSERT_EQ(prog.weight_groups, 1);
   const LayerData data = make_data(layer, 99);
 
-  sim::SimOptions shared;  // jobs = 0: CompilerSession pool
-  sim::SimOptions serial;
-  serial.jobs = 1;
-  const sim::SimResult a =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, shared);
-  const sim::SimResult b =
-      sim::simulate_layer(prog, cfg, data.weights, data.input, serial);
-  EXPECT_EQ(a.output, b.output);
-  expect_same_stats(a.stats, b.stats, "shared pool vs serial");
-  EXPECT_EQ(a.trace, b.trace);
+  const sim::CachedLayerSim runner(prog, cfg);
+  nn::AccTensor shared, serial, transient;
+  runner.run(data.weights, data.input, shared,
+             &compiler::CompilerSession::global().pool());
+  runner.run(data.weights, data.input, serial, nullptr);
+  {
+    ThreadPool pool(3);
+    runner.run(data.weights, data.input, transient, &pool);
+  }
+  EXPECT_EQ(shared, serial);
+  EXPECT_EQ(transient, serial);
 }
 
 TEST(SimEngine, HardwareEfficiencyGuardsDegenerateInputs) {
@@ -812,11 +787,10 @@ TEST(SimEngine, MaxPaddedMacsErrorNamesTheCounts) {
   const nn::Layer layer = nn::make_matmul("eng_mm_limit", 32, 32, 32);
   const compiler::LayerProgram prog =
       compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
-  const LayerData data = make_data(layer, 2);
   sim::SimOptions opt;
   opt.max_padded_macs = 1;
   try {
-    sim::simulate_layer(prog, cfg, data.weights, data.input, opt);
+    const sim::CachedLayerSim runner(prog, cfg, opt);
     FAIL() << "expected ftdl::Error";
   } catch (const Error& e) {
     const std::string msg = e.what();

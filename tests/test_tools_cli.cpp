@@ -71,6 +71,21 @@ TEST(ToolsCli, FtdlcRejectsGarbageNumericFlags) {
   }
 }
 
+TEST(ToolsCli, FtdlcRejectsMalformedSpecInput) {
+  // `input C H W` takes exactly three whole positive integers: a spec with
+  // a junk-suffixed or missing extent is a spec error (exit 1), not a
+  // 1x28x28 network.
+  TempDir dir;
+  for (const char* input : {"input 1 28 28x", "input 1 28"}) {
+    const std::string spec = dir.path + "/bad.ftdl";
+    std::ofstream(spec) << "network bad\n"
+                        << input << "\nconv c1 out=6 k=5 pad=2\n";
+    const RunResult r = run(std::string(FTDL_FTDLC_PATH) + " " + spec);
+    EXPECT_EQ(r.exit_code, 1) << input << "\n" << r.output;
+    EXPECT_NE(r.output.find("input C H W"), std::string::npos) << r.output;
+  }
+}
+
 TEST(ToolsCli, FtdlServeRejectsGarbageNumericFlags) {
   for (const char* flags :
        {"--workers x8", "--requests 4x", "--rate fast", "--batch 0"}) {

@@ -257,12 +257,17 @@ int main(int argc, char** argv) {
 
     if (!args.emit_path.empty()) {
       std::string dump;
-      for (const compiler::LayerProgram& lp : report.schedule.layers) {
-        dump += strformat("# %s (x%d weight groups)\n", lp.layer.name.c_str(),
-                          lp.weight_groups);
+      // One section per part program: the full-size parts, then any tail.
+      const auto section = [&dump](const compiler::LayerProgram& lp,
+                                   const std::string& label, int groups) {
+        dump += strformat("# %s (x%d weight groups)\n", label.c_str(), groups);
         for (std::uint64_t word : lp.encoded_stream()) {
           dump += strformat("%016llx\n", static_cast<unsigned long long>(word));
         }
+      };
+      for (const compiler::LayerProgram& lp : report.schedule.layers) {
+        section(lp, lp.layer.name, lp.full_size_parts());
+        if (lp.tail) section(*lp.tail, lp.layer.name + " tail", 1);
       }
       write_file_atomic(args.emit_path, dump);
       std::printf("instruction streams written to %s\n",
