@@ -1,7 +1,8 @@
 // Simulator-engine benchmarks (google-benchmark): wall-clock of
 // CachedLayerSim::run on a ResNet50 layer sweep on pools of 1/2/8 jobs and
 // of the stats-only simulate_layer_stats path, with MACCs/s reported per
-// run.
+// run; and of the host kernels behind every overlay layer of a GoogLeNet
+// frame, the nn:: oracle against the runtime kernel, with elements/s.
 //
 // The sweep covers the shapes that stress different engine paths: the
 // pad-heavy 7x7 stride-2 stem (int32 tiles over 2x2 phase planes), a 1x1
@@ -13,19 +14,35 @@
 // bit-identical at every jobs count (pinned by tests/test_sim_engine.cpp);
 // these benchmarks measure only speed.
 //
+// BM_Epilogue times requantising the accumulators of all 57 GoogLeNet overlay
+// layers (|acc| < 2^20, as the next layer's inputs keep them): the oracle
+// row is calibrate_shift + nn::requantize_output, the kernel row
+// shift_for_max + runtime::requantize_layer, whose max |acc| the engine
+// reports as it writes (so the kernel row has no scan). BM_Pool times all 14
+// GoogLeNet pooling layers on full-range int16 inputs:
+// nn::maxpool/avgpool_reference against runtime::pool_layer. Kernel rows run
+// serially (jobs 1) and on a 4-job pool.
+//
 // Unless the caller passes --benchmark_out themselves, results are also
 // written to BENCH_sim.json (google-benchmark's JSON reporter); CI uploads
 // the file as a build artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <string>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "compiler/codegen.h"
 #include "nn/model_zoo.h"
+#include "nn/reference.h"
+#include "runtime/executor.h"
+#include "runtime/host_kernels.h"
 #include "sim/ftdl_sim.h"
 
 namespace {
@@ -126,6 +143,117 @@ void BM_SimStatsOnly(benchmark::State& state, std::size_t idx) {
   report_rate(state, padded, valid);
 }
 
+/// GoogLeNet's host-kernel operands: each overlay layer's accumulators with
+/// their max |acc|, and each pooling layer's input.
+struct HostCases {
+  nn::Network net = nn::googlenet();
+  struct Acc {
+    const nn::Layer* layer;
+    nn::AccTensor acc;
+    std::uint64_t max_abs = 0;
+  };
+  std::vector<Acc> accs;
+  std::vector<std::pair<const nn::Layer*, nn::Tensor16>> pools;
+  std::int64_t acc_elems = 0, pool_elems = 0;
+};
+
+const HostCases& host_cases() {
+  static const HostCases all = [] {
+    HostCases h;
+    Rng rng(0xe91);
+    for (const nn::Layer& l : h.net.layers()) {
+      if (l.kind == nn::LayerKind::Pool) {
+        nn::Tensor16 in({l.in_c, l.in_h, l.in_w});
+        for (std::int64_t i = 0; i < in.size(); ++i)
+          in[i] = static_cast<std::int16_t>(rng.uniform(-32768, 32767));
+        h.pool_elems += in.size();
+        h.pools.emplace_back(&l, std::move(in));
+      } else if (l.on_overlay()) {
+        HostCases::Acc a{&l,
+                         nn::AccTensor(l.kind == nn::LayerKind::MatMul
+                                           ? nn::Dims{static_cast<int>(l.mm_n),
+                                                      static_cast<int>(l.mm_p)}
+                                           : nn::Dims{l.out_c, l.out_h(),
+                                                      l.out_w()})};
+        for (std::int64_t i = 0; i < a.acc.size(); ++i) {
+          a.acc[i] = rng.uniform(-(1 << 20), 1 << 20);
+          a.max_abs = std::max<std::uint64_t>(
+              a.max_abs, static_cast<std::uint64_t>(std::abs(a.acc[i])));
+        }
+        h.acc_elems += a.acc.size();
+        h.accs.push_back(std::move(a));
+      }
+    }
+    return h;
+  }();
+  return all;
+}
+
+constexpr int kTargetBits = 7;
+
+void BM_EpilogueOracle(benchmark::State& state) {
+  const HostCases& h = host_cases();
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  for (auto _ : state) {
+    for (const HostCases::Acc& a : h.accs) {
+      const nn::Tensor16 out = nn::requantize_output(
+          *a.layer, a.acc, runtime::calibrate_shift(a.acc, kTargetBits));
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * h.acc_elems);
+}
+
+void BM_EpilogueKernel(benchmark::State& state) {
+  const HostCases& h = host_cases();
+  const auto jobs = static_cast<int>(state.range(0));
+  ThreadPool pool(jobs);
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  for (auto _ : state) {
+    for (const HostCases::Acc& a : h.accs) {
+      const nn::Tensor16 out = runtime::requantize_layer(
+          *a.layer, a.acc, a.max_abs,
+          runtime::shift_for_max(a.max_abs, kTargetBits),
+          jobs == 1 ? nullptr : &pool);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * h.acc_elems);
+}
+
+void BM_PoolOracle(benchmark::State& state) {
+  const HostCases& h = host_cases();
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  for (auto _ : state) {
+    for (const auto& [layer, in] : h.pools) {
+      const nn::Tensor16 out = layer->pool_op == nn::PoolOp::Max
+                                   ? nn::maxpool_reference(*layer, in)
+                                   : nn::avgpool_reference(*layer, in);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * h.pool_elems);
+}
+
+void BM_PoolKernel(benchmark::State& state) {
+  const HostCases& h = host_cases();
+  const auto jobs = static_cast<int>(state.range(0));
+  ThreadPool pool(jobs);
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  for (auto _ : state) {
+    for (const auto& [layer, in] : h.pools) {
+      const nn::Tensor16 out =
+          runtime::pool_layer(*layer, in, jobs == 1 ? nullptr : &pool);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * h.pool_elems);
+}
+
 void register_benchmarks() {
   for (std::size_t i = 0; i < cases().size(); ++i) {
     const std::string& label = cases()[i].label;
@@ -140,6 +268,22 @@ void register_benchmarks() {
                                  BM_SimStatsOnly, i)
         ->Unit(benchmark::kMillisecond);
   }
+  benchmark::RegisterBenchmark("BM_Epilogue/googlenet/oracle",
+                               BM_EpilogueOracle)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_Epilogue/googlenet/kernel",
+                               BM_EpilogueKernel)
+      ->Arg(1)
+      ->Arg(4)
+      ->ArgName("jobs")
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_Pool/googlenet/oracle", BM_PoolOracle)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_Pool/googlenet/kernel", BM_PoolKernel)
+      ->Arg(1)
+      ->Arg(4)
+      ->ArgName("jobs")
+      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace

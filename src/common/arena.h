@@ -90,6 +90,13 @@ class TensorArena {
   std::shared_ptr<arena_detail::Core> core_;
 };
 
+/// Tag for storage whose every element the caller writes before reading:
+/// skips the zero fill.
+struct NoInit {
+  explicit NoInit() = default;
+};
+inline constexpr NoInit no_init{};
+
 /// Minimal fixed-size trivial-element array backed by arena_detail blocks —
 /// the storage of TensorT. Mirrors the std::vector surface the tensors
 /// used: value-initialized elements, deep copies, moves that steal.
@@ -101,6 +108,7 @@ class ArenaVec {
  public:
   ArenaVec() = default;
   explicit ArenaVec(std::int64_t n) { reset(n); }
+  ArenaVec(std::int64_t n, NoInit) { reset_uninit(n); }
   ~ArenaVec() { arena_detail::release(buf_); }
 
   ArenaVec(const ArenaVec& o) {

@@ -40,6 +40,53 @@ std::int32_t max_abs_i16_scalar(const std::int16_t* x, std::int64_t n) {
   return m;
 }
 
+/// |v| in uint64: std::abs on the most-negative acc_t is UB, and its
+/// magnitude 2^63 does not fit in acc_t.
+std::uint64_t magnitude(acc_t v) {
+  return v < 0 ? 0ULL - static_cast<std::uint64_t>(v)
+               : static_cast<std::uint64_t>(v);
+}
+
+std::uint64_t max_abs_acc_scalar(const acc_t* x, std::int64_t n) {
+  std::uint64_t m = 0;
+  for (std::int64_t j = 0; j < n; ++j) m = std::max(m, magnitude(x[j]));
+  return m;
+}
+
+void requantize_i32_scalar(const acc_t* acc, std::int16_t* out,
+                           std::int64_t n, int shift, bool apply_relu) {
+  for (std::int64_t j = 0; j < n; ++j) {
+    const std::int16_t v = requantize(acc[j], shift);
+    out[j] = apply_relu ? relu(v) : v;
+  }
+}
+
+void max_into_i16_scalar(std::int16_t* acc, const std::int16_t* row,
+                         std::int64_t n) {
+  for (std::int64_t j = 0; j < n; ++j) acc[j] = std::max(acc[j], row[j]);
+}
+
+void add_into_i32_scalar(std::int32_t* acc, const std::int16_t* row,
+                         std::int64_t n) {
+  for (std::int64_t j = 0; j < n; ++j) acc[j] += row[j];
+}
+
+void window_max_i16_scalar(std::int16_t* out, const std::int16_t* in,
+                           std::int64_t n, int k, int stride) {
+  for (std::int64_t x = 0; x < n; ++x) {
+    const std::int16_t* w = in + x * stride;
+    std::int16_t m = w[0];
+    for (int s = 1; s < k; ++s) m = std::max(m, w[s]);
+    out[x] = m;
+  }
+}
+
+std::int16_t max_i16_scalar(const std::int16_t* x, std::int64_t n) {
+  std::int16_t m = -32768;
+  for (std::int64_t j = 0; j < n; ++j) m = std::max(m, x[j]);
+  return m;
+}
+
 #if defined(FTDL_SIMD_AVX2)
 
 // Exact 32-bit products of two int16 vectors via mullo/mulhi + unpack.
@@ -167,6 +214,146 @@ __attribute__((target("avx2"))) std::int32_t max_abs_i16_avx2(
   return std::max(m, max_abs_i16_scalar(x + j, n - j));
 }
 
+__attribute__((target("avx2"))) std::uint64_t max_abs_acc_avx2(
+    const acc_t* x, std::int64_t n) {
+  if (n < 4) return max_abs_acc_scalar(x, n);
+  // Signed max and min per lane; the magnitudes are taken once, at the end.
+  __m256i mx = _mm256_set1_epi64x(x[0]);
+  __m256i mn = mx;
+  std::int64_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j));
+    mx = _mm256_blendv_epi8(mx, v, _mm256_cmpgt_epi64(v, mx));
+    mn = _mm256_blendv_epi8(mn, v, _mm256_cmpgt_epi64(mn, v));
+  }
+  alignas(32) acc_t hi[4], lo[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(hi), mx);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lo), mn);
+  const std::uint64_t m =
+      std::max(magnitude(*std::max_element(hi, hi + 4)),
+               magnitude(*std::min_element(lo, lo + 4)));
+  return std::max(m, max_abs_acc_scalar(x + j, n - j));
+}
+
+/// The low 32 bits of acc[0..4) in the low 128-bit lane, in order.
+__attribute__((target("avx2"), always_inline)) inline __m256i low_dwords(
+    const acc_t* acc) {
+  return _mm256_permutevar8x32_epi32(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc)),
+      _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
+}
+
+// Sixteen accumulators at a time: each lane's low 32 bits (its value under
+// the |acc| < 2^31 precondition) gathered in order, shifted, packed to int16
+// with saturation, then ReLU.
+__attribute__((target("avx2"))) void requantize_i32_avx2(
+    const acc_t* acc, std::int16_t* out, std::int64_t n, int shift,
+    bool apply_relu) {
+  const __m128i count = _mm_cvtsi32_si128(shift);
+  const __m256i zero = _mm256_setzero_si256();
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const acc_t* a = acc + j;
+    __m256i v01 =
+        _mm256_permute2x128_si256(low_dwords(a), low_dwords(a + 4), 0x20);
+    __m256i v23 =
+        _mm256_permute2x128_si256(low_dwords(a + 8), low_dwords(a + 12), 0x20);
+    v01 = _mm256_sra_epi32(v01, count);  // counts past 31 fill with the sign
+    v23 = _mm256_sra_epi32(v23, count);
+    // packs works per 128-bit lane; 0xD8 puts the four quarters in order.
+    __m256i p = _mm256_permute4x64_epi64(_mm256_packs_epi32(v01, v23), 0xD8);
+    if (apply_relu) p = _mm256_max_epi16(p, zero);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j), p);
+  }
+  requantize_i32_scalar(acc + j, out + j, n - j, shift, apply_relu);
+}
+
+__attribute__((target("avx2"))) void max_into_i16_avx2(std::int16_t* acc,
+                                                       const std::int16_t* row,
+                                                       std::int64_t n) {
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    auto* a = reinterpret_cast<__m256i*>(acc + j);
+    _mm256_storeu_si256(
+        a, _mm256_max_epi16(
+               _mm256_loadu_si256(a),
+               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j))));
+  }
+  max_into_i16_scalar(acc + j, row + j, n - j);
+}
+
+__attribute__((target("avx2"))) void add_into_i32_avx2(std::int32_t* acc,
+                                                       const std::int16_t* row,
+                                                       std::int64_t n) {
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    auto* a = reinterpret_cast<__m256i*>(acc + j);
+    const __m256i r = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j)));
+    _mm256_storeu_si256(a, _mm256_add_epi32(_mm256_loadu_si256(a), r));
+  }
+  add_into_i32_scalar(acc + j, row + j, n - j);
+}
+
+// Stride 1 takes one shifted unaligned load per tap. Stride 2 loads 32
+// inputs per tap pair and splits them into even and odd columns (sign-
+// extended 32-bit halves packed back to int16); both halves leave the same
+// per-128-bit-lane order, so one permute before the store fixes it.
+__attribute__((target("avx2"))) void window_max_i16_avx2(
+    std::int16_t* out, const std::int16_t* in, std::int64_t n, int k,
+    int stride) {
+  std::int64_t x = 0;
+  if (stride == 1) {
+    for (; x + 16 <= n; x += 16) {
+      __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + x));
+      for (int s = 1; s < k; ++s)
+        m = _mm256_max_epi16(m, _mm256_loadu_si256(
+                                    reinterpret_cast<const __m256i*>(in + x + s)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + x), m);
+    }
+  } else if (stride == 2) {
+    // An odd k's last tap uses only the even half of its load, whose odd
+    // half reads one column past the windows: ending the block one output
+    // early keeps that column inside the input.
+    const std::int64_t end = n - (k & 1);
+    for (; x + 16 <= end; x += 16) {
+      const std::int16_t* p = in + 2 * x;
+      __m256i m = _mm256_set1_epi16(-32768);
+      for (int s = 0; s < k; s += 2) {
+        const __m256i a =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + s));
+        const __m256i b =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + s + 16));
+        m = _mm256_max_epi16(
+            m, _mm256_packs_epi32(
+                   _mm256_srai_epi32(_mm256_slli_epi32(a, 16), 16),
+                   _mm256_srai_epi32(_mm256_slli_epi32(b, 16), 16)));
+        if (s + 1 < k)
+          m = _mm256_max_epi16(m,
+                               _mm256_packs_epi32(_mm256_srai_epi32(a, 16),
+                                                  _mm256_srai_epi32(b, 16)));
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + x),
+                          _mm256_permute4x64_epi64(m, 0xD8));
+    }
+  }
+  window_max_i16_scalar(out + x, in + x * stride, n - x, k, stride);
+}
+
+__attribute__((target("avx2"))) std::int16_t max_i16_avx2(
+    const std::int16_t* x, std::int64_t n) {
+  __m256i m = _mm256_set1_epi16(-32768);
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16)
+    m = _mm256_max_epi16(
+        m, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j)));
+  alignas(32) std::int16_t lane[16];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), m);
+  return std::max(*std::max_element(lane, lane + 16),
+                  max_i16_scalar(x + j, n - j));
+}
+
 /// The int32 register tile: 4 output channels x 16 grid positions in eight
 /// accumulators, acc[2i] holding positions 0-3 | 8-11 of channel i and
 /// acc[2i + 1] positions 4-7 | 12-15 (the lane order unpack{lo,hi}_epi16
@@ -207,15 +394,15 @@ __attribute__((target("avx2"), always_inline)) inline __m256i pair_zero(
   return _mm256_set1_epi32(static_cast<std::uint16_t>(*w));
 }
 
-__attribute__((target("avx2"))) void conv_tile_avx2(const PaddedConv& c,
-                                                    std::int64_t m0,
-                                                    std::int64_t m1) {
+__attribute__((target("avx2"))) std::uint64_t conv_tile_avx2(
+    const PaddedConv& c, std::int64_t m0, std::int64_t m1) {
   const std::int64_t taps = c.kh * c.kw, pitch = c.pitch;
   const std::int64_t w_stride = c.in_c * taps;  // one output channel
   const std::int64_t out_plane = c.oh * c.ow;
   // Grid positions up to the last valid output; the tail tile reads past.
   const std::int64_t grid = (c.oh - 1) * pitch + c.ow;
   const __m256i zero = _mm256_setzero_si256();
+  std::uint32_t max_abs = 0;
   for (std::int64_t m = m0; m < m1; m += 4) {
     // A partial channel tile repeats its last channel; the copies are
     // computed and not stored.
@@ -273,8 +460,10 @@ __attribute__((target("avx2"))) void conv_tile_avx2(const PaddedConv& c,
         }
       }
       // Widen once per tile: un-permute the 128-bit lanes to positions
-      // 0-7 and 8-15, then add only the valid columns, walking (e, f) along
-      // the grid rows.
+      // 0-7 and 8-15, then store only the valid columns, walking (e, f)
+      // along the grid rows. Each output is one tile's, so storing writes
+      // the whole plane; its magnitude is taken here, while in registers.
+      // No |value| reaches 2^31 under the bound, so it fits in uint32.
       for (int i = 0; i < live; ++i) {
         alignas(32) std::int32_t v[16];
         _mm256_store_si256(reinterpret_cast<__m256i*>(v),
@@ -289,7 +478,12 @@ __attribute__((target("avx2"))) void conv_tile_avx2(const PaddedConv& c,
           const std::int64_t run = std::min(16 - j, pitch - ff);
           const std::int64_t valid = std::min(run, c.ow - ff);
           acc_t* row = o + ee * c.ow + ff;
-          for (std::int64_t k = 0; k < valid; ++k) row[k] += v[j + k];
+          for (std::int64_t k = 0; k < valid; ++k) {
+            const std::int32_t x = v[j + k];
+            const auto u = static_cast<std::uint32_t>(x);
+            row[k] = x;
+            max_abs = std::max(max_abs, x < 0 ? 0U - u : u);
+          }
           j += run;
           ff += run;
           if (ff == pitch) {
@@ -301,6 +495,7 @@ __attribute__((target("avx2"))) void conv_tile_avx2(const PaddedConv& c,
       for (f += 16; f >= pitch; f -= pitch) ++e;
     }
   }
+  return max_abs;
 }
 
 #endif  // FTDL_SIMD_AVX2
@@ -357,7 +552,16 @@ using DotFn = acc_t (*)(const std::int16_t*, const std::int16_t*,
 using AxpyFn = void (*)(acc_t*, const std::int16_t*, std::int16_t,
                         std::int64_t);
 using MaxAbsFn = std::int32_t (*)(const std::int16_t*, std::int64_t);
-using ConvTileFn = void (*)(const PaddedConv&, std::int64_t, std::int64_t);
+using ConvTileFn = std::uint64_t (*)(const PaddedConv&, std::int64_t,
+                                     std::int64_t);
+using MaxAbsAccFn = std::uint64_t (*)(const acc_t*, std::int64_t);
+using RequantFn = void (*)(const acc_t*, std::int16_t*, std::int64_t, int,
+                           bool);
+using MaxIntoFn = void (*)(std::int16_t*, const std::int16_t*, std::int64_t);
+using AddIntoFn = void (*)(std::int32_t*, const std::int16_t*, std::int64_t);
+using WindowMaxFn = void (*)(std::int16_t*, const std::int16_t*, std::int64_t,
+                             int, int);
+using MaxFn = std::int16_t (*)(const std::int16_t*, std::int64_t);
 
 struct Impl {
   DotFn dot = dot_i16_scalar;
@@ -366,6 +570,12 @@ struct Impl {
   int lanes = 1;
   MaxAbsFn max_abs = max_abs_i16_scalar;
   ConvTileFn conv_tile = nullptr;  ///< no scalar tile: callers use acc_t
+  MaxAbsAccFn max_abs_acc = max_abs_acc_scalar;
+  RequantFn requantize = requantize_i32_scalar;
+  MaxIntoFn max_into = max_into_i16_scalar;
+  AddIntoFn add_into = add_into_i32_scalar;
+  WindowMaxFn window_max = window_max_i16_scalar;
+  MaxFn max = max_i16_scalar;
 };
 
 constexpr Impl kScalar{};
@@ -384,12 +594,16 @@ const Impl& vector_impl() {
     }
 #if defined(FTDL_SIMD_AVX2)
     if (__builtin_cpu_supports("avx2")) {
-      v = Impl{dot_i16_avx2,     axpy_i16_avx2,  "avx2", 16,
-               max_abs_i16_avx2, conv_tile_avx2};
+      v = Impl{dot_i16_avx2,        axpy_i16_avx2,       "avx2",
+               16,                  max_abs_i16_avx2,    conv_tile_avx2,
+               max_abs_acc_avx2,    requantize_i32_avx2, max_into_i16_avx2,
+               add_into_i32_avx2,   window_max_i16_avx2, max_i16_avx2};
     }
 #elif defined(FTDL_SIMD_NEON)
-    v = Impl{dot_i16_neon, axpy_i16_neon, "neon", 8, max_abs_i16_scalar,
-             nullptr};
+    v.dot = dot_i16_neon;
+    v.axpy = axpy_i16_neon;
+    v.name = "neon";
+    v.lanes = 8;
 #endif
     return v;
   }();
@@ -428,8 +642,35 @@ std::int32_t max_abs_i16(const std::int16_t* x, std::int64_t n) {
 
 bool has_conv_tile() { return active_impl().conv_tile != nullptr; }
 
-void conv_tile_i16(const PaddedConv& conv, std::int64_t m0, std::int64_t m1) {
-  active_impl().conv_tile(conv, m0, m1);
+std::uint64_t conv_tile_i16(const PaddedConv& conv, std::int64_t m0,
+                            std::int64_t m1) {
+  return active_impl().conv_tile(conv, m0, m1);
+}
+
+std::uint64_t max_abs_acc(const acc_t* x, std::int64_t n) {
+  return active_impl().max_abs_acc(x, n);
+}
+
+void requantize_i32(const acc_t* acc, std::int16_t* out, std::int64_t n,
+                    int shift, bool relu) {
+  active_impl().requantize(acc, out, n, shift, relu);
+}
+
+void max_into_i16(std::int16_t* acc, const std::int16_t* row, std::int64_t n) {
+  active_impl().max_into(acc, row, n);
+}
+
+void add_into_i32(std::int32_t* acc, const std::int16_t* row, std::int64_t n) {
+  active_impl().add_into(acc, row, n);
+}
+
+void window_max_i16(std::int16_t* out, const std::int16_t* in, std::int64_t n,
+                    int k, int stride) {
+  active_impl().window_max(out, in, n, k, stride);
+}
+
+std::int16_t max_i16(const std::int16_t* x, std::int64_t n) {
+  return active_impl().max(x, n);
 }
 
 const char* isa_name() { return active_impl().name; }

@@ -98,11 +98,44 @@ struct PaddedConv {
 /// True when the active implementation has conv_tile_i16 (AVX2 only).
 bool has_conv_tile();
 
-/// Adds output channels [m0, m1) of `conv` into conv.out, one int32
-/// register tile of 4 channels x 16 grid positions at a time. Exact only
-/// under the bound in the header comment, which the caller checks; requires
-/// has_conv_tile().
-void conv_tile_i16(const PaddedConv& conv, std::int64_t m0, std::int64_t m1);
+/// Writes output channels [m0, m1) of `conv` into conv.out (every element
+/// of those planes, so the caller need not zero them), one int32 register
+/// tile of 4 channels x 16 grid positions at a time, and returns the largest
+/// |value| written. Exact only under the bound in the header comment, which
+/// the caller checks; requires has_conv_tile().
+std::uint64_t conv_tile_i16(const PaddedConv& conv, std::int64_t m0,
+                            std::int64_t m1);
+
+// ---- Layer epilogue and pooling (the host EWOP kernels of src/runtime) ----
+//
+// Exact for every input, so each vector path is bit-identical to its scalar
+// version below; set_enabled(false) routes all of them to the scalar ones.
+
+/// max |x[j]| over j in [0, n) as a magnitude (2^63 for INT64_MIN; 0 when
+/// n == 0).
+std::uint64_t max_abs_acc(const acc_t* x, std::int64_t n);
+
+/// out[j] = clamp_int16(acc[j] >> shift) (arithmetic shift, floor), then
+/// max(out[j], 0) when `relu`. Requires |acc[j]| < 2^31 for every j: there
+/// saturate48 is the identity and each accumulator is its low 32 bits, so
+/// this equals nn::requantize_output's per-element formula.
+void requantize_i32(const acc_t* acc, std::int16_t* out, std::int64_t n,
+                    int shift, bool relu);
+
+/// acc[j] = max(acc[j], row[j]) for j in [0, n): a vertical max step.
+void max_into_i16(std::int16_t* acc, const std::int16_t* row, std::int64_t n);
+
+/// acc[j] += row[j] for j in [0, n): a vertical sum step. Exact while the
+/// caller keeps each sum within int32 (at most 2^16 rows).
+void add_into_i32(std::int32_t* acc, const std::int16_t* row, std::int64_t n);
+
+/// out[x] = max of in[x * stride + s] over s in [0, k), for x in [0, n): a
+/// horizontal max pass. Reads in[0, (n - 1) * stride + k).
+void window_max_i16(std::int16_t* out, const std::int16_t* in, std::int64_t n,
+                    int k, int stride);
+
+/// max of x[0, n) (-32768 when n == 0).
+std::int16_t max_i16(const std::int16_t* x, std::int64_t n);
 
 /// The scalar oracles the vector paths are pinned against.
 acc_t dot_i16_scalar(const std::int16_t* w, const std::int16_t* in,
@@ -119,8 +152,8 @@ int lanes();
 /// True when a vector implementation (not the scalar oracle) is active.
 bool active();
 
-/// Runtime kill switch: set_enabled(false) routes dot_i16/axpy_i16 through
-/// the scalar oracles, and turns has_conv_tile() off, until re-enabled.
+/// Runtime kill switch: set_enabled(false) routes every kernel above through
+/// its scalar version, and turns has_conv_tile() off, until re-enabled.
 /// Enabling is a no-op when no vector implementation is compiled in or
 /// supported by the CPU. Not thread-safe
 /// against concurrent kernel calls; intended for test setup and tools.

@@ -23,7 +23,9 @@
 //     -1 and keeps using its own track.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -60,6 +62,26 @@ class ThreadPool {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Runs body(lo, hi) over [0, units) split into contiguous ranges across
+/// `pool`. A few ranges per worker, so a worker held up elsewhere does not
+/// leave the batch waiting on one large range. With no pool, a one-job pool
+/// or a single unit, body(0, units) runs on the caller and nothing touches
+/// the heap: the serving steady state relies on that.
+template <typename Body>
+void for_each_range(ThreadPool* pool, std::int64_t units, const Body& body) {
+  const int jobs = pool != nullptr ? pool->jobs() : 1;
+  const std::int64_t parts =
+      jobs > 1 ? std::min<std::int64_t>(units, 4 * std::int64_t{jobs}) : 1;
+  if (parts <= 1) {
+    body(std::int64_t{0}, units);
+    return;
+  }
+  pool->parallel_for(static_cast<std::size_t>(parts), [&](std::size_t i) {
+    const auto part = static_cast<std::int64_t>(i);
+    body(part * units / parts, (part + 1) * units / parts);
+  });
+}
 
 /// Default parallelism: the FTDL_JOBS environment variable when it parses
 /// to a positive integer, otherwise std::thread::hardware_concurrency()

@@ -54,6 +54,18 @@ struct LayerProgram {
            (tail ? tail->total_cycles() : 0);
   }
 
+  /// DRAM bytes read / written for the whole layer: `perf`'s per-part
+  /// traffic over every part the overlay runs, the tail's included, like
+  /// total_cycles().
+  double total_dram_rd_bytes() const {
+    return perf.dram_rd_bytes * full_size_parts() +
+           (tail ? tail->total_dram_rd_bytes() : 0.0);
+  }
+  double total_dram_wr_bytes() const {
+    return perf.dram_wr_bytes * full_size_parts() +
+           (tail ? tail->total_dram_wr_bytes() : 0.0);
+  }
+
   /// Encoded 64-bit InstBUS words (what the hardware would receive).
   std::vector<std::uint64_t> encoded_stream() const;
 };

@@ -45,8 +45,8 @@ bool evaluate_candidate(const nn::Network& net, const fpga::Device& device,
     // DRAM + FPGA power at this candidate's activity.
     double rd = 0.0, wr = 0.0;
     for (const compiler::LayerProgram& p : sched.layers) {
-      rd += p.perf.dram_rd_bytes * p.layer.repeat;
-      wr += p.perf.dram_wr_bytes * p.layer.repeat;
+      rd += p.total_dram_rd_bytes() * p.layer.repeat;
+      wr += p.total_dram_wr_bytes() * p.layer.repeat;
     }
     const dram::DramReport dr = dram::evaluate_volume(
         static_cast<std::uint64_t>(rd), static_cast<std::uint64_t>(wr),

@@ -62,8 +62,8 @@ NetworkReport Framework::evaluate(const nn::Network& net) const {
   // DRAM traffic totals over one frame.
   double rd_bytes = 0.0, wr_bytes = 0.0;
   for (const compiler::LayerProgram& p : report.schedule.layers) {
-    rd_bytes += p.perf.dram_rd_bytes * p.layer.repeat;
-    wr_bytes += p.perf.dram_wr_bytes * p.layer.repeat;
+    rd_bytes += p.total_dram_rd_bytes() * p.layer.repeat;
+    wr_bytes += p.total_dram_wr_bytes() * p.layer.repeat;
   }
   report.dram = dram::evaluate_volume(
       static_cast<std::uint64_t>(rd_bytes), static_cast<std::uint64_t>(wr_bytes),

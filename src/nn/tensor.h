@@ -78,6 +78,9 @@ class TensorT {
   TensorT() = default;
   explicit TensorT(const Dims& dims)
       : dims_(dims), data_(detail::shape_size(dims_)) {}
+  /// Uninitialized elements: for a producer that writes every one.
+  TensorT(const Dims& dims, NoInit)
+      : dims_(dims), data_(detail::shape_size(dims_), no_init) {}
 
   const Dims& dims() const { return dims_; }
   std::int64_t size() const { return data_.size(); }

@@ -9,8 +9,8 @@
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "compiler/session.h"
-#include "nn/reference.h"
 #include "obs/obs.h"
+#include "runtime/host_kernels.h"
 #include "sim/ftdl_sim.h"
 
 namespace ftdl::runtime {
@@ -34,6 +34,10 @@ int calibrate_shift(const AccTensor& acc, int target_bits) {
                                     : static_cast<std::uint64_t>(v);
     maxabs = std::max(maxabs, mag);
   }
+  return shift_for_max(maxabs, target_bits);
+}
+
+int shift_for_max(std::uint64_t maxabs, int target_bits) {
   const std::uint64_t target = std::uint64_t{1} << target_bits;
   if (maxabs <= target) return 0;
   // Smallest shift with (maxabs >> shift) <= 2^target_bits: take the top
@@ -211,13 +215,9 @@ struct ExecContext::Impl {
       case LayerKind::Depthwise:
       case LayerKind::MatMul:
         return execute_overlay(lc, tensor(lc.inputs.at(0)), run);
-      case LayerKind::Pool: {
+      case LayerKind::Pool:
         note_host_kernel(layer);
-        const Tensor16& in = tensor(lc.inputs.at(0));
-        return layer.pool_op == nn::PoolOp::Max
-                   ? nn::maxpool_reference(layer, in)
-                   : nn::avgpool_reference(layer, in);
-      }
+        return pool_layer(layer, tensor(lc.inputs.at(0)), pool());
       case LayerKind::Concat:
         note_host_kernel(layer);
         return concat(layer, lc.inputs);
@@ -230,7 +230,8 @@ struct ExecContext::Impl {
 
   /// One engine call over the layer's full weight tensor on its warm
   /// runner (which rejects a wrongly shaped input with ConfigError), then
-  /// the host requantisation.
+  /// the host requantisation, calibrated on the max |acc| the engine
+  /// reported.
   Tensor16 execute_overlay(const CompiledLayer& lc, const Tensor16& input,
                            LayerRun& run) {
     const Layer& layer = *lc.layer;
@@ -242,11 +243,11 @@ struct ExecContext::Impl {
     }
 
     AccTensor acc;
-    lc.sim->run(*lc.weights, *act, acc, pool());
+    const std::uint64_t max_abs = lc.sim->run(*lc.weights, *act, acc, pool());
     run.weight_groups = lc.weight_groups;
     run.sim_cycles = lc.sim->stats().cycles;
-    run.requant_shift = calibrate_shift(acc, opt.target_magnitude_bits);
-    return nn::requantize_output(layer, acc, run.requant_shift);
+    run.requant_shift = shift_for_max(max_abs, opt.target_magnitude_bits);
+    return requantize_layer(layer, acc, max_abs, run.requant_shift, pool());
   }
 
   Tensor16 concat(const Layer& layer,

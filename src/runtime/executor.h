@@ -7,7 +7,9 @@
 // host-side kernels.
 // Between layers, wide accumulators are requantized back to int16 with a
 // per-layer shift chosen by a simple max-abs calibration — the host EWOP
-// stage of Sec. V-A.
+// stage of Sec. V-A. The engine reports that max as it writes the
+// accumulators, and the requantisation and pooling run as vector kernels
+// on the same pool (runtime/host_kernels.h).
 //
 // Recurrent networks (seqLSTM) are not executable feed-forward and are
 // rejected with ConfigError.
@@ -76,6 +78,11 @@ struct ExecResult {
 ///   maxabs == 2^target_bits + 1  -> 1
 ///   maxabs == 2^(target_bits+1)  -> 1
 int calibrate_shift(const nn::AccTensor& acc, int target_bits);
+
+/// calibrate_shift's shift for a tensor whose max |acc| is `maxabs` (a
+/// magnitude: 2^63 for INT64_MIN) — what the executor calls with the
+/// maximum CachedLayerSim::run reports, so the tensor is not scanned again.
+int shift_for_max(std::uint64_t maxabs, int target_bits);
 
 /// Reusable execution context for repeated inference over one network — the
 /// steady-state engine behind run_network and serve::Server.

@@ -343,21 +343,22 @@ CachedLayerSim& CachedLayerSim::operator=(CachedLayerSim&&) noexcept = default;
 
 const SimStats& CachedLayerSim::stats() const { return impl_->stats; }
 
-void CachedLayerSim::run(const nn::Tensor16& weights, const nn::Tensor16& input,
-                         nn::AccTensor& out, ThreadPool* pool) const {
+std::uint64_t CachedLayerSim::run(const nn::Tensor16& weights,
+                                  const nn::Tensor16& input, nn::AccTensor& out,
+                                  ThreadPool* pool) const {
   const Impl& im = *impl_;
   check_tensors(im.name, im.layouts, weights, input);
+  // The engine writes every element, so new storage skips the zero fill
+  // (and is pooled under an installed arena).
   if (out.dims() != im.layouts.output)
-    out = nn::AccTensor(im.layouts.output);  // pooled under an installed arena
-  else
-    std::fill(out.data(), out.data() + out.size(), acc_t{0});
+    out = nn::AccTensor(im.layouts.output, no_init);
 
-  check_coverage(im.name,
-                 detail::run_functional(im.tables, weights.data(),
-                                        input.data(), out.data(), pool),
-                 im.stats.valid_maccs);
+  const detail::EngineResult r = detail::run_functional(
+      im.tables, weights.data(), input.data(), out.data(), pool);
+  check_coverage(im.name, r.maccs, im.stats.valid_maccs);
 
   count_stats(im.stats);
+  return r.max_abs;
 }
 
 }  // namespace ftdl::sim

@@ -129,15 +129,18 @@ class CachedLayerSim {
   /// and input {in_c, h, w}; depthwise weights {c, kh, kw}; MM weights
   /// {N, M} and input {M, P}; else ftdl::ConfigError), reshapes `out` to
   /// the layer's output shape if it does not already match (the only
-  /// potential allocation — pooled under an installed TensorArena), zeroes
-  /// it and accumulates the whole layer over its full weight tensor (a
-  /// weight group is a contiguous channel range of it). The pass fans out
-  /// over `pool`; nullptr runs serially on the caller, and the output is
-  /// bit-identical at every pool size. Throws ftdl::InternalError when the
-  /// parts' mappings leave part of a loop uncovered (the coverage
+  /// potential allocation — pooled under an installed TensorArena) and
+  /// computes the whole layer over its full weight tensor (a weight group
+  /// is a contiguous channel range of it), overwriting every element of
+  /// `out`. Returns max |acc| over the output, as a magnitude (2^63 for
+  /// INT64_MIN): the requantisation's calibration input. The pass fans out
+  /// over `pool`, each task zeroing its own channel range and scanning it
+  /// for that maximum; nullptr runs serially on the caller, and the output
+  /// is bit-identical at every pool size. Throws ftdl::InternalError when
+  /// the parts' mappings leave part of a loop uncovered (the coverage
   /// cross-check, docs/simulator.md).
-  void run(const nn::Tensor16& weights, const nn::Tensor16& input,
-           nn::AccTensor& out, ThreadPool* pool = nullptr) const;
+  std::uint64_t run(const nn::Tensor16& weights, const nn::Tensor16& input,
+                    nn::AccTensor& out, ThreadPool* pool = nullptr) const;
 
  private:
   struct Impl;

@@ -91,39 +91,45 @@ std::int64_t conv_plane(const EngineTables& tb, const std::int16_t* w,
 }
 
 /// Every MAC feeding output channels [c0, c1): conv M, depthwise channel,
-/// MatMul N. Returns the MACCs executed.
-std::int64_t run_channels(const EngineTables& tb, const std::int16_t* weights,
+/// MatMul N. Each channel's plane is zeroed, accumulated, then scanned for
+/// its largest magnitude while it is still in cache.
+EngineResult run_channels(const EngineTables& tb, const std::int16_t* weights,
                           const std::int16_t* input, acc_t* out,
                           std::int64_t c0, std::int64_t c1) {
-  std::int64_t valid = 0;
+  EngineResult r;
   if (tb.kind == WorkloadKind::MatMul) {
     const std::int64_t m = tb.mm_m, p = tb.mm_p;
     for (std::int64_t n = c0; n < c1; ++n) {
       const std::int16_t* wn = weights + n * m;
       acc_t* on = out + n * p;
       if (p == 1) {
-        *on += simd::dot_i16(wn, input, m);
+        *on = simd::dot_i16(wn, input, m);
       } else {
+        std::fill(on, on + p, acc_t{0});
         for (std::int64_t j = 0; j < m; ++j)
           simd::axpy_i16(on, input + j * p, wn[j], p);
       }
     }
-    return (c1 - c0) * m * p;
+    r.maccs = (c1 - c0) * m * p;
+    r.max_abs = simd::max_abs_acc(out + c0 * p, (c1 - c0) * p);
+    return r;
   }
   const std::int64_t taps = tb.kh * tb.kw;
   const std::int64_t in_plane = tb.in_h * tb.in_w;
   const std::int64_t out_plane = tb.oh * tb.ow;
   for (std::int64_t c = c0; c < c1; ++c) {
     acc_t* oc = out + c * out_plane;
+    std::fill(oc, oc + out_plane, acc_t{0});
     if (tb.kind == WorkloadKind::DepthwiseConv) {
-      valid += conv_plane(tb, weights + c * taps, input + c * in_plane, oc);
-      continue;
+      r.maccs += conv_plane(tb, weights + c * taps, input + c * in_plane, oc);
+    } else {
+      for (std::int64_t n = 0; n < tb.in_c; ++n)
+        r.maccs += conv_plane(tb, weights + (c * tb.in_c + n) * taps,
+                              input + n * in_plane, oc);
     }
-    for (std::int64_t n = 0; n < tb.in_c; ++n)
-      valid += conv_plane(tb, weights + (c * tb.in_c + n) * taps,
-                          input + n * in_plane, oc);
+    r.max_abs = std::max(r.max_abs, simd::max_abs_acc(oc, out_plane));
   }
-  return valid;
+  return r;
 }
 
 /// Pairs (o, k) in [0, n_o) x [0, n_k) with o*stride + k - pad in
@@ -137,27 +143,23 @@ std::int64_t clipped_pairs(std::int64_t n_o, std::int64_t n_k,
   return total;
 }
 
-/// Runs body(lo, hi) over [0, units) split into contiguous ranges across
-/// `pool` and returns the sum of what the calls return. A few ranges per
-/// worker, so a worker held up elsewhere does not leave the batch waiting
-/// on one large range.
+/// Runs body(lo, hi) over [0, units) in contiguous ranges across `pool`
+/// (for_each_range) and combines what the calls return: MACCs summed,
+/// magnitudes maxed.
 template <typename Body>
-std::int64_t fan_out(ThreadPool* pool, std::int64_t units, const Body& body) {
-  const int jobs = pool != nullptr ? pool->jobs() : 1;
-  const std::int64_t parts =
-      jobs > 1 ? std::min<std::int64_t>(units, 4 * std::int64_t{jobs}) : 1;
-  if (parts <= 1) {
-    // Serial path stays heap-free: it runs inside the serving steady state,
-    // where per-request allocations are pinned to zero.
-    return body(std::int64_t{0}, units);
-  }
-  std::atomic<std::int64_t> total{0};
-  pool->parallel_for(static_cast<std::size_t>(parts), [&](std::size_t i) {
-    const auto part = static_cast<std::int64_t>(i);
-    total.fetch_add(body(part * units / parts, (part + 1) * units / parts),
-                    std::memory_order_relaxed);
+EngineResult fan_out(ThreadPool* pool, std::int64_t units, const Body& body) {
+  std::atomic<std::int64_t> maccs{0};
+  std::atomic<std::uint64_t> max_abs{0};
+  for_each_range(pool, units, [&](std::int64_t lo, std::int64_t hi) {
+    const EngineResult r = body(lo, hi);
+    maccs.fetch_add(r.maccs, std::memory_order_relaxed);
+    std::uint64_t seen = max_abs.load(std::memory_order_relaxed);
+    while (r.max_abs > seen &&
+           !max_abs.compare_exchange_weak(seen, r.max_abs,
+                                          std::memory_order_relaxed)) {
+    }
   });
-  return total.load();
+  return {maccs.load(), max_abs.load()};
 }
 
 /// A stride-s conv as the stride-1 conv the tiles run. Phase plane (a, b)
@@ -252,8 +254,8 @@ bool fits_int32(const EngineTables& tb, const std::int16_t* weights,
 /// The conv on int32 register tiles: one zero-padded, phase-split copy of
 /// the input (and, when the split moves taps, of the weights) drawn from
 /// the calling thread's TensorArena, then 4-channel tiles fanned across the
-/// pool. Returns the layer's MACC count.
-std::int64_t run_tiles(const EngineTables& tb, const std::int16_t* weights,
+/// pool. Each tile stores its outputs, so nothing is zeroed first.
+EngineResult run_tiles(const EngineTables& tb, const std::int16_t* weights,
                        const std::int16_t* input, acc_t* out,
                        ThreadPool* pool) {
   const PhaseShape ps = phase_shape(tb);
@@ -277,13 +279,15 @@ std::int64_t run_tiles(const EngineTables& tb, const std::int16_t* weights,
   conv.pitch = ps.pw;
   conv.oh = tb.oh;
   conv.ow = tb.ow;
-  fan_out(pool, ceil_div(tb.out_c, 4), [&](std::int64_t lo, std::int64_t hi) {
-    simd::conv_tile_i16(conv, 4 * lo, std::min(4 * hi, tb.out_c));
-    return std::int64_t{0};
-  });
-  return tb.out_c * tb.in_c *
-         clipped_pairs(tb.oh, tb.kh, tb.stride, tb.pad, tb.in_h) *
-         clipped_pairs(tb.ow, tb.kw, tb.stride, tb.pad, tb.in_w);
+  EngineResult r = fan_out(
+      pool, ceil_div(tb.out_c, 4), [&](std::int64_t lo, std::int64_t hi) {
+        return EngineResult{
+            0, simd::conv_tile_i16(conv, 4 * lo, std::min(4 * hi, tb.out_c))};
+      });
+  r.maccs = tb.out_c * tb.in_c *
+            clipped_pairs(tb.oh, tb.kh, tb.stride, tb.pad, tb.in_h) *
+            clipped_pairs(tb.ow, tb.kw, tb.stride, tb.pad, tb.in_w);
+  return r;
 }
 
 }  // namespace
@@ -343,7 +347,7 @@ bool uses_int32_tiles(const EngineTables& tb, const std::int16_t* weights,
          fits_int32(tb, weights, input);
 }
 
-std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
+EngineResult run_functional(const EngineTables& tb, const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool) {
   if (uses_int32_tiles(tb, weights, input))

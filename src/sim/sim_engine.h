@@ -13,12 +13,15 @@
 //   * fan-out: the output channels (conv M, depthwise channel, MatMul N)
 //     split into contiguous ranges across the ThreadPool — each output
 //     accumulator has exactly one owner, so the result is the same at any
-//     jobs count;
+//     jobs count. The owner also zeroes its range and reports its max |acc|
+//     (the requantisation's calibration input), so no serial pass over the
+//     output precedes or follows the engine;
 //   * int32 register tiles: a conv whose operands satisfy
 //     K * max|w| * max|x| <= 2^31 - 1 (checked by scanning both tensors on
 //     every call) runs as an implicit GEMM over one zero-padded copy of its
 //     input, 4 output channels x 16 output positions per int32 tile
-//     (simd::conv_tile_i16), widened to acc_t once per tile. A stride-s
+//     (simd::conv_tile_i16), widened and stored to acc_t once per tile, its
+//     magnitudes taken from the int32 values on the way. A stride-s
 //     conv first splits that copy by phase: plane (a, b) of a channel holds
 //     the padded rows = a and columns = b (mod s), the phases become input
 //     channels (those without taps dropped), and the kernel becomes the
@@ -93,14 +96,24 @@ EngineTables build_tables(const compiler::LayerProgram& program);
 bool uses_int32_tiles(const EngineTables& tables, const std::int16_t* weights,
                       const std::int16_t* input);
 
+/// What one functional run reports besides the accumulators.
+struct EngineResult {
+  /// MACCs executed: the layer's true MAC count, which the callers
+  /// cross-check against count_valid_maccs.
+  std::int64_t maccs = 0;
+  /// max |acc| over the output (a magnitude: 2^63 for INT64_MIN).
+  std::uint64_t max_abs = 0;
+};
+
 /// Computes every MAC of the layer, fanned across `pool` by output-channel
 /// range (nullptr or jobs()==1 runs serially on the caller). The only
 /// allocations are the int32 tile path's padded, phase-split input copy and
 /// rearranged weights, drawn from the calling thread's TensorArena.
-/// Accumulates into `out` (the layer's AccTensor storage, zero-initialized
-/// by the caller) and returns the number of MACCs executed — the layer's
-/// true MAC count, which the callers cross-check against count_valid_maccs.
-std::int64_t run_functional(const EngineTables& tables,
+/// Writes every element of `out` (the layer's AccTensor storage; its prior
+/// contents are ignored, so the caller need not zero it): each task zeroes
+/// or overwrites the channels it owns and takes their max |acc| while they
+/// are in cache, and the tasks' results are combined.
+EngineResult run_functional(const EngineTables& tables,
                             const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool);

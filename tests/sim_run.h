@@ -10,6 +10,7 @@ namespace ftdl {
 struct SimRun {
   nn::AccTensor output;  ///< wide accumulators (pre-requantization)
   sim::SimStats stats;   ///< the runner's cached stats
+  std::uint64_t max_abs = 0;  ///< max |acc| the run reported
 };
 
 /// Builds a runner for `program` and runs it once on `pool` (nullptr runs
@@ -21,7 +22,7 @@ inline SimRun simulate(const compiler::LayerProgram& program,
                        ThreadPool* pool = nullptr) {
   const sim::CachedLayerSim runner(program, config, options);
   SimRun r;
-  runner.run(weights, input, r.output, pool);
+  r.max_abs = runner.run(weights, input, r.output, pool);
   r.stats = runner.stats();
   return r;
 }

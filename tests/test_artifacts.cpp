@@ -6,10 +6,12 @@
 // examples/specs/lenet.ftdl), and the goldens load back field-equal.
 //
 // ArtifactFuzz: every loader of untrusted bytes (deserialize_program,
-// ProgramStore::load, deserialize_network, and the network spec parser)
-// meets seeded mutants of a valid artifact — byte flips, truncation at every line, duplicated and swapped
-// lines, and numeric tokens swapped for non-numeric, oversized, negative
-// and junk-suffixed text. Each outcome must be a successful load or an
+// ProgramStore::load, deserialize_network, the network spec parser and the
+// ftdl-stream-v1 log reader) meets seeded mutants of a valid artifact —
+// byte flips, truncation at every line, duplicated and swapped lines, and
+// numeric tokens swapped for non-numeric, oversized, negative and
+// junk-suffixed text; a stream log also meets truncation at every byte,
+// duplicated chunks, and byte flips behind a recomputed chunk CRC. Each outcome must be a successful load or an
 // ftdl::Error (for the store: a miss plus an eviction); any other
 // exception fails the test. The named cases pin values that were once
 // accepted silently or escaped as std:: exceptions.
@@ -37,6 +39,8 @@
 #include "compiler/scheduler.h"
 #include "frontend/spec_parser.h"
 #include "nn/model_zoo.h"
+#include "obs/stream_reader.h"
+#include "obs/stream_writer.h"
 
 namespace ftdl {
 namespace {
@@ -541,6 +545,118 @@ TEST(ArtifactFuzz, MalformedSpecInputThrowsFtdlError) {
   }
   EXPECT_NO_THROW(
       frontend::parse_network_spec("network n\ninput 1 28 28\n" + body));
+}
+
+// ---- ftdl-stream-v1 logs ------------------------------------------------------
+
+/// A small log with every record kind across several data chunks: two
+/// tracks, a serve-shaped enqueue -> batch -> execute chain with args, an
+/// annotation, counters and a gauge.
+std::string seed_stream(const std::string& path) {
+  using obs::stream::Record;
+  using obs::stream::RecordKind;
+  obs::stream::StreamWriterOptions opt;
+  opt.chunk_records = 4;
+  opt.flush_period_ms = 0;
+  obs::stream::StreamWriter w(path, opt);
+  std::vector<Record> rs;
+  const auto add = [&](RecordKind kind, std::uint32_t track,
+                       std::uint64_t payload, std::uint32_t name,
+                       std::uint32_t aux, std::uint8_t argc = 0) {
+    Record r;
+    r.kind = static_cast<std::uint8_t>(kind);
+    r.track = track;
+    r.payload = payload;
+    r.name_id = name;
+    r.aux_id = aux;
+    r.argc = argc;
+    rs.push_back(r);
+  };
+  using obs::stream::double_bits;
+  const std::uint32_t serve = w.intern("serve");
+  const std::uint32_t request = w.intern("request");
+  const std::uint32_t one = w.intern("1");
+  add(RecordKind::TrackDef, 0, (std::uint64_t{1} << 32) | 1,
+      w.intern("client"), w.intern("main"));
+  add(RecordKind::TrackDef, 1, (std::uint64_t{1} << 32) | 2,
+      w.intern("worker"), w.intern("w0"));
+  add(RecordKind::SpanBegin, 0, double_bits(1.0), w.intern("enqueue"), serve,
+      1);
+  add(RecordKind::SpanArg, 0, 0, request, one);
+  add(RecordKind::SpanEnd, 0, double_bits(2.0), 0, 0);
+  add(RecordKind::SpanBegin, 1, double_bits(3.0), w.intern("batch"), serve, 1);
+  add(RecordKind::SpanArg, 1, 0, w.intern("size"), one);
+  add(RecordKind::SpanBegin, 1, double_bits(3.5), w.intern("execute"), serve,
+      1);
+  add(RecordKind::SpanArg, 1, 0, request, one);
+  add(RecordKind::Annotate, 1, 0, w.intern("cycles"), w.intern("42"));
+  add(RecordKind::SpanEnd, 1, double_bits(4.0), 0, 0);
+  add(RecordKind::SpanEnd, 1, double_bits(4.5), 0, 0);
+  add(RecordKind::CounterAdd, 0, obs::stream::i64_bits(3),
+      w.intern("serve/requests"), 0);
+  add(RecordKind::GaugeSet, 0, double_bits(2.5), w.intern("serve/depth"), 0);
+  // One publish per record: each channel seals a chunk every 4 records.
+  for (const Record& r : rs) w.publish(&r, 1);
+  w.finish();
+  return *read_file(path);
+}
+
+/// `log` with each chunk's CRC recomputed over its payload as it stands, so
+/// damage inside a payload reaches the record and string decoders instead
+/// of stopping at the checksum. Stops at the first header it cannot frame.
+std::string with_fixed_crcs(std::string log) {
+  namespace st = obs::stream;
+  std::size_t at = st::kFileHeaderBytes;
+  while (at + st::kChunkHeaderBytes <= log.size()) {
+    const auto* p = reinterpret_cast<const unsigned char*>(log.data() + at);
+    const st::ChunkHeader h = st::decode_chunk_header(p);
+    const std::size_t end = at + st::kChunkHeaderBytes + h.payload_bytes;
+    if (h.magic != st::kChunkMagic || end > log.size()) break;
+    const std::uint32_t crc =
+        st::crc32(log.data() + at + st::kChunkHeaderBytes, h.payload_bytes);
+    for (int i = 0; i < 4; ++i)
+      log[at + 12 + static_cast<std::size_t>(i)] =
+          static_cast<char>((crc >> (8 * i)) & 0xFF);
+    at = end;
+  }
+  return log;
+}
+
+TEST(ArtifactFuzz, StreamMutantsLoadOrThrowFtdlError) {
+  TempDir dir;
+  const std::string log = seed_stream(dir.path + "/seed.stream");
+  const obs::stream::LoadedLog seed = obs::stream::load_stream(dir.path +
+                                                               "/seed.stream");
+  ASSERT_TRUE(obs::stream::check_log(seed).ok());
+  ASSERT_GT(seed.chunks.size(), 3u);
+
+  std::vector<std::string> ms = mutants(log, 606);
+  const std::vector<std::string> flips(ms.begin(), ms.begin() + kByteFlips);
+  for (const std::string& m : flips) ms.push_back(with_fixed_crcs(m));
+  for (std::size_t n = 0; n < log.size(); ++n) ms.push_back(log.substr(0, n));
+  for (std::size_t i = 0; i < seed.chunks.size(); ++i) {
+    const std::size_t at = seed.chunks[i].file_offset;
+    const std::size_t end = i + 1 < seed.chunks.size()
+                                ? seed.chunks[i + 1].file_offset
+                                : log.size();
+    ms.push_back(log.substr(0, end) + log.substr(at));  // chunk i twice
+  }
+
+  // The whole offline pipeline ftdl-obsq runs: load, check, replay, the
+  // transaction view and both exports.
+  const std::string path = dir.path + "/mutant.stream";
+  const Outcomes o = load_all(ms, [&](const std::string& m) {
+    write_file_atomic(path, m);
+    const obs::stream::LoadedLog l = obs::stream::load_stream(path);
+    obs::stream::check_log(l);
+    const obs::stream::ReconstructedLog r = obs::stream::reconstruct(l);
+    obs::stream::reconstruct_transactions(r);
+    obs::render_chrome_trace(r.tracks, r.events);
+    obs::render_metrics_json(r.metrics);
+  });
+  EXPECT_EQ(o.loaded + o.rejected, static_cast<int>(ms.size()));
+  // Damage past the header is reported, not thrown: most mutants load.
+  EXPECT_GT(o.loaded, o.rejected);
 }
 
 }  // namespace

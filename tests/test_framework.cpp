@@ -71,6 +71,45 @@ TEST(Framework, EvaluatesSmallNetworkEndToEnd) {
   EXPECT_EQ(r.schedule.layers.size(), 3u);
 }
 
+// A layer split into weight groups moves every part's DRAM traffic, its
+// shorter last part's included: the frame's DRAM energy is that of the sum
+// over the parts that run, not of one full-size part.
+TEST(Framework, SplitLayerDramVolumeCoversEveryPart) {
+  FrameworkOptions opts;
+  opts.config.d1 = 4;
+  opts.config.d2 = 2;
+  opts.config.d3 = 3;
+  opts.search_budget_per_layer = 2'000;
+  Framework fw{opts};
+  nn::Network net("split-fc");
+  net.add(nn::make_matmul("loss3/classifier", 1024, 1000, 1));
+
+  const NetworkReport r = fw.evaluate(net);
+  ASSERT_EQ(r.schedule.layers.size(), 1u);
+  const compiler::LayerProgram& p = r.schedule.layers.front();
+  ASSERT_GT(p.weight_groups, 1);
+  ASSERT_NE(p.tail, nullptr);
+  const double rd = p.perf.dram_rd_bytes * (p.weight_groups - 1) +
+                    p.tail->perf.dram_rd_bytes;
+  const double wr = p.perf.dram_wr_bytes * (p.weight_groups - 1) +
+                    p.tail->perf.dram_wr_bytes;
+  EXPECT_EQ(p.total_dram_rd_bytes(), rd);
+  EXPECT_EQ(p.total_dram_wr_bytes(), wr);
+
+  const auto volume = [&](double read, double write) {
+    return dram::evaluate_volume(static_cast<std::uint64_t>(read),
+                                 static_cast<std::uint64_t>(write),
+                                 r.schedule.seconds_per_frame(),
+                                 opts.dram_spec, opts.dram_channels);
+  };
+  EXPECT_EQ(r.dram.rw_joules, volume(rd, wr).rw_joules);
+  EXPECT_EQ(r.dram.io_joules, volume(rd, wr).io_joules);
+  EXPECT_EQ(r.dram.total_joules(), volume(rd, wr).total_joules());
+  // One part's traffic alone is a different, smaller figure.
+  EXPECT_LT(volume(p.perf.dram_rd_bytes, p.perf.dram_wr_bytes).rw_joules,
+            r.dram.rw_joules);
+}
+
 // Per-layer Table II schedules, one row per overlay layer in execution
 // order: name, weight groups, C_exe, then the D1, D2, D3, X, L and T tile
 // vectors (workload-loop order; see schedule_row).

@@ -1,10 +1,12 @@
 // Tests for the functional end-to-end runtime: graph execution, equivalence
 // with the nn-reference forward pass (including weight-group stitching, and
-// committed output digests at zoo scale), host EWOP kernels and
-// quantization calibration.
+// committed output digests at zoo scale at several pool sizes), the host
+// EWOP kernels (requantisation and pooling, swept against the nn:: oracles)
+// and quantization calibration.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <tuple>
@@ -12,12 +14,15 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 #include "compiler/codegen.h"
 #include "compiler/session.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
 #include "reference_forward.h"
 #include "runtime/executor.h"
+#include "runtime/host_kernels.h"
 #include "sim/ftdl_sim.h"
 
 namespace ftdl::runtime {
@@ -450,14 +455,172 @@ TEST(Executor, ZooOutputsMatchReferenceDigests) {
     Rng rng(23);
     input.fill_random(rng, 3);
 
-    const ExecResult r = run_network(net, input, ws, opt);
-    EXPECT_EQ(output_digest(r.output), digest) << net.name();
-    EXPECT_EQ(r.total_sim_cycles, sim_cycles) << net.name();
-    EXPECT_EQ(r.runs.size(), net.layers().size()) << net.name();
-    if (net.name() == "GoogLeNet") {
-      EXPECT_EQ(r.output.dims(), (std::vector<int>{1000, 1}));
+    // jobs-N == jobs-1 at zoo scale: the two large networks also run
+    // serially and on a dedicated 4-job pool, so the engine's fan-out, its
+    // per-task max |acc|, and the requantisation and pooling kernels' fan-out
+    // all meet the same digest.
+    std::vector<int> sim_jobs = {0};
+    if (net.name() == "GoogLeNet" || net.name() == "ResNet50")
+      sim_jobs = {0, 1, 4};
+    for (const int jobs : sim_jobs) {
+      opt.sim_jobs = jobs;
+      const ExecResult r = run_network(net, input, ws, opt);
+      EXPECT_EQ(output_digest(r.output), digest)
+          << net.name() << " sim_jobs=" << jobs;
+      EXPECT_EQ(r.total_sim_cycles, sim_cycles)
+          << net.name() << " sim_jobs=" << jobs;
+      EXPECT_EQ(r.runs.size(), net.layers().size()) << net.name();
+      if (net.name() == "GoogLeNet") {
+        EXPECT_EQ(r.output.dims(), (std::vector<int>{1000, 1}));
+      }
     }
   }
+}
+
+// ---- host kernels vs the nn:: oracles -------------------------------------
+
+/// Runs `body(pool)` with SIMD on and off, serially and on a 4-job pool.
+template <typename Body>
+void at_jobs_and_isa(const Body& body) {
+  static ThreadPool four(4);
+  for (const bool vector : {true, false}) {
+    simd::set_enabled(vector);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "simd " << (vector ? "on" : "off") << ", jobs "
+                   << (pool != nullptr ? 4 : 1));
+      body(pool);
+    }
+  }
+  simd::set_enabled(true);
+}
+
+/// Full-range int16 input, -32768 included.
+nn::Tensor16 full_range_input(const nn::Layer& l, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::uniform_int_distribution<int> dist(-32768, 32767);
+  nn::Tensor16 t({l.in_c, l.in_h, l.in_w});
+  for (std::int64_t i = 0; i < t.size(); ++i)
+    t[i] = static_cast<std::int16_t>(dist(gen));
+  return t;
+}
+
+void expect_pool_matches_oracle(nn::Layer layer, std::uint64_t seed) {
+  nn::validate(layer);
+  const nn::Tensor16 in = full_range_input(layer, seed);
+  for (const nn::PoolOp op : {nn::PoolOp::Max, nn::PoolOp::Avg}) {
+    layer.pool_op = op;
+    const nn::Tensor16 want = op == nn::PoolOp::Max
+                                  ? nn::maxpool_reference(layer, in)
+                                  : nn::avgpool_reference(layer, in);
+    at_jobs_and_isa([&](ThreadPool* pool) {
+      EXPECT_EQ(pool_layer(layer, in, pool), want)
+          << layer.name << (op == nn::PoolOp::Max ? " max" : " avg") << " "
+          << layer.in_c << "x" << layer.in_h << "x" << layer.in_w << " k "
+          << layer.kh << "x" << layer.kw << " s " << layer.stride << " p "
+          << layer.pad;
+    });
+  }
+}
+
+TEST(HostKernels, PoolingMatchesOracleOnEveryZooShape) {
+  std::set<std::tuple<int, int, int, int, int, int, int>> seen;
+  std::vector<nn::Network> nets = nn::mlperf_models();
+  nets.push_back(nn::mobilenet_v1());
+  for (const nn::Network& net : nets)
+    for (const nn::Layer& l : net.layers()) {
+      if (l.kind != nn::LayerKind::Pool) continue;
+      if (!seen.insert({l.in_c, l.in_h, l.in_w, l.kh, l.kw, l.stride, l.pad})
+               .second)
+        continue;
+      expect_pool_matches_oracle(l, seen.size());
+    }
+  EXPECT_GE(seen.size(), 8u);
+}
+
+TEST(HostKernels, PoolingMatchesOracleOnOddGeometry) {
+  // Odd widths around the 16-lane vector blocks, pads that leave empty
+  // windows, kernels wider than the input, strides 1-3.
+  std::uint64_t seed = 0;
+  for (const int w : {1, 15, 17, 33})
+    for (const int h : {1, 6, 17})
+      for (const auto& [kh, kw] : {std::pair{1, 1}, std::pair{2, 2},
+                                   std::pair{3, 3}, std::pair{3, 5},
+                                   std::pair{5, 2}, std::pair{h + 2, w + 2}})
+        for (const int stride : {1, 2, 3})
+          for (const int pad : {0, 1, 2}) {
+            if (h + 2 * pad < kh || w + 2 * pad < kw) continue;
+            expect_pool_matches_oracle(
+                nn::make_pool2("odd", 3, h, w, kh, kw, stride, pad), ++seed);
+          }
+  // Large enough to fan out over the pool.
+  static_assert(40 * 45 * 37 >= kSerialBelow);
+  expect_pool_matches_oracle(nn::make_pool("fan", 40, 45, 37, 3, 2, 1), 1);
+  expect_pool_matches_oracle(nn::make_pool("fan_s1", 40, 45, 37, 3, 1, 1), 2);
+  // Layers whose window rows do not fit a band buffer (wide rows, a window
+  // wider than the buffer, tall windows) run on the oracle.
+  expect_pool_matches_oracle(nn::make_pool2("long", 2, 3, 5000, 3, 3, 1, 1),
+                             3);
+  expect_pool_matches_oracle(
+      nn::make_pool2("wide", 1, 2, 10'000, 2, 9'000, 500, 0), 4);
+  // A stride past the kernel: band rows no window reads.
+  expect_pool_matches_oracle(nn::make_pool2("sparse", 2, 50, 50, 2, 3, 4, 1),
+                             6);
+  expect_pool_matches_oracle(
+      nn::make_pool2("tall", 1, 70'000, 2, 66'000, 2, 4'000, 0), 5);
+}
+
+/// Requantisation of `acc` against nn::requantize_output at several shifts,
+/// ReLU on and off, with the max |acc| the engine would report.
+void expect_requant_matches_oracle(const nn::AccTensor& acc) {
+  std::uint64_t max_abs = 0;
+  for (std::int64_t i = 0; i < acc.size(); ++i) {
+    const acc_t v = acc[i];
+    max_abs = std::max<std::uint64_t>(max_abs, v < 0 ? 0ULL - static_cast<std::uint64_t>(v)
+                                      : static_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(shift_for_max(max_abs, 7), calibrate_shift(acc, 7));
+  for (const bool relu : {false, true}) {
+    nn::Layer layer = nn::make_conv("rq", 1, 1, 1, 1, 1, 1, 0, relu);
+    for (const int shift : {0, 1, 7, calibrate_shift(acc, 7), 31, 32, 40, 63}) {
+      const nn::Tensor16 want = nn::requantize_output(layer, acc, shift);
+      at_jobs_and_isa([&](ThreadPool* pool) {
+        EXPECT_EQ(requantize_layer(layer, acc, max_abs, shift, pool), want)
+            << "shift " << shift << " relu " << relu << " max|acc| "
+            << max_abs;
+      });
+    }
+  }
+}
+
+TEST(HostKernels, RequantisationMatchesOracleAcrossMagnitudes) {
+  constexpr acc_t k31 = acc_t{1} << 31;
+  struct Range {
+    acc_t lo, hi;  ///< values drawn in [lo, hi]
+    acc_t pin;     ///< one element set to this
+  };
+  const Range ranges[] = {
+      {-(k31 - 1), k31 - 1, k31 - 1},   // just below 2^31: int32 lanes
+      {-(k31 - 1), k31 - 1, -(k31 - 1)},
+      {-k31, k31 - 1, -k31},            // |acc| == 2^31: scalar
+      {-(k31 + 5), k31 + 5, k31},       // just above 2^31
+      {-(acc_t{1} << 50), acc_t{1} << 50, acc_t{1} << 49},  // saturate48
+      {-(acc_t{1} << 50), acc_t{1} << 50,
+       std::numeric_limits<acc_t>::min()},
+      {-300, 300, 0},                   // small: shift 0 keeps them
+  };
+  static_assert(64 * 33 * 33 >= kSerialBelow);  // the last shape fans out
+  std::uint64_t seed = 0;
+  for (const Range& r : ranges)
+    for (const nn::Dims& dims :
+         {nn::Dims{3, 5, 7}, nn::Dims{1, 17}, nn::Dims{64, 33, 33}}) {
+      nn::AccTensor acc(dims);
+      std::mt19937_64 gen(++seed);
+      std::uniform_int_distribution<acc_t> dist(r.lo, r.hi);
+      for (std::int64_t i = 0; i < acc.size(); ++i) acc[i] = dist(gen);
+      acc[acc.size() / 2] = r.pin;
+      expect_requant_matches_oracle(acc);
+    }
 }
 
 TEST(Graph, ValidateCatchesBadReferences) {

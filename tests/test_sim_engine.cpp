@@ -351,6 +351,15 @@ TEST(Sim, BufferFootprintsMatMul) {
   expect_footprints_within_bounds(prog, walk_program(prog));
 }
 
+/// max |acc| over `t`, as a magnitude.
+std::uint64_t max_abs_of(const nn::AccTensor& t) {
+  std::uint64_t m = 0;
+  for (std::int64_t i = 0; i < t.size(); ++i)
+    m = std::max<std::uint64_t>(m, t[i] < 0 ? 0ULL - static_cast<std::uint64_t>(t[i])
+                             : static_cast<std::uint64_t>(t[i]));
+  return m;
+}
+
 /// Forces the scalar oracles for its lifetime; restores the vector path on
 /// exit (set_enabled(true) is a no-op where no vector path exists).
 struct ScopedScalarOnly {
@@ -375,6 +384,8 @@ void expect_simd_scalar_golden_agree(const compiler::LayerProgram& prog,
   expect_same_stats(vec.stats, sca.stats, "SIMD vs scalar");
   EXPECT_EQ(vec.output, nn_golden(prog.layer, data))
       << "SIMD vs nn reference, jobs=" << jobs;
+  EXPECT_EQ(vec.max_abs, sca.max_abs) << "SIMD vs scalar max |acc|";
+  EXPECT_EQ(vec.max_abs, max_abs_of(vec.output));
 }
 
 // The randomized sweep again, now pinning the vector dispatch against the
@@ -748,6 +759,38 @@ TEST(SimEngine, SplitProgramIsRefused) {
   ASSERT_EQ(part_prog.weight_groups, 1);
   EXPECT_EQ(sim::simulate_layer_stats(part_prog, cfg).stats.valid_maccs,
             part.macs());
+}
+
+// run() returns max |acc| of what it wrote, and overwrites an output that
+// already has the layer's shape: each fan-out task zeroes (acc_t sweeps) or
+// stores (int32 tiles) its own channel range, and nothing is zeroed up
+// front. Small operands take the tiles on an AVX2 host, full-range ones the
+// acc_t sweeps; both at jobs 1 and 4, with SIMD on and off.
+TEST(SimEngine, RunReportsMaxAbsAndOverwritesItsOutput) {
+  ThreadPool four(4);
+  for (int seed = 0; seed < 24; ++seed) {
+    const SweepCase c = sweep_case(seed);
+    const sim::CachedLayerSim runner(c.prog, c.cfg);
+    for (const std::int16_t magnitude : {std::int16_t{7}, std::int16_t{32767}}) {
+      LayerData data = make_data(c.layer, static_cast<std::uint64_t>(seed));
+      Rng rng(static_cast<std::uint64_t>(seed) + 501);
+      data.input.fill_random(rng, magnitude);
+      data.weights.fill_random(rng, magnitude);
+      const nn::AccTensor golden = nn_golden(c.layer, data);
+      for (const bool vector : {true, false}) {
+        simd::set_enabled(vector);
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+          nn::AccTensor out(golden.dims());
+          std::fill(out.data(), out.data() + out.size(), acc_t{-12345});
+          EXPECT_EQ(runner.run(data.weights, data.input, out, pool),
+                    max_abs_of(golden))
+              << c.layer.name << " magnitude " << magnitude;
+          EXPECT_EQ(out, golden) << c.layer.name << " magnitude " << magnitude;
+        }
+      }
+      simd::set_enabled(true);
+    }
+  }
 }
 
 TEST(SimEngine, SharedPoolAndTransientPoolAgree) {

@@ -4,7 +4,9 @@
 // instructions. Widths sweep 0..2*lanes+3 so every tail length of the
 // widest implementation (16 int16 lanes on AVX2) is hit on both sides of
 // the kInlineCutoff inline/dispatch boundary.
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -118,6 +120,117 @@ TEST(Simd, LongRandomSweepsMatch) {
     axpy_i16_scalar(ref.data(), in.data(), w[0], n);
     EXPECT_EQ(fast, ref) << "seed " << seed;
   }
+}
+
+// ---- epilogue and pooling primitives --------------------------------------
+//
+// Each runs with the vector dispatch and with set_enabled(false), and both
+// must equal a plain loop. Buffers are sized exactly, so the sanitizer
+// builds catch any read past what a primitive documents.
+
+/// Runs body() with SIMD on, then off; restores it.
+template <typename Body>
+void on_and_off(const Body& body) {
+  for (const bool vector : {true, false}) {
+    set_enabled(vector);
+    SCOPED_TRACE(vector ? "simd on" : "simd off");
+    body();
+  }
+  set_enabled(true);
+}
+
+std::uint64_t magnitude(acc_t v) {
+  return v < 0 ? 0ULL - static_cast<std::uint64_t>(v)
+               : static_cast<std::uint64_t>(v);
+}
+
+TEST(Simd, MaxAbsAccIsExactAcrossWidths) {
+  std::mt19937_64 rng(5);
+  const acc_t extremes[] = {std::numeric_limits<acc_t>::min(),
+                            std::numeric_limits<acc_t>::max(),
+                            -(acc_t{1} << 31), acc_t{1} << 47, -1, 0};
+  for (std::int64_t n = 0; n <= 35; ++n)
+    for (const acc_t pin : extremes) {
+      std::vector<acc_t> x(static_cast<std::size_t>(n));
+      for (acc_t& v : x) v = static_cast<acc_t>(rng() >> 20) - (acc_t{1} << 43);
+      if (n > 0) x[static_cast<std::size_t>(rng() % n)] = pin;
+      std::uint64_t want = 0;
+      for (const acc_t v : x) want = std::max(want, magnitude(v));
+      on_and_off([&] { EXPECT_EQ(max_abs_acc(x.data(), n), want) << n; });
+    }
+}
+
+TEST(Simd, RequantizeI32MatchesTheFormula) {
+  std::mt19937_64 rng(6);
+  std::uniform_int_distribution<acc_t> dist(-((acc_t{1} << 31) - 1),
+                                            (acc_t{1} << 31) - 1);
+  for (std::int64_t n = 0; n <= 35; ++n) {
+    std::vector<acc_t> acc(static_cast<std::size_t>(n));
+    for (acc_t& v : acc) v = dist(rng);
+    if (n > 1) {
+      acc[0] = (acc_t{1} << 31) - 1;
+      acc[1] = -((acc_t{1} << 31) - 1);
+    }
+    for (const int shift : {0, 1, 9, 16, 31, 32, 63})
+      for (const bool apply_relu : {false, true}) {
+        std::vector<std::int16_t> want(static_cast<std::size_t>(n));
+        for (std::size_t j = 0; j < acc.size(); ++j) {
+          const std::int16_t v = requantize(acc[j], shift);
+          want[j] = apply_relu ? relu(v) : v;
+        }
+        on_and_off([&] {
+          std::vector<std::int16_t> got(static_cast<std::size_t>(n));
+          requantize_i32(acc.data(), got.data(), n, shift, apply_relu);
+          EXPECT_EQ(got, want) << "n " << n << " shift " << shift;
+        });
+      }
+  }
+}
+
+TEST(Simd, VerticalPoolingStepsMatchLoops) {
+  for (std::int64_t n = 0; n <= 35; ++n) {
+    const auto a = random_i16(n, 40 + static_cast<std::uint64_t>(n));
+    const auto row = random_i16(n, 80 + static_cast<std::uint64_t>(n));
+    std::vector<std::int16_t> want_max = a;
+    std::vector<std::int32_t> want_sum(a.begin(), a.end());
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      want_max[j] = std::max(want_max[j], row[j]);
+      want_sum[j] += row[j];
+    }
+    on_and_off([&] {
+      std::vector<std::int16_t> got_max = a;
+      max_into_i16(got_max.data(), row.data(), n);
+      EXPECT_EQ(got_max, want_max) << n;
+      std::vector<std::int32_t> got_sum(a.begin(), a.end());
+      add_into_i32(got_sum.data(), row.data(), n);
+      EXPECT_EQ(got_sum, want_sum) << n;
+      std::int16_t want_run = -32768;
+      for (const std::int16_t v : row) want_run = std::max(want_run, v);
+      EXPECT_EQ(max_i16(row.data(), n), want_run) << n;
+    });
+  }
+}
+
+TEST(Simd, WindowMaxMatchesLoopAtStridesOneToThree) {
+  for (std::int64_t n = 1; n <= 40; ++n)
+    for (int k = 1; k <= 5; ++k)
+      for (int stride = 1; stride <= 3; ++stride) {
+        const std::int64_t len = (n - 1) * stride + k;  // exactly what it reads
+        const auto in = random_i16(len, static_cast<std::uint64_t>(
+                                            n * 100 + k * 10 + stride));
+        std::vector<std::int16_t> want(static_cast<std::size_t>(n));
+        for (std::int64_t x = 0; x < n; ++x) {
+          std::int16_t m = -32768;
+          for (int s = 0; s < k; ++s)
+            m = std::max(m, in[static_cast<std::size_t>(x * stride + s)]);
+          want[static_cast<std::size_t>(x)] = m;
+        }
+        on_and_off([&] {
+          std::vector<std::int16_t> got(static_cast<std::size_t>(n));
+          window_max_i16(got.data(), in.data(), n, k, stride);
+          EXPECT_EQ(got, want) << "n " << n << " k " << k << " s " << stride;
+        });
+      }
 }
 
 }  // namespace
