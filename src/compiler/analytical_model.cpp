@@ -13,7 +13,7 @@ namespace {
 
 /// Positions of the loops the activation-tile geometry reads: M and P for
 /// MatMul; N, E, F, R and S for conv and depthwise (they share the halo-tile
-/// geometry). Resolved once per evaluate() call.
+/// geometry).
 struct ActLoops {
   explicit ActLoops(const Workload& w) {
     if (w.kind == WorkloadKind::MatMul) {
@@ -110,11 +110,25 @@ std::int64_t weight_reuse_at_t(const Workload& w, const Mapping& m) {
   return reuse;
 }
 
+BufferUsage buffer_usage(const Workload& w, const Mapping& m) {
+  BufferUsage b;
+  b.wbuf_words_per_tpe = 1;
+  for (int i = 0; i < w.k(); ++i) {
+    if (w.loops[static_cast<std::size_t>(i)].indexes_weight) {
+      b.wbuf_words_per_tpe *= m.temporal_extent(i);
+    }
+  }
+  b.actbuf_words_per_tpe = act_tile_words(w, ActLoops(w), m);
+  b.psum_words_per_superblock = psum_tile_words(w, m);
+  return b;
+}
+
 Performance evaluate(const Workload& w, const Mapping& m,
                      const arch::OverlayConfig& config) {
   FTDL_ASSERT(m.k() == w.k());
   Performance p;
-  const ActLoops act_loops(w);
+  p.buffers = buffer_usage(w, m);
+  p.buffers_fit = p.buffers.fits(config);
 
   p.x = m.level_product(HwLevel::X);
   p.l = m.level_product(HwLevel::L);
@@ -128,14 +142,14 @@ Performance evaluate(const Workload& w, const Mapping& m,
   p.c_comp = p.x * (burst + lat);
 
   // --- Eqn. 8: ActBUS cycles = f_act(TT) * X * L.
-  const std::int64_t refill_words = act_refill(w, act_loops, m);
+  const std::int64_t refill_words = act_refill(w, ActLoops(w), m);
   const std::int64_t act_refill_cycles =
       ceil_div(refill_words, config.actbus_words_per_cycle);
   p.c_act_bus = act_refill_cycles * p.x * p.l;
 
   // --- Eqn. 9: PSumBUS cycles = f_psum(TT, TL) * X * D3 (one bus per
   // SuperBlock column, shared by the D3 rows).
-  const std::int64_t psum_words = psum_tile_words(w, m);
+  const std::int64_t psum_words = p.buffers.psum_words_per_superblock;
   const std::int64_t passes = psum_passes(w, m);
   // Multi-pass: intermediate tiles are stored *and* reloaded (2x traffic);
   // single-pass stores only the final results.
@@ -163,24 +177,13 @@ Performance evaluate(const Workload& w, const Mapping& m,
                       p.c_dram_wr});
 
   // --- WBUF efficiency (Sec. IV-B3 / DESIGN.md §4.3).
-  std::int64_t wbuf_per_tpe = 1;
-  for (int i = 0; i < w.k(); ++i) {
-    if (w.loops[static_cast<std::size_t>(i)].indexes_weight) {
-      wbuf_per_tpe *= m.temporal_extent(i);
-    }
-  }
   std::int64_t used_tpes = 1;
   for (HwLevel level : {HwLevel::D1, HwLevel::D2, HwLevel::D3}) {
     used_tpes *= m.level_product(level);
   }
-  p.e_wbuf = double(w.weight_words()) / (double(wbuf_per_tpe) * double(used_tpes));
+  p.e_wbuf = double(w.weight_words()) /
+             (double(p.buffers.wbuf_words_per_tpe) * double(used_tpes));
   FTDL_ASSERT(p.e_wbuf <= 1.0 + 1e-9);
-
-  // --- Buffers.
-  p.buffers.wbuf_words_per_tpe = wbuf_per_tpe;
-  p.buffers.actbuf_words_per_tpe = act_tile_words(w, act_loops, m);
-  p.buffers.psum_words_per_superblock = psum_words;
-  p.buffers_fit = p.buffers.fits(config);
 
   p.host_reduction = needs_host_reduction(m, w);
   p.feasible = p.buffers_fit;

@@ -80,10 +80,16 @@ std::int64_t psum_passes(const Workload& w, const Mapping& m);
 /// T-level reuse available to the double pump (>= 2 required).
 std::int64_t weight_reuse_at_t(const Workload& w, const Mapping& m);
 
-/// Evaluates a mapping (assumed adjacency- and logically-valid; callers use
-/// satisfies_adjacency / satisfies_logical_constraints first — evaluate()
-/// re-derives only what it needs and never throws on infeasible mappings,
-/// it reports them via the flags).
+/// On-chip buffer demand of a mapping: the part of evaluate() that decides
+/// feasibility, without the Eqn. 7-12 cycle model.
+BufferUsage buffer_usage(const Workload& w, const Mapping& m);
+
+/// Evaluates a mapping. evaluate() does not check legality: it assumes the
+/// mapping satisfies the adjacency matrix and Eqns. 10-11. The search builds
+/// its candidates legal by construction and checks only its refinement moves
+/// (satisfies_adjacency / satisfies_logical_constraints); the program loader
+/// checks Eqns. 10-11 on a stored mapping. evaluate() never throws on
+/// infeasible mappings; it reports them via the flags.
 Performance evaluate(const Workload& w, const Mapping& m,
                      const arch::OverlayConfig& config);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -111,7 +112,9 @@ class CandMemo {
  public:
   CandMemo() : slots_(512) {}
 
-  CandList get(std::int64_t trip, std::int64_t limit, std::size_t cap) {
+  /// The candidates for the key, valid until the next get() (which may grow
+  /// the table).
+  const CandList& get(std::int64_t trip, std::int64_t limit, std::size_t cap) {
     // Every candidate of `trip` is at most `trip`, so larger limits agree.
     limit = std::min(limit, trip);
     if (2 * (size_ + 1) > slots_.size()) grow();
@@ -273,16 +276,21 @@ class SearchEngine {
     return true;
   }
 
-  /// Evaluates one candidate mapping and feeds the top-k heap.
+  /// Evaluates one candidate mapping and feeds the top-k heap. Candidates
+  /// are legal: the generators tile only adjacency-allowed levels, within the
+  /// remaining spatial extent, with X the covering remainder; refinement
+  /// passes only moves score_of() accepted.
   void consider(const Mapping& m) {
     if (!seen_.insert(mapping_hash(m))) return;
-    if (!adjacency_ok(m)) return;
-    if (!satisfies_logical_constraints(m, w_, cfg_.d1, cfg_.d2, cfg_.d3)) return;
+    assert(adjacency_ok(m) &&
+           satisfies_logical_constraints(m, w_, cfg_.d1, cfg_.d2, cfg_.d3));
     ++result_.evaluated;
+    // Most candidates overflow a buffer; only those that fit pay for the
+    // cycle model.
+    if (!opt_.keep_infeasible && !buffer_usage(w_, m).fits(cfg_)) return;
 
     const Performance perf = evaluate(w_, m, cfg_);
     if (perf.feasible) ++result_.feasible;
-    if (!perf.feasible && !opt_.keep_infeasible) return;
     const double score = objective_score(perf, opt_.objective, c_min_);
 
     if (static_cast<int>(heap_.size()) < opt_.top_k) {
@@ -544,14 +552,14 @@ class SearchEngine {
   // ---- generator 4: hill-climbing refinement --------------------------------
 
   /// Score of a mapping regardless of the dedup set; nullopt when illegal
-  /// or infeasible. Counts toward the evaluation budget via consider().
+  /// or infeasible. Refinement moves can be illegal, so the legality checks
+  /// run here. run_refinement() counts each call toward the budget.
   std::optional<double> score_of(const Mapping& m) {
     if (!adjacency_ok(m)) return std::nullopt;
     if (!satisfies_logical_constraints(m, w_, cfg_.d1, cfg_.d2, cfg_.d3))
       return std::nullopt;
-    const Performance p = evaluate(w_, m, cfg_);
-    if (!p.feasible) return std::nullopt;
-    return objective_score(p, opt_.objective, c_min_);
+    if (!buffer_usage(w_, m).fits(cfg_)) return std::nullopt;
+    return objective_score(evaluate(w_, m, cfg_), opt_.objective, c_min_);
   }
 
   /// Recomputes loop k's X tile as the minimal cover remainder.

@@ -161,6 +161,20 @@ void pool_column(const PoolShape& p, const std::int16_t* in, std::int16_t* out,
   }
 }
 
+/// Global average pooling (the window is the whole unpadded plane) over
+/// channels [c0, c1): each channel's one output sums its contiguous plane
+/// in one pass.
+void pool_global_average(const PoolShape& p, const std::int16_t* in,
+                         std::int16_t* out, std::int64_t c0, std::int64_t c1) {
+  const std::int64_t n = p.h * p.w;
+  for (std::int64_t c = c0; c < c1; ++c) {
+    const std::int16_t* plane = in + c * n;
+    acc_t sum = 0;
+    for (std::int64_t i = 0; i < n; ++i) sum += plane[i];
+    out[c] = p.average_of(sum, n);
+  }
+}
+
 }  // namespace
 
 Tensor16 requantize_layer(const Layer& layer, const nn::AccTensor& acc,
@@ -191,14 +205,18 @@ Tensor16 pool_layer(const Layer& layer, const Tensor16& in, ThreadPool* pool) {
   if (in.dims() != nn::Dims{layer.in_c, layer.in_h, layer.in_w})
     throw ConfigError(layer.name + ": pooling input shape mismatch");
   const PoolShape p(layer);
+  const bool global_average =
+      p.average && p.pad == 0 && p.kh == p.h && p.kw == p.w;
   // A layer whose kh padded rows do not fit a band buffer (a row thousands
   // of columns wide) runs on the oracle itself.
-  if (p.w > 1 && p.kh * p.pitch() > kPlaneCap)
+  if (!global_average && p.w > 1 && p.kh * p.pitch() > kPlaneCap)
     return p.average ? nn::avgpool_reference(layer, in)
                      : nn::maxpool_reference(layer, in);
   Tensor16 out({layer.in_c, static_cast<int>(p.oh), static_cast<int>(p.ow)},
                no_init);
-  auto* kernel = p.w == 1 ? pool_column : pool_bands;
+  auto* kernel = global_average ? pool_global_average
+                 : p.w == 1       ? pool_column
+                                  : pool_bands;
   for_each_range(in.size() < kSerialBelow ? nullptr : pool, layer.in_c,
                  [&](std::int64_t c0, std::int64_t c1) {
                    kernel(p, in.data(), out.data(), c0, c1);

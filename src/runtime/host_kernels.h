@@ -15,9 +15,11 @@
 //     vertical max or int32 sum over each window's rows (contiguous
 //     max_epi16 or widening adds; at stride 1 over the whole band at once),
 //     then one horizontal pass over the reduced rows (simd::window_max_i16:
-//     shifted loads at stride 1, even/odd columns at stride 2). A 1-wide
-//     plane (seqCNN's max-over-time) reduces one contiguous run per output;
-//     a layer whose window rows do not fit the buffer runs on the oracle.
+//     shifted loads at stride 1, even/odd columns at stride 2). A global
+//     average (the window is the whole unpadded plane, as in GoogLeNet's
+//     pool5/7x7_avg) sums each channel's plane in one pass; a 1-wide plane
+//     reduces one contiguous run per output; a layer whose window rows do
+//     not fit the buffer runs on the oracle.
 //
 // Both fan out over channel ranges on the pool they are given, serially
 // below kSerialBelow elements. Both are bit-identical to the nn:: oracles

@@ -562,6 +562,54 @@ TEST(Search, RefinementNeverHurtsAndOftenHelps) {
   EXPECT_EQ(plain.refinement_improvements, 0);
 }
 
+// The search evaluates candidates without re-checking their legality: the
+// canonical fills, the DFS and the sampler build them legal. Keeping every
+// candidate (infeasible ones too, no refinement, a heap as large as the
+// budget) exposes each mapping the generators produced; all must satisfy
+// the adjacency matrix and Eqns. 10-11, and the feasible count must match
+// the kept mappings whose buffers fit.
+TEST(Search, GeneratorsEmitOnlyLegalMappings) {
+  const nn::Layer layers[] = {
+      nn::make_conv("stem7x7s2", 3, 224, 224, 64, 7, 2, 3),
+      nn::make_conv("conv1x1", 256, 28, 28, 128, 1, 1, 0),
+      nn::make_conv("conv3x3", 96, 28, 28, 128, 3, 1, 1),
+      nn::make_conv("conv5x5", 16, 28, 28, 32, 5, 1, 2),
+      nn::make_depthwise("dw3x3", 256, 28, 28, 3, 1, 1),
+      nn::make_matmul("fc", 1024, 1000, 1),
+      nn::make_conv2("seqcnn_w4", 128, 75, 1, 100, 4, 1, 1, 0),
+  };
+  OverlayConfig small = paper_config();
+  small.d1 = 4;
+  small.d2 = 2;
+  small.d3 = 3;
+  small.validate();
+  for (const OverlayConfig& cfg : {paper_config(), small}) {
+    for (const nn::Layer& layer : layers) {
+      SCOPED_TRACE(layer.name + " on " + cfg.to_string());
+      const Workload w = Workload::from_layer(layer);
+      SearchOptions opt;
+      opt.max_candidates = 4'000;
+      opt.top_k = 4'000;
+      opt.keep_infeasible = true;
+      opt.refine = false;
+      const SearchResult r = search_mappings(w, cfg, opt);
+      ASSERT_GT(r.evaluated, 0);
+      ASSERT_EQ(static_cast<std::int64_t>(r.top.size()), r.evaluated);
+      std::int64_t fitting = 0;
+      for (const Solution& s : r.top) {
+        ASSERT_TRUE(satisfies_adjacency(s.mapping, w))
+            << s.mapping.to_string(w);
+        ASSERT_TRUE(
+            satisfies_logical_constraints(s.mapping, w, cfg.d1, cfg.d2, cfg.d3))
+            << s.mapping.to_string(w);
+        EXPECT_EQ(s.perf.feasible, buffer_usage(w, s.mapping).fits(cfg));
+        if (s.perf.feasible) ++fitting;
+      }
+      EXPECT_EQ(fitting, r.feasible);
+    }
+  }
+}
+
 // A split program's parts tile its layer's weight-only extent in channel
 // order: weight_groups counts them, every part but the tail maps the
 // program's own slice (weight_group_slice's extent), and the tail, present

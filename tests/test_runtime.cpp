@@ -568,6 +568,14 @@ TEST(HostKernels, PoolingMatchesOracleOnOddGeometry) {
                              6);
   expect_pool_matches_oracle(
       nn::make_pool2("tall", 1, 70'000, 2, 66'000, 2, 4'000, 0), 5);
+  // Windows that are the whole unpadded plane (a 1x1 output: global
+  // average pooling), one per stride; the last plane is larger than a band
+  // buffer.
+  expect_pool_matches_oracle(nn::make_pool2("global", 4, 7, 7, 7, 7, 1, 0), 7);
+  expect_pool_matches_oracle(nn::make_pool2("global", 3, 6, 17, 6, 17, 2, 0),
+                             8);
+  expect_pool_matches_oracle(
+      nn::make_pool2("global", 2, 90, 100, 90, 100, 3, 0), 9);
 }
 
 /// Requantisation of `acc` against nn::requantize_output at several shifts,
