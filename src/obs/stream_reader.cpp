@@ -353,13 +353,9 @@ std::string CheckReport::to_string() const {
 }
 
 std::vector<Transaction> reconstruct_transactions(const ReconstructedLog& r) {
-  // One pass with per-track stacks; each open B remembers its parent so an
-  // `execute` span can reach its enclosing `batch` args when it closes.
-  struct OpenSpan {
-    std::size_t event = 0;
-    std::int64_t parent = -1;  ///< index into r.events, -1 at top level
-  };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<OpenSpan>>
+  // One pass with per-track stacks of open B events; a span is read when
+  // its E closes it.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::size_t>>
       stacks;
   std::map<std::uint64_t, Transaction> txns;
 
@@ -368,8 +364,7 @@ std::vector<Transaction> reconstruct_transactions(const ReconstructedLog& r) {
       if (k == key) return &v;
     return nullptr;
   };
-  auto close_span = [&](const TraceEvent& b, double end_ts,
-                        std::int64_t parent) {
+  auto close_span = [&](const TraceEvent& b, double end_ts) {
     const std::string* req = arg_of(b, "request");
     if (!req) return;
     const std::uint64_t id = std::strtoull(req->c_str(), nullptr, 10);
@@ -384,16 +379,6 @@ std::vector<Transaction> reconstruct_transactions(const ReconstructedLog& r) {
       t.has_execute = true;
       t.execute_ts = b.ts;
       t.execute_dur = end_ts - b.ts;
-      if (parent >= 0) {
-        const TraceEvent& batch = r.events[static_cast<std::size_t>(parent)];
-        if (batch.name == "batch") {
-          if (const std::string* bid = arg_of(batch, "batch"))
-            t.batch = std::strtoull(bid->c_str(), nullptr, 10);
-          if (const std::string* sz = arg_of(batch, "size"))
-            t.batch_size = static_cast<int>(std::strtol(sz->c_str(),
-                                                        nullptr, 10));
-        }
-      }
     }
   };
 
@@ -401,15 +386,10 @@ std::vector<Transaction> reconstruct_transactions(const ReconstructedLog& r) {
     const TraceEvent& e = r.events[i];
     auto& stack = stacks[std::make_pair(e.pid, e.tid)];
     if (e.ph == 'B') {
-      OpenSpan s;
-      s.event = i;
-      s.parent = stack.empty() ? -1
-                               : static_cast<std::int64_t>(stack.back().event);
-      stack.push_back(s);
+      stack.push_back(i);
     } else if (!stack.empty()) {
-      const OpenSpan s = stack.back();
+      close_span(r.events[stack.back()], e.ts);
       stack.pop_back();
-      close_span(r.events[s.event], e.ts, s.parent);
     }
   }
 

@@ -88,16 +88,14 @@ struct CheckReport {
 CheckReport check_log(const LoadedLog& log);
 
 /// One request's reconstructed lifecycle through ftdl::serve, stitched
-/// from the `enqueue` span (client track) and the `execute` span nested in
-/// its `batch` span (worker track), matched on the "request" arg.
+/// from the `enqueue` span (client track) and the `execute` span (worker
+/// track), matched on the "request" arg.
 struct Transaction {
   std::uint64_t request = 0;
   bool has_enqueue = false;
   bool has_execute = false;
   double enqueue_ts = 0.0, enqueue_dur = 0.0;
   double execute_ts = 0.0, execute_dur = 0.0;
-  std::uint64_t batch = 0;
-  int batch_size = 0;
   std::string reject_reason;  ///< non-empty when admission rejected it
 };
 

@@ -124,7 +124,6 @@ struct Server::Impl {
   bool accepting FTDL_GUARDED_BY(mu) = true;
   bool paused FTDL_GUARDED_BY(mu) = false;
   std::uint64_t next_id FTDL_GUARDED_BY(mu) = 1;
-  std::uint64_t next_batch FTDL_GUARDED_BY(mu) = 1;
   ServerStats stats FTDL_GUARDED_BY(mu);
 
   Mutex stop_mu;  ///< serializes stop() (idempotent join)
@@ -161,92 +160,36 @@ struct Server::Impl {
       const obs::ScopedSpan warmup("serve", "warmup");
       return runtime::ExecContext(*warm);
     }();
-    ArenaStats last_arena;  // previous snapshot, for per-batch count deltas
-    std::vector<Request> batch;  // capacity reused across batches
+    ArenaStats last_arena;  // previous snapshot, for per-request count deltas
     for (;;) {
-      batch.clear();
-      std::uint64_t batch_id = 0;
-      {
-        MutexLock lock(mu);
-        for (;;) {
-          while (!((!paused && !queue.empty()) ||
-                   (!accepting && queue.empty()))) {
-            cv.wait(mu);
-          }
-          if (queue.empty()) return;  // stopped and drained
-          // Dynamic batching: wait for batch-mates until the oldest pending
-          // request has waited batch_timeout_us, the batch is full, or the
-          // server is draining. The deque is only mutated under `mu`, so
-          // the coalesced requests are taken atomically below.
-          const auto deadline =
-              queue.front().enqueue_time +
-              std::chrono::microseconds(opt.batch_timeout_us);
-          bool timed_out = opt.batch_timeout_us == 0;
-          while (!timed_out && accepting && !paused &&
-                 queue.size() < static_cast<std::size_t>(opt.max_batch)) {
-            timed_out = cv.wait_until(mu, deadline) == std::cv_status::timeout;
-          }
-          // Another worker may have drained the queue while this one
-          // slept, and pause() suspends dispatch; re-enter the idle wait.
-          if (paused || queue.empty()) continue;
-          break;
-        }
-        const std::size_t n =
-            std::min(queue.size(), static_cast<std::size_t>(opt.max_batch));
-        batch_id = next_batch++;
-        batch.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          batch.push_back(std::move(queue.front()));
-          queue.pop_front();
-        }
-        ++stats.batches;
-        stats.batched_requests += static_cast<std::int64_t>(n);
-        stats.max_batch_observed =
-            std::max(stats.max_batch_observed, static_cast<std::int64_t>(n));
-        if (obs::enabled()) {
-          obs::count("serve/batches");
-          obs::count("serve/batched_requests", static_cast<std::int64_t>(n));
-          obs::gauge("serve/queue_depth", double(queue.size()));
-        }
+      MutexLock lock(mu);
+      while (!((!paused && !queue.empty()) || (!accepting && queue.empty()))) {
+        cv.wait(mu);
       }
-      execute_batch(w, batch_id, batch, exec, last_arena);
+      if (queue.empty()) return;  // stopped and drained
+      Request req = std::move(queue.front());
+      queue.pop_front();
+      if (obs::enabled()) obs::gauge("serve/queue_depth", double(queue.size()));
+      lock.unlock();
+      execute(w, req, exec, last_arena);
     }
   }
 
-  void execute_batch(int w, std::uint64_t batch_id,
-                     std::vector<Request>& batch, runtime::ExecContext& exec,
-                     ArenaStats& last_arena) {
+  void execute(int w, Request& req, runtime::ExecContext& exec,
+               ArenaStats& last_arena) {
     const Clock::time_point dispatch = Clock::now();
-    std::optional<obs::ScopedSpan> batch_span;
-    if (obs::enabled()) {
-      batch_span.emplace("serve", "batch",
-                         obs::SpanArgs{{"batch", std::to_string(batch_id)},
-                                       {"size", std::to_string(batch.size())}});
-    }
-    // Stamps a finished request and counts it before its future resolves.
-    const auto account = [&](const Request& req, InferenceResult& res,
-                             bool failed) {
-      const Clock::time_point done = Clock::now();
-      res.execute_us = us_between(dispatch, done);
-      res.latency_us = us_between(req.enqueue_time, done);
-      obs::count(failed ? "serve/requests_failed" : "serve/requests_completed");
-      MutexLock lock(mu);
-      ++(failed ? stats.failed : stats.completed);
-      if (!failed) stats.latency.record(res.latency_us);
-    };
-    for (Request& req : batch) {
-      InferenceResult res;
-      res.request_id = req.id;
-      res.worker = w;
-      res.batch_id = batch_id;
-      res.batch_size = static_cast<int>(batch.size());
-      res.queue_us = us_between(req.enqueue_time, dispatch);
+    InferenceResult res;
+    res.request_id = req.id;
+    res.worker = w;
+    res.queue_us = us_between(req.enqueue_time, dispatch);
+    std::exception_ptr error;
+    {
+      std::optional<obs::ScopedSpan> span;
+      if (obs::enabled()) {
+        span.emplace("serve", "execute",
+                     obs::SpanArgs{{"request", std::to_string(req.id)}});
+      }
       try {
-        std::optional<obs::ScopedSpan> span;
-        if (obs::enabled()) {
-          span.emplace("serve", "execute",
-                       obs::SpanArgs{{"request", std::to_string(req.id)}});
-        }
         // Count heap allocations while the request executes: the zero-alloc
         // steady-state contract of tests/test_serve.cpp. Two thread-local
         // increments when no counting allocator is linked in.
@@ -255,14 +198,25 @@ struct Server::Impl {
         res.output = std::move(er.output);
         res.total_sim_cycles = er.total_sim_cycles;
       } catch (...) {
-        account(req, res, true);
-        req.promise.set_exception(std::current_exception());
-        continue;
+        error = std::current_exception();
       }
-      account(req, res, false);
+    }
+    // Stamp and count the request before its future resolves.
+    const Clock::time_point done = Clock::now();
+    res.execute_us = us_between(dispatch, done);
+    res.latency_us = us_between(req.enqueue_time, done);
+    obs::count(error ? "serve/requests_failed" : "serve/requests_completed");
+    {
+      MutexLock lock(mu);
+      ++(error ? stats.failed : stats.completed);
+      if (!error) stats.latency.record(res.latency_us);
+    }
+    if (error) {
+      req.promise.set_exception(error);
+    } else {
       req.promise.set_value(std::move(res));
     }
-    // Arena activity of this batch, as counter deltas against the previous
+    // Arena activity of this request, as counter deltas against the previous
     // snapshot (counts are monotonic; the pool itself reports totals), plus
     // the pool's high-water mark.
     if (obs::enabled()) {
@@ -283,10 +237,7 @@ Server::Server(nn::Network net, runtime::WeightStore weights,
                                    options)) {
   const ServerOptions& opt = impl_->opt;
   if (opt.workers < 1) throw ConfigError("serve: workers must be >= 1");
-  if (opt.max_batch < 1) throw ConfigError("serve: max_batch must be >= 1");
   if (opt.queue_depth < 1) throw ConfigError("serve: queue_depth must be >= 1");
-  if (opt.batch_timeout_us < 0)
-    throw ConfigError("serve: batch_timeout_us must be >= 0");
   // Full graph-family static analysis (shape agreement, dead layers,
   // cycles) before any worker starts; a long-lived server must not accept
   // traffic for a network that cannot execute end to end.
@@ -363,7 +314,7 @@ Submission Server::submit(nn::Tensor16 input) {
     obs::gauge("serve/queue_depth", double(im.queue.size()));
   }
   lock.unlock();
-  im.cv.notify_all();
+  im.cv.notify_one();  // each request needs exactly one worker
   return s;
 }
 

@@ -1,4 +1,4 @@
-// ftdl::serve — a batched, concurrent inference serving runtime.
+// ftdl::serve — a concurrent inference serving runtime.
 //
 // The ROADMAP north star is serving heavy traffic, and the substrates for
 // it already exist: a thread-safe content-addressed CompilerSession
@@ -12,11 +12,10 @@
 //     rejected immediately with a reason, never silently dropped or
 //     unboundedly buffered (backpressure is the caller's signal to slow
 //     down);
-//   * a dynamic batcher — an idle worker coalesces up to `max_batch`
-//     pending requests, waiting at most `batch_timeout_us` from the oldest
-//     request's enqueue before dispatching what it has (timeout 0 =
-//     dispatch immediately, no coalescing wait);
-//   * a pool of `workers` threads, each running its batches through its own
+//   * one-request dispatch — an idle worker takes the oldest pending
+//     request and runs it at once (the overlay runs one frame per engine
+//     call, so holding requests back to group them would save no work);
+//   * a pool of `workers` threads, each running requests through its own
 //     copy of one runtime::ExecContext that the constructor warms up once.
 //
 // Determinism contract (extends docs/simulator.md): every request's output
@@ -25,16 +24,15 @@
 // workers share no mutable state beyond the CompilerSession cache
 // (content-addressed, bit-identical programs) and the obs registry.
 // Per-request results are therefore BIT-IDENTICAL to a serial
-// one-at-a-time run at any worker count, batch size, queue depth or
-// arrival order (pinned by tests/test_serve.cpp).
+// one-at-a-time run at any worker count, queue depth or arrival order
+// (pinned by tests/test_serve.cpp).
 //
 // Observability (all under obs::set_enabled, catalog in docs/serving.md):
-// per-request wall-clock spans `enqueue` (submitter's track) and
-// `execute` nested in a per-batch `batch` span on per-worker `serve-<w>`
-// tracks; counters for accepted/rejected(by reason)/completed/failed
-// requests and batches; a `serve/queue_depth` gauge; and a log-scale
-// latency histogram whose p50/p95/p99 land in the metrics JSON as gauges
-// when the server stops.
+// per-request wall-clock spans `enqueue` (submitter's track) and `execute`
+// (per-worker `serve-<w>` tracks); counters for accepted/rejected(by
+// reason)/completed/failed requests; a `serve/queue_depth` gauge; and a
+// log-scale latency histogram whose p50/p95/p99 land in the metrics JSON
+// as gauges when the server stops.
 #pragma once
 
 #include <array>
@@ -90,14 +88,9 @@ enum class RejectReason {
 const char* to_string(RejectReason r);
 
 struct ServerOptions {
-  /// Worker threads executing batches (>= 1). Results are bit-identical at
+  /// Worker threads executing requests (>= 1). Results are bit-identical at
   /// any value; this sets only throughput.
   int workers = 2;
-  /// Largest batch one worker dispatches at once (>= 1).
-  int max_batch = 8;
-  /// Longest a pending request may wait for batch-mates, measured from the
-  /// *oldest* queued request's enqueue. 0 dispatches immediately.
-  std::int64_t batch_timeout_us = 2'000;
   /// Admission bound on pending (queued, not yet dispatched) requests.
   std::size_t queue_depth = 64;
   /// Per-request execution options (path, overlay config, sim_jobs, ...).
@@ -113,8 +106,6 @@ struct InferenceResult {
   double execute_us = 0.0;             ///< dispatch -> complete
   double latency_us = 0.0;             ///< enqueue -> complete
   int worker = -1;                     ///< executing worker index
-  std::uint64_t batch_id = 0;
-  int batch_size = 0;                  ///< size of the dispatched batch
 };
 
 /// Outcome of Server::submit. Exactly one of {accepted with a valid
@@ -137,18 +128,14 @@ struct ServerStats {
   std::int64_t rejected_bad_request = 0;
   std::int64_t completed = 0;
   std::int64_t failed = 0;             ///< future carries the exception
-  std::int64_t batches = 0;            ///< dispatches
-  std::int64_t batched_requests = 0;   ///< sum of dispatched batch sizes
   std::int64_t peak_queue_depth = 0;
-  std::int64_t max_batch_observed = 0;
   LatencyHistogram latency;            ///< enqueue -> complete, µs
 
   std::int64_t rejected() const {
     return rejected_queue_full + rejected_stopped + rejected_bad_request;
   }
-  double mean_batch_size() const {
-    return batches ? double(batched_requests) / double(batches) : 0.0;
-  }
+  /// Read only by perfbench's serve.mean_batch; the benchmark-contract change deletes it.
+  double mean_batch_size() const { return completed + failed ? 1.0 : 0.0; }
 };
 
 /// A serving runtime that owns one compiled model (weights + options) and

@@ -467,11 +467,8 @@ TEST_F(ObsStreamTest, TransactionsReconstructFromServeShapedSpans) {
   r.annotate(client, "rejected", "queue_full");
   r.end(client, 13.5);
 
-  r.begin(worker, "batch", 20.0, "serve",
-          {{"batch", "1"}, {"size", "1"}});
   r.begin(worker, "execute", 21.0, "serve", {{"request", "1"}});
   r.end(worker, 30.0);
-  r.end(worker, 31.0);
   r.detach_stream();
 
   const std::vector<Transaction> txns =
@@ -484,8 +481,6 @@ TEST_F(ObsStreamTest, TransactionsReconstructFromServeShapedSpans) {
   EXPECT_DOUBLE_EQ(ok.enqueue_dur, 2.0);
   EXPECT_DOUBLE_EQ(ok.execute_ts, 21.0);
   EXPECT_DOUBLE_EQ(ok.execute_dur, 9.0);
-  EXPECT_EQ(ok.batch, 1u);
-  EXPECT_EQ(ok.batch_size, 1);
   EXPECT_TRUE(ok.reject_reason.empty());
   const Transaction& rej = txns[0].request == 2 ? txns[0] : txns[1];
   EXPECT_EQ(rej.request, 2u);

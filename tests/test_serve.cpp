@@ -1,11 +1,14 @@
-// Tests for ftdl::serve — the batched, concurrent inference serving
-// runtime: bit-identical results at any worker count (the determinism
-// contract of docs/serving.md), exact admission/rejection accounting,
-// dynamic-batcher behavior, latency-histogram boundaries, and balanced +
-// monotonic obs instrumentation.
+// Tests for ftdl::serve — the concurrent inference serving runtime:
+// bit-identical results at any worker count (the determinism contract of
+// docs/serving.md), exact admission/rejection accounting, in-order
+// one-request dispatch, stop under load, latency-histogram boundaries, and
+// balanced + monotonic obs instrumentation.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <map>
 #include <thread>
 #include <utility>
@@ -180,17 +183,7 @@ TEST(Server, RejectsInvalidOptions) {
       Server(tiny_net(), runtime::WeightStore::random_for(tiny_net(), 1), bad),
       ConfigError);
   bad = ServerOptions{};
-  bad.max_batch = 0;
-  EXPECT_THROW(
-      Server(tiny_net(), runtime::WeightStore::random_for(tiny_net(), 1), bad),
-      ConfigError);
-  bad = ServerOptions{};
   bad.queue_depth = 0;
-  EXPECT_THROW(
-      Server(tiny_net(), runtime::WeightStore::random_for(tiny_net(), 1), bad),
-      ConfigError);
-  bad = ServerOptions{};
-  bad.batch_timeout_us = -1;
   EXPECT_THROW(
       Server(tiny_net(), runtime::WeightStore::random_for(tiny_net(), 1), bad),
       ConfigError);
@@ -214,21 +207,15 @@ TEST(Server, RejectsAmbiguousAndEmptyGraphs) {
 // ---- determinism ----------------------------------------------------------
 
 TEST(Server, EightWorkersBitIdenticalToOneWorkerAndSerialRun) {
-  // tiny_net at the default overlay, served by 1 worker and by 8 workers in
-  // batches of 4; and a lone conv on the 4x2x3 overlay, served by 4 workers
-  // in batches of 2.
-  struct ServerShape {
-    int workers;
-    int max_batch;
-    std::int64_t batch_timeout_us;
-  };
+  // tiny_net at the default overlay, served by 1 worker and by 8 workers;
+  // and a lone conv on the 4x2x3 overlay, served by 4 workers.
   struct Case {
     nn::Network net;
     nn::Dims input;
     std::uint64_t weight_seed;
     int requests;
     runtime::ExecOptions exec;
-    std::vector<ServerShape> servers;
+    std::vector<int> workers;
   };
   nn::Network conv("serve-sim");
   conv.add(nn::make_conv("c", 6, 8, 8, 8, 3, 1, 1));
@@ -238,9 +225,8 @@ TEST(Server, EightWorkersBitIdenticalToOneWorkerAndSerialRun) {
   small.config.d2 = 2;
   small.config.d3 = 3;
   const std::vector<Case> cases = {
-      {tiny_net(), {3, 12, 12}, 7, 24, {}, {{1, 1, 0}, {8, 4, 200}}},
-      {conv, {6, 8, 8}, 21, 6, small,
-       {{4, 2, ServerOptions{}.batch_timeout_us}}},
+      {tiny_net(), {3, 12, 12}, 7, 24, {}, {1, 8}},
+      {conv, {6, 8, 8}, 21, 6, small, {4}},
   };
 
   for (const Case& c : cases) {
@@ -254,20 +240,18 @@ TEST(Server, EightWorkersBitIdenticalToOneWorkerAndSerialRun) {
                                c.net, seeded_input(seed, c.input), ws, c.exec)
                                .output);
     }
-    for (const ServerShape& shape : c.servers) {
+    for (const int workers : c.workers) {
       ServerOptions opt;
-      opt.workers = shape.workers;
-      opt.max_batch = shape.max_batch;
-      opt.batch_timeout_us = shape.batch_timeout_us;
+      opt.workers = workers;
       opt.exec = c.exec;
       Server server(c.net, ws, opt);
-      const auto out = serve_all(server, c.requests, shape.workers, c.input);
+      const auto out = serve_all(server, c.requests, workers, c.input);
       server.stop();
 
       ASSERT_EQ(out.size(), serial.size());
       for (const auto& [seed, expect] : serial) {
         EXPECT_EQ(out.at(seed), expect)
-            << c.net.name() << " workers=" << shape.workers << ", seed "
+            << c.net.name() << " workers=" << workers << ", seed "
             << seed;
       }
     }
@@ -277,14 +261,13 @@ TEST(Server, EightWorkersBitIdenticalToOneWorkerAndSerialRun) {
 TEST(Server, ZooOutputMatchesReferenceDigest) {
   // serve == serial at zoo scale: GoogLeNet on the 4x2x3 overlay, whose
   // classifier runs as weight groups with a shorter last part, served by 2
-  // workers in batches of up to 2. Every request carries the input of
+  // workers. Every request carries the input of
   // Executor.ZooOutputsMatchReferenceDigests (weight seed 5, input seed 23,
   // magnitude 3), so every future must return that test's committed
   // nn-reference digest.
   const nn::Network net = nn::googlenet();
   ServerOptions opt;
   opt.workers = 2;
-  opt.max_batch = 2;
   opt.exec.config.d1 = 4;
   opt.exec.config.d2 = 2;
   opt.exec.config.d3 = 3;
@@ -339,7 +322,7 @@ TEST(Server, RejectionAccountingIsExact) {
   EXPECT_EQ(bad.reject_reason, RejectReason::BadRequest);
 
   server.resume();
-  for (auto& f : accepted) EXPECT_EQ(f.get().batch_size, 4);
+  for (auto& f : accepted) f.get();
   server.stop();
 
   Submission late = server.submit(seeded_input(0));
@@ -412,7 +395,6 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
 
   ServerOptions opt;
   opt.workers = 1;
-  opt.batch_timeout_us = 0;
   opt.exec.config.d1 = 4;
   opt.exec.config.d2 = 2;
   opt.exec.config.d3 = 3;
@@ -457,38 +439,13 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
   server.stop();
 }
 
-// ---- dynamic batcher ------------------------------------------------------
+// ---- dispatch order and stop under load ----------------------------------
 
-TEST(Server, ZeroTimeoutClosedLoopDispatchesSingletons) {
-  const nn::Network net = tiny_net();
-  const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 5);
-  ServerOptions opt;
-  opt.workers = 2;
-  opt.max_batch = 8;
-  opt.batch_timeout_us = 0;
-  Server server(net, ws, opt);
-  constexpr int kRequests = 10;
-  for (int i = 0; i < kRequests; ++i) {
-    Submission s = server.submit(seeded_input(static_cast<std::uint64_t>(i)));
-    ASSERT_TRUE(s.accepted);
-    // Closed loop with one client: at most one request is ever pending.
-    EXPECT_EQ(s.result.get().request_id, static_cast<std::uint64_t>(i + 1));
-  }
-  server.stop();
-  const ServerStats st = server.stats();
-  EXPECT_EQ(st.batches, kRequests);
-  EXPECT_EQ(st.batched_requests, kRequests);
-  EXPECT_EQ(st.max_batch_observed, 1);
-  EXPECT_DOUBLE_EQ(st.mean_batch_size(), 1.0);
-}
-
-TEST(Server, PausedBacklogCoalescesIntoOneFullBatch) {
+TEST(Server, PausedBacklogDrainsInSubmissionOrder) {
   const nn::Network net = tiny_net();
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 9);
   ServerOptions opt;
-  opt.workers = 2;
-  opt.max_batch = 8;
-  opt.batch_timeout_us = 1'000'000;  // irrelevant: the batch fills instantly
+  opt.workers = 1;
   opt.queue_depth = 8;
   Server server(net, ws, opt);
   server.pause();
@@ -498,19 +455,106 @@ TEST(Server, PausedBacklogCoalescesIntoOneFullBatch) {
     ASSERT_TRUE(s.accepted);
     futs.push_back(std::move(s.result));
   }
+  EXPECT_EQ(server.stats().mean_batch_size(), 0.0);
   server.resume();
-  for (auto& f : futs) {
-    const InferenceResult r = f.get();
-    EXPECT_EQ(r.batch_size, 8);
-    EXPECT_EQ(r.batch_id, 1u);
+  // One worker runs the backlog oldest first: each request is dispatched
+  // only after every earlier one finished, so its queue wait covers their
+  // execute times.
+  double earlier_execute_us = 0.0;
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const InferenceResult r = futs[i].get();
+    EXPECT_EQ(r.request_id, i + 1);
+    EXPECT_EQ(r.worker, 0);
+    EXPECT_GE(r.queue_us, earlier_execute_us) << "request " << r.request_id;
     EXPECT_GE(r.latency_us, r.execute_us);
     EXPECT_GE(r.latency_us, r.queue_us);
+    earlier_execute_us += r.execute_us;
   }
   server.stop();
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.batches, 1);
-  EXPECT_EQ(st.max_batch_observed, 8);
-  EXPECT_DOUBLE_EQ(st.mean_batch_size(), 8.0);
+  EXPECT_EQ(st.completed, 8);
+  EXPECT_EQ(st.peak_queue_depth, 8);
+  EXPECT_EQ(st.mean_batch_size(), 1.0);
+}
+
+TEST(Server, StopUnderLoadResolvesEveryAcceptedRequest) {
+  // Four clients submit in a loop while the main thread stops the server:
+  // stop() must drain every accepted request, and every submit that starts
+  // after stop() returned must be rejected as Stopped.
+  const nn::Network net = tiny_net();
+  const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 19);
+  ServerOptions opt;
+  opt.workers = 2;
+  opt.queue_depth = 16;
+  constexpr int kInputs = 8;
+  std::vector<nn::Tensor16> inputs;
+  std::vector<nn::Tensor16> expected;
+  {
+    runtime::ExecContext serial(net, ws, opt.exec);
+    for (int i = 0; i < kInputs; ++i) {
+      inputs.push_back(seeded_input(static_cast<std::uint64_t>(i)));
+      expected.push_back(serial.run(inputs.back()).output);
+    }
+  }
+
+  Server server(net, ws, opt);
+  struct Client {
+    std::vector<std::pair<int, std::future<InferenceResult>>> accepted;
+    std::int64_t submitted = 0;
+    std::int64_t late_submits = 0;
+    std::int64_t late_not_stopped = 0;  ///< late submits not rejected Stopped
+  };
+  std::vector<Client> clients(4);
+  std::atomic<bool> stop_returned{false};
+  std::vector<std::thread> threads;
+  for (Client& c : clients) {
+    threads.emplace_back([&] {
+      for (int i = 0;; ++i) {
+        const bool late = stop_returned.load();
+        const int input = i % kInputs;
+        Submission s = server.submit(inputs[static_cast<std::size_t>(input)]);
+        ++c.submitted;
+        if (s.accepted) c.accepted.emplace_back(input, std::move(s.result));
+        if (!late) continue;
+        ++c.late_submits;
+        if (s.accepted || s.reject_reason != RejectReason::Stopped)
+          ++c.late_not_stopped;
+        if (c.late_submits == 3) return;
+      }
+    });
+  }
+  while (server.stats().accepted < 32) std::this_thread::yield();
+  // Hold dispatch until the clients fill the queue, so stop() always has a
+  // full backlog to drain (it resumes a paused server).
+  server.pause();
+  while (server.queue_depth() < opt.queue_depth) std::this_thread::yield();
+  server.stop();
+  stop_returned.store(true);
+  for (std::thread& t : threads) t.join();
+
+  std::int64_t submitted = 0;
+  std::int64_t accepted = 0;
+  for (Client& c : clients) {
+    EXPECT_EQ(c.late_submits, 3);
+    EXPECT_EQ(c.late_not_stopped, 0);
+    submitted += c.submitted;
+    accepted += static_cast<std::int64_t>(c.accepted.size());
+    for (auto& [input, fut] : c.accepted) {
+      // stop() drained the queue and joined the workers before returning.
+      ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      EXPECT_EQ(fut.get().output, expected[static_cast<std::size_t>(input)])
+          << "input " << input;
+    }
+  }
+  const ServerStats st = server.stats();
+  EXPECT_GE(st.accepted, 32);
+  EXPECT_EQ(st.accepted, accepted);
+  EXPECT_EQ(st.accepted, st.completed + st.failed);
+  EXPECT_EQ(st.failed, 0);
+  EXPECT_EQ(st.accepted + st.rejected(), submitted);
+  EXPECT_GE(st.rejected_stopped, 4 * 3);
+  EXPECT_EQ(st.rejected_bad_request, 0);
 }
 
 // ---- observability --------------------------------------------------------
@@ -521,8 +565,6 @@ TEST_F(ServeObsTest, CountersBalanceAndTracksNest) {
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 13);
   ServerOptions opt;
   opt.workers = 3;
-  opt.max_batch = 4;
-  opt.batch_timeout_us = 200;
   Server server(net, ws, opt);
   constexpr int kRequests = 16;
   const auto out = serve_all(server, kRequests, 4);
@@ -534,9 +576,6 @@ TEST_F(ServeObsTest, CountersBalanceAndTracksNest) {
   EXPECT_EQ(r.counter("serve/requests_completed"), kRequests);
   EXPECT_EQ(r.counter("serve/requests_rejected"), 0);
   EXPECT_EQ(r.counter("serve/requests_failed"), 0);
-  EXPECT_EQ(r.counter("serve/batched_requests"), kRequests);
-  EXPECT_GE(r.counter("serve/batches"), 1);
-  EXPECT_LE(r.counter("serve/batches"), kRequests);
   EXPECT_EQ(r.gauge("serve/queue_depth"), 0.0);
   // stop() published the latency percentiles for the metrics JSON.
   EXPECT_GT(r.gauge("serve/latency_p50_us"), 0.0);
@@ -545,6 +584,11 @@ TEST_F(ServeObsTest, CountersBalanceAndTracksNest) {
   EXPECT_LE(r.gauge("serve/latency_p99_us"), r.gauge("serve/latency_max_us"));
 
   expect_balanced_monotonic(r.events());
+  // One top-level execute span per request.
+  int executes = 0;
+  for (const obs::TraceEvent& e : r.events())
+    if (e.ph == 'B' && e.name == "execute") ++executes;
+  EXPECT_EQ(executes, kRequests);
   // Per-worker serve tracks and the metrics export both exist.
   const std::string trace = r.chrome_trace_json();
   EXPECT_NE(trace.find("serve-0"), std::string::npos);

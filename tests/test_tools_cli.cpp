@@ -88,7 +88,7 @@ TEST(ToolsCli, FtdlcRejectsMalformedSpecInput) {
 
 TEST(ToolsCli, FtdlServeRejectsGarbageNumericFlags) {
   for (const char* flags :
-       {"--workers x8", "--requests 4x", "--rate fast", "--batch 0"}) {
+       {"--workers x8", "--requests 4x", "--rate fast", "--depth 0"}) {
     const RunResult r = run(std::string(FTDL_SERVE_PATH) + " " + flags);
     EXPECT_EQ(r.exit_code, 2) << flags << "\n" << r.output;
   }

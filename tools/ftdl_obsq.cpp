@@ -11,8 +11,8 @@
 //                      resolvable strings); exit 1 with the offending
 //                      sequence number on the first violation
 //     --txns           reconstruct request transactions (enqueue ->
-//                      batch/execute chains recorded by ftdl::serve) and
-//                      print one line per request
+//                      execute pairs recorded by ftdl::serve) and print
+//                      one line per request
 //     --trace FILE     export Chrome trace-event JSON from the log —
 //                      byte-identical to the live registry's export for
 //                      the same run
@@ -148,9 +148,8 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(t.request), t.enqueue_ts,
                     t.enqueue_dur);
         if (t.has_execute) {
-          std::printf("  execute %.1f us (+%.1f) in batch %llu (size %d)",
-                      t.execute_ts, t.execute_dur,
-                      static_cast<unsigned long long>(t.batch), t.batch_size);
+          std::printf("  execute %.1f us (+%.1f)", t.execute_ts,
+                      t.execute_dur);
         } else {
           std::printf("  (no execute recorded)");
         }

@@ -1,11 +1,11 @@
-// ftdl-serve — batched concurrent inference serving demo (docs/serving.md).
+// ftdl-serve — concurrent inference serving demo (docs/serving.md).
 //
 // Stands up an ftdl::serve::Server over a model-zoo network (or an .ftdl
 // spec), drives it with a multi-client load generator — closed-loop by
-// default, fixed-rate with --rate — and reports throughput, batching and
-// latency percentiles. Requests run on the cycle-level simulator over a
-// scaled-down 4x2x3 overlay. With observability on it also writes
-//   trace.json    enqueue/batch/execute spans on client and worker tracks
+// default, fixed-rate with --rate — and reports throughput, peak queue
+// depth and latency percentiles. Requests run on the cycle-level simulator
+// over a scaled-down 4x2x3 overlay. With observability on it also writes
+//   trace.json    enqueue/execute spans on client and worker tracks
 //   metrics.json  serve/* counters, queue-depth and latency gauges
 //
 //   ftdl-serve [MODEL] [options]
@@ -15,8 +15,6 @@
 //     --requests N     total requests to submit        (default 16)
 //     --clients N      load-generator threads          (default 4)
 //     --workers N      server worker threads           (default 2)
-//     --batch N        max dynamic batch size          (default 8)
-//     --timeout-us N   batch coalescing timeout        (default 2000)
 //     --depth N        admission queue depth           (default 64)
 //     --rate R         submissions/sec across all clients (0 = closed loop)
 //     --seed N         request input seed base         (default 1)
@@ -61,8 +59,6 @@ struct Args {
   int requests = 16;
   int clients = 4;
   int workers = 2;
-  int max_batch = 8;
-  std::int64_t timeout_us = 2'000;
   std::size_t depth = 64;
   double rate = 0.0;  ///< 0 = closed loop
   std::uint64_t seed = 1;
@@ -76,8 +72,7 @@ struct Args {
   std::fprintf(stderr,
                "usage: ftdl-serve [MODEL|SPEC.ftdl] [--requests N] "
                "[--clients N] [--workers N]\n"
-               "                  [--batch N] [--timeout-us N] [--depth N] "
-               "[--rate R] [--seed N]\n"
+               "                  [--depth N] [--rate R] [--seed N]\n"
                "                  [--check] [--trace FILE] [--metrics FILE] "
                "[--stream FILE]\n"
                "                  [--cache-dir DIR] [--list]\n");
@@ -121,10 +116,6 @@ Args parse_args(int argc, char** argv) {
       args.clients = static_cast<int>(parse_int_flag(a, next(i), 1, 10'000));
     else if (std::strcmp(a, "--workers") == 0)
       args.workers = static_cast<int>(parse_int_flag(a, next(i), 1, 10'000));
-    else if (std::strcmp(a, "--batch") == 0)
-      args.max_batch = static_cast<int>(parse_int_flag(a, next(i), 1, 100'000));
-    else if (std::strcmp(a, "--timeout-us") == 0)
-      args.timeout_us = parse_int_flag(a, next(i), 0, 1'000'000'000);
     else if (std::strcmp(a, "--depth") == 0)
       args.depth =
           static_cast<std::size_t>(parse_int_flag(a, next(i), 1, 1'000'000));
@@ -224,8 +215,6 @@ LoadResult run_load(serve::Server& server, const nn::Network& net,
 serve::ServerOptions server_options(const Args& args) {
   serve::ServerOptions opt;
   opt.workers = args.workers;
-  opt.max_batch = args.max_batch;
-  opt.batch_timeout_us = args.timeout_us;
   opt.queue_depth = args.depth;
   // Scaled-down overlay: the functional simulator executes every MACC.
   opt.exec.config.d1 = 4;
@@ -277,9 +266,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(lr.rejected),
                 static_cast<long long>(st.failed), lr.wall_seconds,
                 double(st.completed) / lr.wall_seconds);
-    std::printf("  batches: %lld (mean size %.2f, max %lld), peak queue %lld\n",
-                static_cast<long long>(st.batches), st.mean_batch_size(),
-                static_cast<long long>(st.max_batch_observed),
+    std::printf("  peak queue depth: %lld\n",
                 static_cast<long long>(st.peak_queue_depth));
     std::printf("  latency us: p50 %.0f  p95 %.0f  p99 %.0f  max %.0f\n",
                 st.latency.percentile(50.0), st.latency.percentile(95.0),
@@ -302,8 +289,6 @@ int main(int argc, char** argv) {
       // concurrent run produced must be bit-identical (docs/serving.md).
       serve::ServerOptions serial = server_options(args);
       serial.workers = 1;
-      serial.max_batch = 1;
-      serial.batch_timeout_us = 0;
       serve::Server ref(net, weights, serial);
       std::int64_t checked = 0;
       for (int i = 0; i < args.requests; ++i) {
