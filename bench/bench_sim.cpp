@@ -2,7 +2,8 @@
 // CachedLayerSim::run on a ResNet50 layer sweep on pools of 1/2/8 jobs and
 // of the stats-only simulate_layer_stats path, with MACCs/s reported per
 // run; and of the host kernels behind every overlay layer of a GoogLeNet
-// frame, the nn:: oracle against the runtime kernel, with elements/s.
+// frame (and of ResNet50's residual adds), the oracle against the runtime
+// kernel, with elements/s.
 //
 // The sweep covers the shapes that stress different engine paths: the
 // pad-heavy 7x7 stride-2 stem (int32 tiles over 2x2 phase planes), a 1x1
@@ -20,8 +21,11 @@
 // shift_for_max + runtime::requantize_layer, whose max |acc| the engine
 // reports as it writes (so the kernel row has no scan). BM_Pool times all 14
 // GoogLeNet pooling layers on full-range int16 inputs:
-// nn::maxpool/avgpool_reference against runtime::pool_layer. Kernel rows run
-// serially (jobs 1) and on a 4-job pool.
+// nn::maxpool/avgpool_reference against runtime::pool_layer. BM_AddRelu
+// times the residual adds of all 16 ResNet50 bottlenecks on full-range int16
+// inputs: the oracle row is the per-element relu(requantize(a + b, 0)) loop,
+// the kernel row runtime::add_relu_layer. Kernel rows run serially (jobs 1)
+// and on a 4-job pool.
 //
 // Unless the caller passes --benchmark_out themselves, results are also
 // written to BENCH_sim.json (google-benchmark's JSON reporter); CI uploads
@@ -33,6 +37,7 @@
 #include <cstring>
 #include <utility>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/arena.h"
@@ -254,6 +259,67 @@ void BM_PoolKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * h.pool_elems);
 }
 
+/// ResNet50's residual-add operands: each add layer's two inputs, shaped
+/// like the conv that feeds it.
+struct AddCases {
+  nn::Network net = nn::resnet50();
+  std::vector<std::tuple<const nn::Layer*, nn::Tensor16, nn::Tensor16>> adds;
+  std::int64_t elems = 0;
+};
+
+const AddCases& add_cases() {
+  static const AddCases all = [] {
+    AddCases c;
+    Rng rng(0xadd);
+    for (const nn::Layer& l : c.net.layers()) {
+      if (l.kind != nn::LayerKind::Ewop || l.ewop_op != nn::EwopOp::AddRelu)
+        continue;
+      const nn::Layer& producer = c.net.layers()[static_cast<std::size_t>(
+          c.net.find(l.input_names[0]))];
+      const nn::Dims dims{producer.out_c, producer.out_h(), producer.out_w()};
+      nn::Tensor16 a(dims), b(dims);
+      for (nn::Tensor16* t : {&a, &b})
+        for (std::int64_t i = 0; i < t->size(); ++i)
+          (*t)[i] = static_cast<std::int16_t>(rng.uniform(-32768, 32767));
+      c.elems += a.size();
+      c.adds.emplace_back(&l, std::move(a), std::move(b));
+    }
+    return c;
+  }();
+  return all;
+}
+
+void BM_AddReluOracle(benchmark::State& state) {
+  const AddCases& c = add_cases();
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  for (auto _ : state) {
+    for (const auto& [layer, a, b] : c.adds) {
+      nn::Tensor16 out(a.dims());
+      for (std::int64_t i = 0; i < a.size(); ++i)
+        out[i] = relu(requantize(acc_t{a[i]} + acc_t{b[i]}, 0));
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * c.elems);
+}
+
+void BM_AddReluKernel(benchmark::State& state) {
+  const AddCases& c = add_cases();
+  const auto jobs = static_cast<int>(state.range(0));
+  ThreadPool pool(jobs);
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  for (auto _ : state) {
+    for (const auto& [layer, a, b] : c.adds) {
+      const nn::Tensor16 out =
+          runtime::add_relu_layer(*layer, a, b, jobs == 1 ? nullptr : &pool);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * c.elems);
+}
+
 void register_benchmarks() {
   for (std::size_t i = 0; i < cases().size(); ++i) {
     const std::string& label = cases()[i].label;
@@ -280,6 +346,13 @@ void register_benchmarks() {
   benchmark::RegisterBenchmark("BM_Pool/googlenet/oracle", BM_PoolOracle)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_Pool/googlenet/kernel", BM_PoolKernel)
+      ->Arg(1)
+      ->Arg(4)
+      ->ArgName("jobs")
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_AddRelu/resnet50/oracle", BM_AddReluOracle)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_AddRelu/resnet50/kernel", BM_AddReluKernel)
       ->Arg(1)
       ->Arg(4)
       ->ArgName("jobs")

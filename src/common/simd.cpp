@@ -87,6 +87,12 @@ std::int16_t max_i16_scalar(const std::int16_t* x, std::int64_t n) {
   return m;
 }
 
+void add_relu_i16_scalar(const std::int16_t* a, const std::int16_t* b,
+                         std::int16_t* out, std::int64_t n) {
+  for (std::int64_t j = 0; j < n; ++j)
+    out[j] = relu(requantize(acc_t{a[j]} + acc_t{b[j]}, 0));
+}
+
 #if defined(FTDL_SIMD_AVX2)
 
 // Exact 32-bit products of two int16 vectors via mullo/mulhi + unpack.
@@ -281,6 +287,20 @@ __attribute__((target("avx2"))) void max_into_i16_avx2(std::int16_t* acc,
                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j))));
   }
   max_into_i16_scalar(acc + j, row + j, n - j);
+}
+
+__attribute__((target("avx2"))) void add_relu_i16_avx2(
+    const std::int16_t* a, const std::int16_t* b, std::int16_t* out,
+    std::int64_t n) {
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const __m256i sum = _mm256_adds_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j),
+                        _mm256_max_epi16(sum, _mm256_setzero_si256()));
+  }
+  add_relu_i16_scalar(a + j, b + j, out + j, n - j);
 }
 
 __attribute__((target("avx2"))) void add_into_i32_avx2(std::int32_t* acc,
@@ -562,6 +582,8 @@ using AddIntoFn = void (*)(std::int32_t*, const std::int16_t*, std::int64_t);
 using WindowMaxFn = void (*)(std::int16_t*, const std::int16_t*, std::int64_t,
                              int, int);
 using MaxFn = std::int16_t (*)(const std::int16_t*, std::int64_t);
+using AddReluFn = void (*)(const std::int16_t*, const std::int16_t*,
+                           std::int16_t*, std::int64_t);
 
 struct Impl {
   DotFn dot = dot_i16_scalar;
@@ -576,6 +598,7 @@ struct Impl {
   AddIntoFn add_into = add_into_i32_scalar;
   WindowMaxFn window_max = window_max_i16_scalar;
   MaxFn max = max_i16_scalar;
+  AddReluFn add_relu = add_relu_i16_scalar;
 };
 
 constexpr Impl kScalar{};
@@ -597,7 +620,8 @@ const Impl& vector_impl() {
       v = Impl{dot_i16_avx2,        axpy_i16_avx2,       "avx2",
                16,                  max_abs_i16_avx2,    conv_tile_avx2,
                max_abs_acc_avx2,    requantize_i32_avx2, max_into_i16_avx2,
-               add_into_i32_avx2,   window_max_i16_avx2, max_i16_avx2};
+               add_into_i32_avx2,   window_max_i16_avx2, max_i16_avx2,
+               add_relu_i16_avx2};
     }
 #elif defined(FTDL_SIMD_NEON)
     v.dot = dot_i16_neon;
@@ -671,6 +695,11 @@ void window_max_i16(std::int16_t* out, const std::int16_t* in, std::int64_t n,
 
 std::int16_t max_i16(const std::int16_t* x, std::int64_t n) {
   return active_impl().max(x, n);
+}
+
+void add_relu_i16(const std::int16_t* a, const std::int16_t* b,
+                  std::int16_t* out, std::int64_t n) {
+  active_impl().add_relu(a, b, out, n);
 }
 
 const char* isa_name() { return active_impl().name; }

@@ -106,7 +106,7 @@ bool has_conv_tile();
 std::uint64_t conv_tile_i16(const PaddedConv& conv, std::int64_t m0,
                             std::int64_t m1);
 
-// ---- Layer epilogue and pooling (the host EWOP kernels of src/runtime) ----
+// ---- Host EWOP kernels of src/runtime: epilogue, pooling, residual add ----
 //
 // Exact for every input, so each vector path is bit-identical to its scalar
 // version below; set_enabled(false) routes all of them to the scalar ones.
@@ -136,6 +136,11 @@ void window_max_i16(std::int16_t* out, const std::int16_t* in, std::int64_t n,
 
 /// max of x[0, n) (-32768 when n == 0).
 std::int16_t max_i16(const std::int16_t* x, std::int64_t n);
+
+/// out[j] = relu(requantize(a[j] + b[j], 0)) for j in [0, n): the residual
+/// add, a saturating int16 add then max with 0.
+void add_relu_i16(const std::int16_t* a, const std::int16_t* b,
+                  std::int16_t* out, std::int64_t n);
 
 /// The scalar oracles the vector paths are pinned against.
 acc_t dot_i16_scalar(const std::int16_t* w, const std::int16_t* in,

@@ -18,8 +18,8 @@
 #include "dse/explorer.h"              // IWYU pragma: export
 #include "fpga/device_zoo.h"           // IWYU pragma: export
 #include "ftdl/framework.h"            // IWYU pragma: export
-#include "host/ewop_kernels.h"         // IWYU pragma: export
 #include "host/host_pipeline.h"        // IWYU pragma: export
+#include "host/lstm_runner.h"          // IWYU pragma: export
 #include "multifpga/partition.h"       // IWYU pragma: export
 #include "nn/model_zoo.h"              // IWYU pragma: export
 #include "nn/reference.h"              // IWYU pragma: export

@@ -47,7 +47,13 @@ void Network::validate_graph() const {
     const Layer& l = layers_[i];
     if (!seen.insert(l.name).second)
       throw ConfigError(name_ + ": duplicate layer name " + l.name);
-    for (const std::string& in : resolved_inputs(i)) {
+    const std::vector<std::string> inputs = resolved_inputs(i);
+    if (l.kind == LayerKind::Ewop && l.ewop_op == EwopOp::AddRelu &&
+        inputs.size() != 2)
+      throw ConfigError(name_ + ": residual add " + l.name +
+                        " needs exactly two inputs, has " +
+                        std::to_string(inputs.size()));
+    for (const std::string& in : inputs) {
       if (in == kNetworkInput) continue;
       if (!seen.contains(in))
         throw ConfigError(name_ + ": layer " + l.name +

@@ -55,9 +55,10 @@ class Network {
   /// (the feed-forward executor) must reject |sinks| != 1.
   std::vector<std::string> sink_names() const;
 
-  /// Checks that layer names are unique and every input reference points to
+  /// Checks that layer names are unique, every input reference points to
   /// an earlier layer or the network input (the graph is a DAG by
-  /// construction). Throws ftdl::ConfigError on violations.
+  /// construction), and every residual add (EwopOp::AddRelu) has exactly two
+  /// inputs. Throws ftdl::ConfigError on violations.
   void validate_graph() const;
 
  private:

@@ -273,24 +273,14 @@ struct ExecContext::Impl {
     return out;
   }
 
-  Tensor16 ewop(const Layer& layer,
-                const std::vector<std::string>& inputs) const {
+  Tensor16 ewop(const Layer& layer, const std::vector<std::string>& inputs) {
     switch (layer.ewop_op) {
       case nn::EwopOp::Generic:
         // Op-count-only stage: identity over its (single) input.
         return tensor(inputs.at(0));
-      case nn::EwopOp::AddRelu: {
-        const Tensor16& a = tensor(inputs.at(0));
-        const Tensor16& b = tensor(inputs.at(1));
-        if (a.dims() != b.dims())
-          throw ConfigError(layer.name + ": residual input shape mismatch");
-        Tensor16 out(a.dims());
-        for (std::int64_t i = 0; i < a.size(); ++i) {
-          const acc_t sum = acc_t{a[i]} + acc_t{b[i]};
-          out[i] = relu(requantize(sum, 0));
-        }
-        return out;
-      }
+      case nn::EwopOp::AddRelu:
+        return add_relu_layer(layer, tensor(inputs.at(0)),
+                              tensor(inputs.at(1)), pool());
     }
     throw InternalError("unhandled ewop op");
   }

@@ -8,8 +8,8 @@
 // Between layers, wide accumulators are requantized back to int16 with a
 // per-layer shift chosen by a simple max-abs calibration — the host EWOP
 // stage of Sec. V-A. The engine reports that max as it writes the
-// accumulators, and the requantisation and pooling run as vector kernels
-// on the same pool (runtime/host_kernels.h).
+// accumulators, and the requantisation, pooling and residual add run as
+// vector kernels on the same pool (runtime/host_kernels.h).
 //
 // Recurrent networks (seqLSTM) are not executable feed-forward and are
 // rejected with ConfigError.

@@ -224,4 +224,17 @@ Tensor16 pool_layer(const Layer& layer, const Tensor16& in, ThreadPool* pool) {
   return out;
 }
 
+Tensor16 add_relu_layer(const Layer& layer, const Tensor16& a,
+                        const Tensor16& b, ThreadPool* pool) {
+  if (a.dims() != b.dims())
+    throw ConfigError(layer.name + ": residual input shape mismatch");
+  Tensor16 out(a.dims(), no_init);
+  for_each_range(a.size() < kSerialBelow ? nullptr : pool, a.size(),
+                 [&](std::int64_t lo, std::int64_t hi) {
+                   simd::add_relu_i16(a.data() + lo, b.data() + lo,
+                                      out.data() + lo, hi - lo);
+                 });
+  return out;
+}
+
 }  // namespace ftdl::runtime

@@ -1,7 +1,8 @@
-// Host EWOP kernels of the runtime: the overlay-layer epilogue and pooling.
+// Host EWOP kernels of the runtime: the overlay-layer epilogue, pooling and
+// the residual add.
 //
-// The executor runs both behind the overlay (Sec. V-A's host EWOP stage),
-// the way DLA chains pooling and activation behind its PE array:
+// The executor runs all three behind the overlay (Sec. V-A's host EWOP
+// stage), the way DLA chains pooling and activation behind its PE array:
 //
 //   * the epilogue requantises the accumulators CachedLayerSim::run wrote,
 //     using the max |acc| that run reported instead of a second scan; one
@@ -19,13 +20,16 @@
 //     average (the window is the whole unpadded plane, as in GoogLeNet's
 //     pool5/7x7_avg) sums each channel's plane in one pass; a 1-wide plane
 //     reduces one contiguous run per output; a layer whose window rows do
-//     not fit the buffer runs on the oracle.
+//     not fit the buffer runs on the oracle;
+//   * the residual add, relu(requantize(a + b, 0)) per element, is a
+//     saturating int16 add then a max with 0 (simd::add_relu_i16).
 //
-// Both fan out over channel ranges on the pool they are given, serially
-// below kSerialBelow elements. Both are bit-identical to the nn:: oracles
-// (nn::requantize_output, nn::maxpool_reference, nn::avgpool_reference) at
-// every pool size and with simd::set_enabled on or off, pinned by the sweeps
-// in tests/test_runtime.cpp. Neither touches the heap.
+// Each fans out over channel (the add: element) ranges on the pool it is
+// given, serially below kSerialBelow elements, and is bit-identical to its
+// oracle (nn::requantize_output, nn::maxpool_reference,
+// nn::avgpool_reference, the add's per-element formula) at every pool size
+// and with simd::set_enabled on or off, pinned by the sweeps in
+// tests/test_runtime.cpp. None touches the heap.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +45,8 @@ namespace ftdl::runtime {
 
 /// Element count below which a kernel runs serially on the caller: a pool
 /// batch would cost more than it saves, and the serving runtime's small
-/// layers stay off the pool. Counts the accumulators of a requantisation
-/// and the input elements of a pooling.
+/// layers stay off the pool. Counts the accumulators of a requantisation,
+/// the input elements of a pooling and the outputs of an add.
 inline constexpr std::int64_t kSerialBelow = std::int64_t{1} << 16;
 
 /// nn::requantize_output(layer, acc, shift), given `max_abs`, the max |acc|
@@ -57,5 +61,11 @@ nn::Tensor16 requantize_layer(const nn::Layer& layer, const nn::AccTensor& acc,
 /// (average), and an average truncates sum / count over the clipped area.
 nn::Tensor16 pool_layer(const nn::Layer& layer, const nn::Tensor16& in,
                         ThreadPool* pool);
+
+/// relu(requantize(a[i] + b[i], 0)) for every element: the residual add of
+/// an EwopOp::AddRelu layer. Throws ConfigError when a and b differ in
+/// shape.
+nn::Tensor16 add_relu_layer(const nn::Layer& layer, const nn::Tensor16& a,
+                            const nn::Tensor16& b, ThreadPool* pool);
 
 }  // namespace ftdl::runtime

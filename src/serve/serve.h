@@ -93,7 +93,7 @@ struct ServerOptions {
   int workers = 2;
   /// Admission bound on pending (queued, not yet dispatched) requests.
   std::size_t queue_depth = 64;
-  /// Per-request execution options (path, overlay config, sim_jobs, ...).
+  /// Per-request execution options (overlay config, sim_jobs, ...).
   runtime::ExecOptions exec;
 };
 

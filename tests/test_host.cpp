@@ -1,13 +1,13 @@
-// Tests for the host EWOP kernels (fixed-point nonlinearities, saturating
-// ops, LSTM cell update) and the host pipeline model.
+// Tests for the host LSTM kernels (fixed-point nonlinearities, cell update)
+// and the host pipeline model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "arch/overlay_config.h"
 #include "compiler/scheduler.h"
-#include "host/ewop_kernels.h"
 #include "host/host_pipeline.h"
+#include "host/lstm_runner.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
 
@@ -18,12 +18,6 @@ std::int16_t to_q412(double x) {
   return static_cast<std::int16_t>(std::lround(x * 4096.0));
 }
 double from_q114(std::int16_t v) { return double(v) / 16384.0; }
-
-TEST(EwopKernels, SatAdd) {
-  EXPECT_EQ(sat_add(100, 200), 300);
-  EXPECT_EQ(sat_add(32000, 32000), 32767);
-  EXPECT_EQ(sat_add(-32000, -32000), -32768);
-}
 
 TEST(EwopKernels, SigmoidShape) {
   // sigmoid(0) = 0.5, saturates toward 0/1, monotone.
@@ -46,19 +40,6 @@ TEST(EwopKernels, TanhShape) {
     EXPECT_NEAR(from_q114(tanh_q(to_q412(x))),
                 -from_q114(tanh_q(to_q412(-x))), 0.02);
   }
-}
-
-TEST(EwopKernels, ReluAndAdd) {
-  nn::Tensor16 a({4});
-  nn::Tensor16 b({4});
-  a[0] = -5; a[1] = 5; a[2] = 30000; a[3] = 0;
-  b[0] = 2;  b[1] = 2; b[2] = 30000; b[3] = 0;
-  nn::Tensor16 sum = add(a, b);
-  EXPECT_EQ(sum[0], -3);
-  EXPECT_EQ(sum[2], 32767);  // saturated
-  relu_inplace(sum);
-  EXPECT_EQ(sum[0], 0);
-  EXPECT_EQ(sum[1], 7);
 }
 
 TEST(EwopKernels, LstmCellAgainstDoubleReference) {

@@ -9,6 +9,7 @@
 
 #include "analyze/network_io.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "compiler/program_io.h"
 #include "host/lstm_runner.h"
 #include "obs/obs.h"
@@ -237,6 +238,12 @@ TEST(LstmRunner, DeterministicAndStateful) {
   EXPECT_EQ(a[2], b[2]);
   // With a nonzero input the state evolves: step outputs differ.
   EXPECT_NE(a[0], a[1]);
+  // Every step's h_t, pinned: the gate products and the cell update must
+  // not move a bit.
+  Hash64 h;
+  for (const nn::Tensor16& t : a)
+    for (std::int64_t i = 0; i < t.size(); ++i) h.i32(t[i]);
+  EXPECT_EQ(h.digest(), 0x675dec31340c1455ull);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the functional end-to-end runtime: graph execution, equivalence
 // with the nn-reference forward pass (including weight-group stitching, and
 // committed output digests at zoo scale at several pool sizes), the host
-// EWOP kernels (requantisation and pooling, swept against the nn:: oracles)
-// and quantization calibration.
+// EWOP kernels (requantisation, pooling and the residual add, swept against
+// their oracles) and quantization calibration.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -336,6 +336,26 @@ TEST(Executor, RejectsTransposedMatMulInput) {
                ConfigError);
 }
 
+TEST(Executor, RejectsResidualAddWithoutTwoInputs) {
+  // make_add_relu insists on two inputs, but a layer built by hand or loaded
+  // from a network bundle can name any number; the warm-up's graph check
+  // rejects it before anything runs.
+  for (const std::vector<std::string>& inputs :
+       {std::vector<std::string>{"a"},
+        std::vector<std::string>{"a", "b", "b"}}) {
+    nn::Network net("bad-add");
+    net.add(nn::make_conv("a", 3, 8, 8, 4, 3, 1, 1));
+    net.add(nn::make_conv("b", 4, 8, 8, 4, 3, 1, 1));
+    nn::Layer add = nn::make_add_relu("add", 4 * 8 * 8, {"a", "b"});
+    add.input_names = inputs;
+    net.add(add);
+    EXPECT_THROW(net.validate_graph(), ConfigError) << inputs.size();
+    const WeightStore ws = WeightStore::random_for(net, 1);
+    EXPECT_THROW(ExecContext(net, ws, ExecOptions{}), ConfigError)
+        << inputs.size();
+  }
+}
+
 TEST(Executor, RejectsShapeMismatch) {
   const nn::Network net = tiny_inception();
   const WeightStore ws = WeightStore::random_for(net, 1);
@@ -629,6 +649,46 @@ TEST(HostKernels, RequantisationMatchesOracleAcrossMagnitudes) {
       acc[acc.size() / 2] = r.pin;
       expect_requant_matches_oracle(acc);
     }
+}
+
+TEST(HostKernels, ResidualAddMatchesOracle) {
+  // Every distinct residual-add shape of the two residual zoo networks, on
+  // full-range inputs (so sums saturate both ways and half are negative),
+  // against the executor's former per-element formula.
+  std::set<std::tuple<int, int, int>> shapes;
+  for (const nn::Network& net : {nn::resnet50(), nn::alphago_zero()})
+    for (std::size_t i = 0; i < net.layers().size(); ++i) {
+      const nn::Layer& l = net.layers()[i];
+      if (l.kind != nn::LayerKind::Ewop || l.ewop_op != nn::EwopOp::AddRelu)
+        continue;
+      const nn::Layer& producer =
+          net.layers()[static_cast<std::size_t>(net.find(l.input_names[0]))];
+      shapes.insert({producer.out_c, producer.out_h(), producer.out_w()});
+    }
+  ASSERT_GE(shapes.size(), 5u);
+  static_assert(256 * 56 * 56 >= kSerialBelow);  // ResNet50's first stage
+  const nn::Layer layer = nn::make_add_relu("add", 1, {"a", "b"});
+  std::uint64_t seed = 0;
+  for (const auto& [c, h, w] : shapes) {
+    nn::Layer shape_of;
+    shape_of.in_c = c;
+    shape_of.in_h = h;
+    shape_of.in_w = w;
+    const nn::Tensor16 a = full_range_input(shape_of, ++seed);
+    const nn::Tensor16 b = full_range_input(shape_of, ++seed);
+    nn::Tensor16 want(a.dims());
+    for (std::int64_t i = 0; i < want.size(); ++i)
+      want[i] = relu(requantize(acc_t{a[i]} + acc_t{b[i]}, 0));
+    at_jobs_and_isa([&](ThreadPool* pool) {
+      EXPECT_EQ(add_relu_layer(layer, a, b, pool), want)
+          << c << "x" << h << "x" << w;
+    });
+  }
+  at_jobs_and_isa([&](ThreadPool* pool) {
+    EXPECT_THROW(add_relu_layer(layer, nn::Tensor16({2, 3, 4}),
+                                nn::Tensor16({2, 4, 3}), pool),
+                 ConfigError);
+  });
 }
 
 TEST(Graph, ValidateCatchesBadReferences) {

@@ -388,8 +388,12 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
   if (!alloc_stats::hook_installed())
     GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
+  // Two convs and the residual add of the two, so the add kernel's output
+  // is inside the window too.
   nn::Network net("serve-zero-alloc");
   net.add(nn::make_conv("c", 6, 8, 8, 8, 3, 1, 1));
+  net.add(nn::make_conv("c2", 8, 8, 8, 8, 3, 1, 1, /*relu=*/false));
+  net.add(nn::make_add_relu("add", 8 * 8 * 8, {"c2", "c"}));
   net.validate_graph();
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 7);
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +232,38 @@ TEST(Simd, WindowMaxMatchesLoopAtStridesOneToThree) {
           EXPECT_EQ(got, want) << "n " << n << " k " << k << " s " << stride;
         });
       }
+}
+
+TEST(Simd, AddReluI16MatchesLoop) {
+  // Every tail length of the widest vector path, on random values and on
+  // the saturation corners: sums past +-32767, -32768 + -32768, and the
+  // ones that ReLU zeroes.
+  const std::int16_t corners[] = {-32768, -32767, -1, 0, 1, 32767};
+  const std::int64_t widest = 2 * lanes() + 1;
+  for (std::int64_t n = 0; n <= widest; ++n) {
+    std::vector<std::int16_t> ca(static_cast<std::size_t>(n));
+    std::vector<std::int16_t> cb(static_cast<std::size_t>(n));
+    for (std::int64_t j = 0; j < n; ++j) {  // all 36 pairs, shifted by n
+      ca[static_cast<std::size_t>(j)] = corners[(j + n) % 6];
+      cb[static_cast<std::size_t>(j)] = corners[((j + n) / 6) % 6];
+    }
+    const std::pair<std::vector<std::int16_t>, std::vector<std::int16_t>>
+        inputs[] = {
+            {random_i16(n, 120 + static_cast<std::uint64_t>(n)),
+             random_i16(n, 160 + static_cast<std::uint64_t>(n))},
+            {ca, cb}};
+    for (const auto& [a, b] : inputs) {
+      std::vector<std::int16_t> want(static_cast<std::size_t>(n));
+      for (std::size_t j = 0; j < want.size(); ++j)
+        want[j] = static_cast<std::int16_t>(
+            std::clamp(int{a[j]} + int{b[j]}, 0, 32767));
+      on_and_off([&] {
+        std::vector<std::int16_t> got(static_cast<std::size_t>(n));
+        add_relu_i16(a.data(), b.data(), got.data(), n);
+        EXPECT_EQ(got, want) << n;
+      });
+    }
+  }
 }
 
 }  // namespace
