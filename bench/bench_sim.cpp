@@ -42,6 +42,7 @@
 
 #include "common/arena.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "compiler/codegen.h"
 #include "nn/model_zoo.h"
@@ -133,6 +134,7 @@ void BM_SimLayer(benchmark::State& state, std::size_t idx) {
     benchmark::ClobberMemory();
   }
   report_rate(state, runner.stats().padded_maccs, runner.stats().valid_maccs);
+  state.SetLabel(simd::isa_name());  // which conv tile ran
 }
 
 void BM_SimStatsOnly(benchmark::State& state, std::size_t idx) {

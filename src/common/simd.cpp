@@ -374,148 +374,90 @@ __attribute__((target("avx2"))) std::int16_t max_i16_avx2(
                   max_i16_scalar(x + j, n - j));
 }
 
-/// The int32 register tile: 4 output channels x 16 grid positions in eight
-/// accumulators, acc[2i] holding positions 0-3 | 8-11 of channel i and
-/// acc[2i + 1] positions 4-7 | 12-15 (the lane order unpack{lo,hi}_epi16
-/// leaves). Each step interleaves two input rows a, b and multiplies them by
-/// a (w_a, w_b) weight pair per channel with madd_epi16.
+// The int32 conv register tile: one body (simd_conv_tile.inc) over a
+// vector-width trait, compiled once per width in that width's namespace.
+// Both traits multiply two interleaved input rows by a (w_a, w_b) weight
+// pair per channel and keep 32-bit sums; their members are inlined into the
+// body of their own width.
+#define FTDL_TILE_OP \
+  __attribute__((target(FTDL_TILE_TARGET), always_inline)) static
+
+#define FTDL_TILE_TARGET "avx2"
+namespace avx2_tile {
+
+/// 4 output channels x 16 grid positions in eight accumulators, each step
+/// a madd_epi16 + add_epi32 per accumulator. unpack{lo,hi}_epi16 leave
+/// positions 0-3 | 8-11 and 4-7 | 12-15 in a channel's two accumulators.
 struct Tile {
-  __m256i acc[8];
+  using Vec = __m256i;
+  static constexpr int kPositions = 16, kChannels = 4;
+  FTDL_TILE_OP Vec zero() { return _mm256_setzero_si256(); }
+  FTDL_TILE_OP Vec load(const std::int16_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  FTDL_TILE_OP Vec splat(std::int32_t v) { return _mm256_set1_epi32(v); }
+  FTDL_TILE_OP Vec unpacklo(Vec a, Vec b) {
+    return _mm256_unpacklo_epi16(a, b);
+  }
+  FTDL_TILE_OP Vec unpackhi(Vec a, Vec b) {
+    return _mm256_unpackhi_epi16(a, b);
+  }
+  FTDL_TILE_OP Vec dot_add(Vec acc, Vec x, Vec w) {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(x, w));
+  }
+  FTDL_TILE_OP void store_in_order(Vec lo, Vec hi, std::int32_t* v) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(v),
+                       _mm256_permute2x128_si256(lo, hi, 0x20));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(v + 8),
+                       _mm256_permute2x128_si256(lo, hi, 0x31));
+  }
 };
 
-__attribute__((target("avx2"), always_inline)) inline __m256i load_row(
-    const std::int16_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
+#include "common/simd_conv_tile.inc"
 
-__attribute__((target("avx2"), always_inline)) inline void tile_step(
-    Tile& t, __m256i a, __m256i b, const __m256i (&wp)[4]) {
-  const __m256i lo = _mm256_unpacklo_epi16(a, b);
-  const __m256i hi = _mm256_unpackhi_epi16(a, b);
-  for (int i = 0; i < 4; ++i) {
-    t.acc[2 * i] =
-        _mm256_add_epi32(t.acc[2 * i], _mm256_madd_epi16(lo, wp[i]));
-    t.acc[2 * i + 1] =
-        _mm256_add_epi32(t.acc[2 * i + 1], _mm256_madd_epi16(hi, wp[i]));
+}  // namespace avx2_tile
+#undef FTDL_TILE_TARGET
+
+#define FTDL_TILE_TARGET "avx512bw,avx512vnni"
+namespace avx512_tile {
+
+/// 6 output channels x 32 grid positions in twelve accumulators, each step
+/// one vpdpwssd per accumulator (the two products of a 32-bit lane added to
+/// it, wrapping like add_epi32). The unpacks leave positions
+/// 0-3 | 8-11 | 16-19 | 24-27 and 4-7 | 12-15 | 20-23 | 28-31.
+struct Tile {
+  using Vec = __m512i;
+  static constexpr int kPositions = 32, kChannels = 6;
+  FTDL_TILE_OP Vec zero() { return _mm512_setzero_si512(); }
+  FTDL_TILE_OP Vec load(const std::int16_t* p) { return _mm512_loadu_si512(p); }
+  FTDL_TILE_OP Vec splat(std::int32_t v) { return _mm512_set1_epi32(v); }
+  FTDL_TILE_OP Vec unpacklo(Vec a, Vec b) {
+    return _mm512_unpacklo_epi16(a, b);
   }
-}
-
-/// A weight pair (w[0], w[1]) read in place as one 32-bit word, broadcast.
-__attribute__((target("avx2"), always_inline)) inline __m256i pair_at(
-    const std::int16_t* w) {
-  std::int32_t v = 0;
-  std::memcpy(&v, w, sizeof v);
-  return _mm256_set1_epi32(v);
-}
-
-/// The pair (w[0], 0): an odd leftover tap or channel.
-__attribute__((target("avx2"), always_inline)) inline __m256i pair_zero(
-    const std::int16_t* w) {
-  return _mm256_set1_epi32(static_cast<std::uint16_t>(*w));
-}
-
-__attribute__((target("avx2"))) std::uint64_t conv_tile_avx2(
-    const PaddedConv& c, std::int64_t m0, std::int64_t m1) {
-  const std::int64_t taps = c.kh * c.kw, pitch = c.pitch;
-  const std::int64_t w_stride = c.in_c * taps;  // one output channel
-  const std::int64_t out_plane = c.oh * c.ow;
-  // Grid positions up to the last valid output; the tail tile reads past.
-  const std::int64_t grid = (c.oh - 1) * pitch + c.ow;
-  const __m256i zero = _mm256_setzero_si256();
-  std::uint32_t max_abs = 0;
-  for (std::int64_t m = m0; m < m1; m += 4) {
-    // A partial channel tile repeats its last channel; the copies are
-    // computed and not stored.
-    const int live = static_cast<int>(std::min<std::int64_t>(4, m1 - m));
-    const std::int16_t* wm[4];
-    for (int i = 0; i < 4; ++i)
-      wm[i] = c.w + (m + std::min(i, live - 1)) * w_stride;
-    std::int64_t e = 0, f = 0;  // grid coordinates of q
-    for (std::int64_t q = 0; q < grid; q += 16) {
-      Tile t;
-      for (__m256i& a : t.acc) a = zero;
-      const std::int16_t* x0 = c.xp + q;
-      __m256i wp[4];
-      if (taps == 1) {
-        // 1x1: pair two adjacent input channels.
-        std::int64_t n = 0;
-        for (; n + 2 <= c.in_c; n += 2) {
-          const std::int16_t* x = x0 + n * c.plane;
-          for (int i = 0; i < 4; ++i) wp[i] = pair_at(wm[i] + n);
-          tile_step(t, load_row(x), load_row(x + c.plane), wp);
-        }
-        if (n < c.in_c) {
-          for (int i = 0; i < 4; ++i) wp[i] = pair_zero(wm[i] + n);
-          tile_step(t, load_row(x0 + n * c.plane), zero, wp);
-        }
-      } else {
-        // Pair two adjacent taps (r, s) of one input channel; the tap offset
-        // walk is shared by every channel.
-        std::int64_t r = 0, s = 0;
-        auto next_offset = [&] {
-          const std::int64_t off = r * pitch + s;
-          if (++s == c.kw) {
-            s = 0;
-            ++r;
-          }
-          return off;
-        };
-        std::int64_t tap = 0;
-        for (; tap + 2 <= taps; tap += 2) {
-          const std::int64_t oa = next_offset();
-          const std::int64_t ob = next_offset();
-          for (std::int64_t n = 0; n < c.in_c; ++n) {
-            const std::int16_t* x = x0 + n * c.plane;
-            for (int i = 0; i < 4; ++i) wp[i] = pair_at(wm[i] + n * taps + tap);
-            tile_step(t, load_row(x + oa), load_row(x + ob), wp);
-          }
-        }
-        if (tap < taps) {
-          const std::int64_t oa = next_offset();
-          for (std::int64_t n = 0; n < c.in_c; ++n) {
-            for (int i = 0; i < 4; ++i)
-              wp[i] = pair_zero(wm[i] + n * taps + tap);
-            tile_step(t, load_row(x0 + n * c.plane + oa), zero, wp);
-          }
-        }
-      }
-      // Widen once per tile: un-permute the 128-bit lanes to positions
-      // 0-7 and 8-15, then store only the valid columns, walking (e, f)
-      // along the grid rows. Each output is one tile's, so storing writes
-      // the whole plane; its magnitude is taken here, while in registers.
-      // No |value| reaches 2^31 under the bound, so it fits in uint32.
-      for (int i = 0; i < live; ++i) {
-        alignas(32) std::int32_t v[16];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(v),
-                           _mm256_permute2x128_si256(t.acc[2 * i],
-                                                     t.acc[2 * i + 1], 0x20));
-        _mm256_store_si256(reinterpret_cast<__m256i*>(v + 8),
-                           _mm256_permute2x128_si256(t.acc[2 * i],
-                                                     t.acc[2 * i + 1], 0x31));
-        acc_t* o = c.out + (m + i) * out_plane;
-        std::int64_t j = 0, ee = e, ff = f;
-        while (j < 16 && ee < c.oh) {
-          const std::int64_t run = std::min(16 - j, pitch - ff);
-          const std::int64_t valid = std::min(run, c.ow - ff);
-          acc_t* row = o + ee * c.ow + ff;
-          for (std::int64_t k = 0; k < valid; ++k) {
-            const std::int32_t x = v[j + k];
-            const auto u = static_cast<std::uint32_t>(x);
-            row[k] = x;
-            max_abs = std::max(max_abs, x < 0 ? 0U - u : u);
-          }
-          j += run;
-          ff += run;
-          if (ff == pitch) {
-            ff = 0;
-            ++ee;
-          }
-        }
-      }
-      for (f += 16; f >= pitch; f -= pitch) ++e;
-    }
+  FTDL_TILE_OP Vec unpackhi(Vec a, Vec b) {
+    return _mm512_unpackhi_epi16(a, b);
   }
-  return max_abs;
+  FTDL_TILE_OP Vec dot_add(Vec acc, Vec x, Vec w) {
+    return _mm512_dpwssd_epi32(acc, x, w);
+  }
+  FTDL_TILE_OP void store_in_order(Vec lo, Vec hi, std::int32_t* v) {
+    // 64-bit indices: 0-7 pick from lo, 8-15 from hi.
+    const Vec first = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+    const Vec second = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+    _mm512_store_si512(v, _mm512_permutex2var_epi64(lo, first, hi));
+    _mm512_store_si512(v + 16, _mm512_permutex2var_epi64(lo, second, hi));
+  }
+};
+
+#include "common/simd_conv_tile.inc"
+
+}  // namespace avx512_tile
+#undef FTDL_TILE_TARGET
+#undef FTDL_TILE_OP
+
+template <class T>
+constexpr ConvTileShape shape_of() {
+  return {T::kChannels, T::kPositions};
 }
 
 #endif  // FTDL_SIMD_AVX2
@@ -573,6 +515,7 @@ using AxpyFn = void (*)(acc_t*, const std::int16_t*, std::int16_t,
                         std::int64_t);
 using MaxAbsFn = std::int32_t (*)(const std::int16_t*, std::int64_t);
 using ConvTileFn = std::uint64_t (*)(const PaddedConv&, std::int64_t,
+                                     std::int64_t, std::int64_t,
                                      std::int64_t);
 using MaxAbsAccFn = std::uint64_t (*)(const acc_t*, std::int64_t);
 using RequantFn = void (*)(const acc_t*, std::int16_t*, std::int64_t, int,
@@ -592,6 +535,7 @@ struct Impl {
   int lanes = 1;
   MaxAbsFn max_abs = max_abs_i16_scalar;
   ConvTileFn conv_tile = nullptr;  ///< no scalar tile: callers use acc_t
+  ConvTileShape tile{};
   MaxAbsAccFn max_abs_acc = max_abs_acc_scalar;
   RequantFn requantize = requantize_i32_scalar;
   MaxIntoFn max_into = max_into_i16_scalar;
@@ -605,7 +549,8 @@ constexpr Impl kScalar{};
 
 /// Best vector implementation compiled in AND supported by this machine
 /// (scalar when neither applies, or when the FTDL_SIMD environment variable
-/// is "0"/"off"/"scalar").
+/// is "0"/"off"/"scalar"; "avx2" keeps the AVX2 conv tile on an AVX-512
+/// host).
 const Impl& vector_impl() {
   static const Impl impl = [] {
     Impl v = kScalar;
@@ -617,11 +562,27 @@ const Impl& vector_impl() {
     }
 #if defined(FTDL_SIMD_AVX2)
     if (__builtin_cpu_supports("avx2")) {
-      v = Impl{dot_i16_avx2,        axpy_i16_avx2,       "avx2",
-               16,                  max_abs_i16_avx2,    conv_tile_avx2,
-               max_abs_acc_avx2,    requantize_i32_avx2, max_into_i16_avx2,
-               add_into_i32_avx2,   window_max_i16_avx2, max_i16_avx2,
+      v = Impl{dot_i16_avx2,
+               axpy_i16_avx2,
+               "avx2",
+               16,
+               max_abs_i16_avx2,
+               avx2_tile::conv_tile<avx2_tile::Tile>,
+               shape_of<avx2_tile::Tile>(),
+               max_abs_acc_avx2,
+               requantize_i32_avx2,
+               max_into_i16_avx2,
+               add_into_i32_avx2,
+               window_max_i16_avx2,
+               max_i16_avx2,
                add_relu_i16_avx2};
+      const bool avx2_only = env != nullptr && std::strcmp(env, "avx2") == 0;
+      if (!avx2_only && __builtin_cpu_supports("avx512bw") &&
+          __builtin_cpu_supports("avx512vnni")) {
+        v.name = "avx512vnni";
+        v.conv_tile = avx512_tile::conv_tile<avx512_tile::Tile>;
+        v.tile = shape_of<avx512_tile::Tile>();
+      }
     }
 #elif defined(FTDL_SIMD_NEON)
     v.dot = dot_i16_neon;
@@ -666,9 +627,12 @@ std::int32_t max_abs_i16(const std::int16_t* x, std::int64_t n) {
 
 bool has_conv_tile() { return active_impl().conv_tile != nullptr; }
 
+ConvTileShape conv_tile_shape() { return active_impl().tile; }
+
 std::uint64_t conv_tile_i16(const PaddedConv& conv, std::int64_t m0,
-                            std::int64_t m1) {
-  return active_impl().conv_tile(conv, m0, m1);
+                            std::int64_t m1, std::int64_t q0,
+                            std::int64_t q1) {
+  return active_impl().conv_tile(conv, m0, m1, q0, q1);
 }
 
 std::uint64_t max_abs_acc(const acc_t* x, std::int64_t n) {

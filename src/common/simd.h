@@ -14,18 +14,27 @@
 //
 // The third kernel, conv_tile_i16, trades that unconditional exactness for
 // register blocking: a conv over a zero-padded copy of its input (for a
-// strided conv, the copy's phase planes) accumulates 4 output channels x 16
-// output positions in int32 lanes through _mm256_madd_epi16 pairs and widens
-// to acc_t once per tile. madd and int32 sums are exact only while every
-// partial sum fits in int32, so the caller must check the bound
-// K * max|w| * max|x| <= 2^31 - 1 (K = reduction length rounded up to
-// pairs) before calling it — max_abs_i16 is the scan that bound needs. The
-// (-32768)^2 corner breaks the bound and takes the acc_t path instead.
+// strided conv, the copy's phase planes) accumulates a tile of output
+// channels x output positions in int32 lanes and widens to acc_t once per
+// tile. Each step multiplies a pair of int16 inputs by a pair of weights
+// and adds both products to an int32 lane: on AVX2 a tile is 4 channels x 16
+// positions and a step is _mm256_madd_epi16 + _mm256_add_epi32; on AVX-512
+// VNNI it is 6 channels x 32 positions and a step is one
+// _mm512_dpwssd_epi32 (vpdpwssd, which wraps like the add; the saturating
+// vpdpwssds is not used). Both leave each lane equal to its K products'
+// sum modulo 2^32, which is the exact sum while every partial sum fits in
+// int32, so the caller must check the bound K * max|w| * max|x| <= 2^31 - 1
+// (K = reduction length rounded up to pairs) before calling it —
+// max_abs_i16 is the scan that bound needs. The (-32768)^2 corner breaks
+// the bound and takes the acc_t path instead.
 //
 // Dispatch: the implementation is chosen once at first use —
 //   * x86-64: AVX2 via per-function target attributes when the running CPU
 //     reports it (__builtin_cpu_supports), so no special build flags are
-//     needed and the same binary runs on non-AVX2 hosts;
+//     needed and the same binary runs on non-AVX2 hosts; when the CPU also
+//     reports avx512bw and avx512vnni, the conv tile is the AVX-512 VNNI
+//     one ("avx512vnni"; every other kernel stays AVX2), unless
+//     FTDL_SIMD=avx2 in the environment keeps the AVX2 tile;
 //   * aarch64: NEON (baseline, compile-time) for dot/axpy; no conv tile;
 //   * otherwise, or with -DFTDL_SIMD=OFF, or FTDL_SIMD=0 in the
 //     environment: the scalar oracles, and no conv tile.
@@ -83,9 +92,11 @@ std::int32_t max_abs_i16(const std::int16_t* x, std::int64_t n);
 /// unit stride: a strided conv's caller passes its phase planes as the
 /// input channels and the matching per-phase kernel. Output grid position
 /// q = e * pitch + f reads xp[n * plane + q + r * pitch + s] for tap
-/// (r, s); grid columns f >= ow are computed and discarded. The buffer must
-/// extend at least kw + 16 elements past the last plane: grid tail tiles
-/// and the last row's discarded columns read there.
+/// (r, s); grid columns f >= ow are computed and discarded, and the grid
+/// ends at its last valid output, (oh - 1) * pitch + ow. The buffer must
+/// extend at least kw + conv_tile_shape().positions elements past the last
+/// plane: the tail tile of the grid and the last row's discarded columns
+/// read there (kw + 16 on AVX2, kw + 32 on AVX-512 VNNI).
 struct PaddedConv {
   const std::int16_t* xp = nullptr;  ///< in_c padded (or phase) planes
   const std::int16_t* w = nullptr;   ///< weights, [M, N, R, S], read in place
@@ -95,16 +106,29 @@ struct PaddedConv {
   std::int64_t oh = 0, ow = 0;
 };
 
-/// True when the active implementation has conv_tile_i16 (AVX2 only).
+/// True when the active implementation has conv_tile_i16 (x86-64 only).
 bool has_conv_tile();
 
-/// Writes output channels [m0, m1) of `conv` into conv.out (every element
-/// of those planes, so the caller need not zero them), one int32 register
-/// tile of 4 channels x 16 grid positions at a time, and returns the largest
-/// |value| written. Exact only under the bound in the header comment, which
-/// the caller checks; requires has_conv_tile().
+/// Output channels and grid positions of one int32 register tile.
+struct ConvTileShape {
+  int channels = 0;
+  int positions = 0;
+};
+
+/// The active tile: {4, 16} on AVX2, {6, 32} on AVX-512 VNNI, {0, 0}
+/// without conv_tile_i16.
+ConvTileShape conv_tile_shape();
+
+/// Writes output channels [m0, m1) of `conv` at grid positions [q0, q1)
+/// into conv.out (every valid output there and nothing else, so the caller
+/// need not zero them and may hand disjoint ranges to different threads),
+/// one register tile of conv_tile_shape() from q0 on at a time, and returns
+/// the largest |value| written. q1 may run past the grid. Exact only under
+/// the bound in the header comment, which the caller checks; requires
+/// has_conv_tile().
 std::uint64_t conv_tile_i16(const PaddedConv& conv, std::int64_t m0,
-                            std::int64_t m1);
+                            std::int64_t m1, std::int64_t q0,
+                            std::int64_t q1);
 
 // ---- Host EWOP kernels of src/runtime: epilogue, pooling, residual add ----
 //
@@ -148,10 +172,12 @@ acc_t dot_i16_scalar(const std::int16_t* w, const std::int16_t* in,
 void axpy_i16_scalar(acc_t* out, const std::int16_t* in, std::int16_t w,
                      std::int64_t n);
 
-/// Name of the active implementation: "avx2", "neon" or "scalar".
+/// Name of the active implementation: "avx512vnni" (AVX2 kernels with the
+/// AVX-512 VNNI conv tile), "avx2", "neon" or "scalar".
 const char* isa_name();
 
-/// int16 lanes of the active implementation (16 AVX2, 8 NEON, 1 scalar).
+/// int16 lanes of the active dot/axpy kernels (16 on x86-64, 8 NEON, 1
+/// scalar).
 int lanes();
 
 /// True when a vector implementation (not the scalar oracle) is active.

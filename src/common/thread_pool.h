@@ -63,16 +63,19 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Ranges for_each_range hands each job, at most.
+constexpr std::int64_t kRangesPerJob = 4;
+
 /// Runs body(lo, hi) over [0, units) split into contiguous ranges across
-/// `pool`. A few ranges per worker, so a worker held up elsewhere does not
-/// leave the batch waiting on one large range. With no pool, a one-job pool
-/// or a single unit, body(0, units) runs on the caller and nothing touches
-/// the heap: the serving steady state relies on that.
+/// `pool`. A few ranges per worker (kRangesPerJob), so a worker held up
+/// elsewhere does not leave the batch waiting on one large range. With no
+/// pool, a one-job pool or a single unit, body(0, units) runs on the caller
+/// and nothing touches the heap: the serving steady state relies on that.
 template <typename Body>
 void for_each_range(ThreadPool* pool, std::int64_t units, const Body& body) {
   const int jobs = pool != nullptr ? pool->jobs() : 1;
   const std::int64_t parts =
-      jobs > 1 ? std::min<std::int64_t>(units, 4 * std::int64_t{jobs}) : 1;
+      jobs > 1 ? std::min<std::int64_t>(units, kRangesPerJob * jobs) : 1;
   if (parts <= 1) {
     body(std::int64_t{0}, units);
     return;

@@ -48,10 +48,13 @@ void Network::validate_graph() const {
     if (!seen.insert(l.name).second)
       throw ConfigError(name_ + ": duplicate layer name " + l.name);
     const std::vector<std::string> inputs = resolved_inputs(i);
-    if (l.kind == LayerKind::Ewop && l.ewop_op == EwopOp::AddRelu &&
-        inputs.size() != 2)
-      throw ConfigError(name_ + ": residual add " + l.name +
-                        " needs exactly two inputs, has " +
+    // A concat joins any number of inputs and the residual add two; every
+    // other layer reads one, so the executor would drop the rest.
+    const std::size_t arity =
+        l.kind == LayerKind::Ewop && l.ewop_op == EwopOp::AddRelu ? 2 : 1;
+    if (l.kind != LayerKind::Concat && inputs.size() != arity)
+      throw ConfigError(name_ + ": layer " + l.name + " needs exactly " +
+                        std::to_string(arity) + " input(s), has " +
                         std::to_string(inputs.size()));
     for (const std::string& in : inputs) {
       if (in == kNetworkInput) continue;

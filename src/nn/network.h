@@ -57,8 +57,9 @@ class Network {
 
   /// Checks that layer names are unique, every input reference points to
   /// an earlier layer or the network input (the graph is a DAG by
-  /// construction), and every residual add (EwopOp::AddRelu) has exactly two
-  /// inputs. Throws ftdl::ConfigError on violations.
+  /// construction), and every layer has as many resolved inputs as it reads:
+  /// two for a residual add (EwopOp::AddRelu), any number for a concat, one
+  /// for every other layer. Throws ftdl::ConfigError on violations.
   void validate_graph() const;
 
  private:

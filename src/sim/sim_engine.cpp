@@ -253,15 +253,17 @@ bool fits_int32(const EngineTables& tb, const std::int16_t* weights,
 
 /// The conv on int32 register tiles: one zero-padded, phase-split copy of
 /// the input (and, when the split moves taps, of the weights) drawn from
-/// the calling thread's TensorArena, then 4-channel tiles fanned across the
-/// pool. Each tile stores its outputs, so nothing is zeroed first.
+/// the calling thread's TensorArena, then (channel tile x position block)
+/// units fanned across the pool. Each tile stores its outputs, so nothing
+/// is zeroed first.
 EngineResult run_tiles(const EngineTables& tb, const std::int16_t* weights,
                        const std::int16_t* input, acc_t* out,
                        ThreadPool* pool) {
   const PhaseShape ps = phase_shape(tb);
+  const simd::ConvTileShape tile = simd::conv_tile_shape();
   const std::int64_t plane = ps.ph * ps.pw;
-  ArenaVec<std::int16_t> xp(ps.in_c * plane + ps.kw + 16);  // zeroed
-  split_phases(tb, ps, input, xp.data());
+  ArenaVec<std::int16_t> xp(ps.in_c * plane + ps.kw + tile.positions);
+  split_phases(tb, ps, input, xp.data());  // into the zeroed copy
   // The split moves taps unless there is one phase (stride 1 or a 1x1
   // kernel) or one tap per phase (a kernel within the stride).
   const bool moved = ps.rows * ps.cols > 1 && ps.kh * ps.kw > 1;
@@ -279,10 +281,33 @@ EngineResult run_tiles(const EngineTables& tb, const std::int16_t* weights,
   conv.pitch = ps.pw;
   conv.oh = tb.oh;
   conv.ow = tb.ow;
+  // A layer with fewer channel tiles than the pool has ranges also splits
+  // its grid into blocks of whole tiles, so every job gets work. Units run
+  // block-major: a range sweeps the channel tiles over one block's inputs.
+  const std::int64_t c_tiles = ceil_div(tb.out_c, tile.channels);
+  const std::int64_t q_tiles =
+      ceil_div((tb.oh - 1) * ps.pw + tb.ow, tile.positions);
+  const int jobs = pool != nullptr ? pool->jobs() : 1;
+  const std::int64_t block_tiles =
+      jobs > 1 ? ceil_div(q_tiles,
+                          std::clamp(ceil_div(kRangesPerJob * jobs, c_tiles),
+                                     std::int64_t{1}, q_tiles))
+               : q_tiles;
+  const std::int64_t blocks = ceil_div(q_tiles, block_tiles);
+  const std::int64_t block = block_tiles * tile.positions;
   EngineResult r = fan_out(
-      pool, ceil_div(tb.out_c, 4), [&](std::int64_t lo, std::int64_t hi) {
-        return EngineResult{
-            0, simd::conv_tile_i16(conv, 4 * lo, std::min(4 * hi, tb.out_c))};
+      pool, c_tiles * blocks, [&](std::int64_t lo, std::int64_t hi) {
+        std::uint64_t max_abs = 0;
+        for (std::int64_t u = lo; u < hi; ++u) {
+          const std::int64_t m = u % c_tiles * tile.channels;
+          const std::int64_t q = u / c_tiles * block;
+          max_abs = std::max(
+              max_abs,
+              simd::conv_tile_i16(conv, m,
+                                  std::min(m + tile.channels, tb.out_c), q,
+                                  q + block));
+        }
+        return EngineResult{0, max_abs};
       });
   r.maccs = tb.out_c * tb.in_c *
             clipped_pairs(tb.oh, tb.kh, tb.stride, tb.pad, tb.in_h) *

@@ -19,9 +19,13 @@
 //   * int32 register tiles: a conv whose operands satisfy
 //     K * max|w| * max|x| <= 2^31 - 1 (checked by scanning both tensors on
 //     every call) runs as an implicit GEMM over one zero-padded copy of its
-//     input, 4 output channels x 16 output positions per int32 tile
-//     (simd::conv_tile_i16), widened and stored to acc_t once per tile, its
-//     magnitudes taken from the int32 values on the way. A stride-s
+//     input, one int32 register tile of simd::conv_tile_shape() at a time
+//     (simd::conv_tile_i16: 4 output channels x 16 output positions on
+//     AVX2, 6 x 32 on AVX-512 VNNI), widened and stored to acc_t once per
+//     tile, its magnitudes taken from the int32 values on the way. It fans
+//     out over (channel tile x position block) units, the grid cut into
+//     blocks only when there are too few channel tiles to feed the pool;
+//     each output still has one owner. A stride-s
 //     conv first splits that copy by phase: plane (a, b) of a channel holds
 //     the padded rows = a and columns = b (mod s), the phases become input
 //     channels (those without taps dropped), and the kernel becomes the
@@ -106,7 +110,8 @@ struct EngineResult {
 };
 
 /// Computes every MAC of the layer, fanned across `pool` by output-channel
-/// range (nullptr or jobs()==1 runs serially on the caller). The only
+/// range, or by (channel tile x position block) on the int32 tiles (nullptr
+/// or jobs()==1 runs serially on the caller). The only
 /// allocations are the int32 tile path's padded, phase-split input copy and
 /// rearranged weights, drawn from the calling thread's TensorArena.
 /// Writes every element of `out` (the layer's AccTensor storage; its prior

@@ -356,6 +356,33 @@ TEST(Executor, RejectsResidualAddWithoutTwoInputs) {
   }
 }
 
+TEST(Executor, RejectsSingleInputLayerWithSeveralInputs) {
+  // Conv, depthwise, MatMul, pool and generic EWOP layers read one input; a
+  // second named producer would be dropped without a word, so the graph
+  // check rejects it (and a concat still takes several).
+  const std::vector<std::string> two = {"a", nn::kNetworkInput};
+  const nn::Layer layers[] = {
+      nn::with_inputs(nn::make_conv("x", 4, 8, 8, 4, 3, 1, 1), two),
+      nn::with_inputs(nn::make_depthwise("x", 4, 8, 8, 3, 1, 1), two),
+      nn::with_inputs(nn::make_matmul("x", 256, 4, 1), two),
+      nn::with_inputs(nn::make_pool("x", 4, 8, 8, 2, 2), two),
+      nn::with_inputs(nn::make_ewop("x", 256), two),
+  };
+  for (const nn::Layer& bad : layers) {
+    nn::Network net("bad-arity");
+    net.add(nn::make_conv("a", 4, 8, 8, 4, 3, 1, 1));
+    net.add(bad);
+    EXPECT_THROW(net.validate_graph(), ConfigError) << nn::to_string(bad.kind);
+    const WeightStore ws = WeightStore::random_for(net, 1);
+    EXPECT_THROW(ExecContext(net, ws, ExecOptions{}), ConfigError)
+        << nn::to_string(bad.kind);
+  }
+  nn::Network concat("concat-two");
+  concat.add(nn::make_conv("a", 4, 8, 8, 4, 3, 1, 1));
+  concat.add(nn::make_concat("x", two));
+  EXPECT_NO_THROW(concat.validate_graph());
+}
+
 TEST(Executor, RejectsShapeMismatch) {
   const nn::Network net = tiny_inception();
   const WeightStore ws = WeightStore::random_for(net, 1);

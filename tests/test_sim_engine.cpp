@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <limits>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -624,6 +626,75 @@ TEST(SimEngine, Int32TileShapesMatchNnReference) {
     ScopedScalarOnly scalar_only;
     EXPECT_FALSE(takes_tiles(prog, data)) << layer.name;
     expect_fast_matches_golden(prog, cfg, data, "scalar");
+  }
+}
+
+// Register-tile tails at both widths: output grids that end 1, 15-17 or
+// 31-33 positions past a 32-position tile edge (so also 0, 1 or 15 past a
+// 16-position one), strides 1 and 2, k = 1, 3, 5 and 7, pad 0 and k / 2,
+// odd in_c, and out_c from 1 to 13 (partial channel tiles of 4 and of 6).
+// The grid of a conv on the tiles is (oh - 1) * pitch + ow positions, with
+// pitch = ow + ceil(k / s) - 1 on its phase planes. The engine runs serially
+// and on a 4-job pool (which also cuts the grid into position blocks), over
+// an output that starts as garbage, and must equal nn::conv2d_reference and
+// report its max |acc|. The default dispatch runs the widest tile the host
+// has; ctest sim_engine_avx2_tile reruns this with FTDL_SIMD=avx2.
+TEST(SimEngine, TileTailGeometriesMatchReference) {
+  const char* env = std::getenv("FTDL_SIMD");
+  if (env != nullptr && std::string(env) == "avx2" && simd::has_conv_tile()) {
+    EXPECT_STREQ(simd::isa_name(), "avx2");
+  }
+  ThreadPool pool(4);
+  int idx = 0;
+  for (int stride : {1, 2}) {
+    for (int k : {1, 3, 5, 7}) {
+      for (int tail : {1, 15, 16, 17, 31, 32, 33}) {
+        const int phase_k = (k + stride - 1) / stride;
+        int oh = 0, ow = 0;  // the first (oh, ow) whose grid ends at `tail`
+        for (int t = 0; t < 3 && ow == 0; ++t) {
+          const int h = 1 + (idx + t) % 3;
+          for (int w = 1; w <= 96 && ow == 0; ++w) {
+            const int grid = (h - 1) * (w + phase_k - 1) + w;
+            if (grid >= tail && (grid - tail) % 32 == 0) {
+              oh = h;
+              ow = w;
+            }
+          }
+        }
+        ASSERT_GT(ow, 0) << "k=" << k << " s=" << stride << " tail=" << tail;
+        const int pad = idx % 2 == 0 ? 0 : k / 2;
+        const int in_c = 1 + 2 * (idx % 4);
+        const int out_c = 1 + idx % 13;
+        const nn::Layer layer = nn::make_conv2(
+            "tile_tail_" + std::to_string(idx), in_c,
+            (oh - 1) * stride + k - 2 * pad, (ow - 1) * stride + k - 2 * pad,
+            out_c, k, k, stride, pad);
+        ASSERT_EQ(layer.out_h(), oh) << layer.name;
+        ASSERT_EQ(layer.out_w(), ow) << layer.name;
+        ++idx;
+        Rng rng(static_cast<std::uint64_t>(idx) * 7919);
+        LayerData data;
+        data.input = nn::Tensor16({layer.in_c, layer.in_h, layer.in_w});
+        data.weights = nn::Tensor16({layer.out_c, layer.in_c, k, k});
+        data.input.fill_random(rng, 1000);
+        data.weights.fill_random(rng, 1000);
+        const nn::AccTensor golden =
+            nn::conv2d_reference(layer, data.input, data.weights);
+        const sim::detail::EngineTables tb = sim::detail::build_tables(layer);
+        EXPECT_EQ(sim::detail::uses_int32_tiles(tb, data.weights.data(),
+                                                data.input.data()),
+                  simd::has_conv_tile())
+            << layer.name;
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          nn::AccTensor out({out_c, oh, ow});
+          std::fill(out.data(), out.data() + out.size(), acc_t{0x5a5a5a5a5a});
+          const sim::detail::EngineResult r = sim::detail::run_functional(
+              tb, data.weights.data(), data.input.data(), out.data(), p);
+          EXPECT_EQ(out, golden) << layer.name << " jobs=" << (p ? 4 : 1);
+          EXPECT_EQ(r.max_abs, max_abs_of(golden)) << layer.name;
+        }
+      }
+    }
   }
 }
 

@@ -28,13 +28,27 @@ std::vector<std::int16_t> random_i16(std::int64_t n, std::uint64_t seed) {
 
 TEST(Simd, IsaReportIsConsistent) {
   const std::string isa = isa_name();
-  EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar") << isa;
+  EXPECT_TRUE(isa == "avx512vnni" || isa == "avx2" || isa == "neon" ||
+              isa == "scalar")
+      << isa;
   if (active()) {
     EXPECT_NE(isa, "scalar");
     EXPECT_GT(lanes(), 1);
   } else {
     EXPECT_EQ(isa, "scalar");
     EXPECT_EQ(lanes(), 1);
+  }
+  // The name says which conv tile runs.
+  const ConvTileShape tile = conv_tile_shape();
+  EXPECT_EQ(has_conv_tile(), tile.channels > 0) << isa;
+  if (isa == "avx512vnni") {
+    EXPECT_EQ(tile.channels, 6);
+    EXPECT_EQ(tile.positions, 32);
+  } else if (isa == "avx2") {
+    EXPECT_EQ(tile.channels, 4);
+    EXPECT_EQ(tile.positions, 16);
+  } else {
+    EXPECT_FALSE(has_conv_tile()) << isa;
   }
 }
 
