@@ -1,15 +1,21 @@
 // Simulator-engine benchmarks (google-benchmark): wall-clock of
-// CachedLayerSim::run on a ResNet50 layer sweep on pools of 1/2/8 jobs and
-// of the stats-only simulate_layer_stats path, with MACCs/s reported per
-// run; and of the host kernels behind every overlay layer of a GoogLeNet
-// frame (and of ResNet50's residual adds), the oracle against the runtime
-// kernel, with elements/s.
+// CachedLayerSim::run on a ResNet50 and GoogLeNet layer sweep on pools of
+// 1/2/8 jobs and of the stats-only simulate_layer_stats path, with MACCs/s
+// reported per run; and of the host kernels behind every overlay layer of a
+// GoogLeNet frame (and of ResNet50's residual adds), the oracle against the
+// runtime kernel, with elements/s.
 //
-// The sweep covers the shapes that stress different engine paths: the
-// pad-heavy 7x7 stride-2 stem (int32 tiles over 2x2 phase planes), a 1x1
-// bottleneck reduce and a 3x3 mid-stage conv (int32 tiles over one padded
-// copy), the 1x1 stride-2 downsample (int32 tiles over the one phase plane
-// with taps: a subsampled 1x1), and the fc1000 matmul (dot sweeps). Layers
+// BM_SimLayer binds the weights once, outside the timed loop, as the
+// executor's warm-up does, so it times what a warm ExecContext runs per
+// layer. The sweep covers the shapes that stress different engine paths:
+// the pad-heavy 7x7 stride-2 stem (int32 tiles over 2x2 phase planes, the
+// kernel rearranged at bind), a 1x1 bottleneck reduce (int32 tiles reading
+// the input in place) and a 3x3 mid-stage conv (int32 tiles over one
+// padded copy), the 1x1 stride-2 downsample (int32 tiles over the one phase
+// plane with taps: a subsampled 1x1), GoogLeNet's inception_4a/1x1 (480 ->
+// 192 at 14x14, the shape class that dominates GoogLeNet's 1x1 time; the
+// ResNet50 1x1 rows have larger planes and fewer input channels), and the
+// fc1000 matmul (dot sweeps). Layers
 // the compiler splits into weight groups run one full-size part's slice, so
 // both benchmarks time the same single-part program. Outputs are
 // bit-identical at every jobs count (pinned by tests/test_sim_engine.cpp);
@@ -93,21 +99,29 @@ LayerCase make_case(const std::string& label, const nn::Layer& full) {
   return c;
 }
 
-/// The sweep layers, pulled from the ResNet50 model zoo by name.
+/// The sweep layers, pulled from the ResNet50 and GoogLeNet model zoo by
+/// name.
 const std::vector<LayerCase>& cases() {
   static const std::vector<LayerCase> all = [] {
-    const nn::Network& net = nn::model_by_name("ResNet50");
-    auto layer = [&](const std::string& name) -> const nn::Layer& {
+    const nn::Network resnet = nn::model_by_name("ResNet50");
+    const nn::Network googlenet = nn::model_by_name("GoogLeNet");
+    auto layer = [](const nn::Network& net,
+                    const std::string& name) -> const nn::Layer& {
       for (const nn::Layer& l : net.layers())
         if (l.name == name) return l;
-      throw Error("bench_sim: ResNet50 layer not found: " + name);
+      throw Error("bench_sim: " + net.name() + " layer not found: " + name);
     };
     std::vector<LayerCase> v;
-    v.push_back(make_case("conv1_7x7_s2", layer("conv1/7x7_s2")));
-    v.push_back(make_case("res2_1_conv1_1x1", layer("res2_1/conv1_1x1")));
-    v.push_back(make_case("res3_1_conv1_1x1", layer("res3_1/conv1_1x1")));
-    v.push_back(make_case("res4_1_conv2_3x3", layer("res4_1/conv2_3x3")));
-    v.push_back(make_case("fc1000", layer("fc1000")));
+    v.push_back(make_case("conv1_7x7_s2", layer(resnet, "conv1/7x7_s2")));
+    v.push_back(
+        make_case("res2_1_conv1_1x1", layer(resnet, "res2_1/conv1_1x1")));
+    v.push_back(
+        make_case("res3_1_conv1_1x1", layer(resnet, "res3_1/conv1_1x1")));
+    v.push_back(
+        make_case("res4_1_conv2_3x3", layer(resnet, "res4_1/conv2_3x3")));
+    v.push_back(make_case("inception_4a_1x1",
+                          layer(googlenet, "inception_4a/1x1")));
+    v.push_back(make_case("fc1000", layer(resnet, "fc1000")));
     return v;
   }();
   return all;
@@ -127,9 +141,10 @@ void BM_SimLayer(benchmark::State& state, std::size_t idx) {
   const auto jobs = static_cast<int>(state.range(0));
   ThreadPool pool(jobs);
   const sim::CachedLayerSim runner(c.prog, cfg);
+  const sim::BoundWeights weights = runner.bind(c.weights);
   nn::AccTensor out;
   for (auto _ : state) {
-    runner.run(c.weights, c.input, out, jobs == 1 ? nullptr : &pool);
+    runner.run(weights, c.input, out, jobs == 1 ? nullptr : &pool);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

@@ -80,12 +80,15 @@ namespace arena_detail {
 Buffer acquire(std::size_t bytes) {
   Buffer b;
   if (bytes == 0) return b;
-  const int cls = size_class(bytes);
-  b.cap = std::size_t{1} << cls;
   if (t_current) {
+    const int cls = size_class(bytes);
+    b.cap = std::size_t{1} << cls;
     b.p = t_current->acquire(cls);
     b.owner = std::shared_ptr<void>(t_current, t_current.get());
   } else {
+    // Exactly the request: nothing recycles a heap block, and a sanitizer
+    // then bounds every access to it.
+    b.cap = bytes;
     b.p = ::operator new(b.cap);
   }
   return b;

@@ -35,16 +35,18 @@ namespace arena_detail {
 
 struct Core;
 
-/// One allocated block: pointer, rounded byte capacity, and a shared handle
-/// to the owning arena core (null = plain heap block).
+/// One allocated block: pointer, byte capacity (an arena block's rounded up
+/// to its size class, a heap block's exactly the request), and a shared
+/// handle to the owning arena core (null = plain heap block).
 struct Buffer {
   void* p = nullptr;
   std::size_t cap = 0;
   std::shared_ptr<void> owner;
 };
 
-/// Allocates >= `bytes` from the calling thread's installed arena (heap
-/// fallback when none is installed). Contents are uninitialized.
+/// Allocates >= `bytes` from the calling thread's installed arena, or
+/// exactly `bytes` from the heap when none is installed. Contents are
+/// uninitialized.
 Buffer acquire(std::size_t bytes);
 
 /// Returns the block to its owning arena (or the heap) and clears `b`.

@@ -93,12 +93,20 @@ std::int32_t max_abs_i16(const std::int16_t* x, std::int64_t n);
 /// input channels and the matching per-phase kernel. Output grid position
 /// q = e * pitch + f reads xp[n * plane + q + r * pitch + s] for tap
 /// (r, s); grid columns f >= ow are computed and discarded, and the grid
-/// ends at its last valid output, (oh - 1) * pitch + ow. The buffer must
-/// extend at least kw + conv_tile_shape().positions elements past the last
-/// plane: the tail tile of the grid and the last row's discarded columns
-/// read there (kw + 16 on AVX2, kw + 32 on AVX-512 VNNI).
+/// ends at its last valid output, (oh - 1) * pitch + ow. The tail tile of
+/// the grid and the last row's discarded columns read up to
+/// kw + conv_tile_shape().positions elements past the last plane (kw + 16
+/// on AVX2, kw + 32 on AVX-512 VNNI), so that plane needs that much slack.
+/// A 1x1 kernel reads its last plane, channel in_c - 1, from `last` alone:
+/// `xp` may then be the unpadded input itself, read in place, when each
+/// plane holds at least one tile of positions (a tile over channel n
+/// reads at most into channel n + 1), with `last` a slack-padded copy of
+/// the last plane. Kernels with more taps read every plane from `xp`.
 struct PaddedConv {
   const std::int16_t* xp = nullptr;  ///< in_c padded (or phase) planes
+  /// Channel in_c - 1's plane and its slack: xp + (in_c - 1) * plane, or a
+  /// copy of that plane.
+  const std::int16_t* last = nullptr;
   const std::int16_t* w = nullptr;   ///< weights, [M, N, R, S], read in place
   acc_t* out = nullptr;              ///< output, [M, oh, ow]
   std::int64_t in_c = 0, kh = 0, kw = 0;

@@ -74,8 +74,10 @@ struct CompiledLayer {
   std::vector<std::string> inputs;       ///< resolved dataflow inputs
   const Tensor16* weights = nullptr;     ///< overlay layers only
   int weight_groups = 1;
-  /// Overlay layers only: one runner over all weight groups.
+  /// Overlay layers only: one runner over all weight groups, and the
+  /// layer's weights bound for it.
   std::optional<sim::CachedLayerSim> sim;
+  std::optional<sim::BoundWeights> bound;
 };
 
 /// What the warm-up resolves once: the sink, each layer's inputs, weights and
@@ -131,7 +133,8 @@ struct CompiledModel {
   }
 
   /// Warm-up for one overlay layer: compile the layer through the shared
-  /// session (repeated shapes reuse one search) and build its runner. The
+  /// session (repeated shapes reuse one search), build its runner and bind
+  /// its weights, so a run reads the weights only inside the engine. The
   /// program carries every part the overlay runs.
   void warm_overlay(CompiledLayer& lc) {
     const compiler::LayerProgram prog =
@@ -140,6 +143,7 @@ struct CompiledModel {
             opt.search_budget_per_layer);
     lc.weight_groups = prog.weight_groups;
     lc.sim.emplace(prog, opt.config);
+    lc.bound.emplace(lc.sim->bind(*lc.weights));
   }
 };
 
@@ -243,7 +247,7 @@ struct ExecContext::Impl {
     }
 
     AccTensor acc;
-    const std::uint64_t max_abs = lc.sim->run(*lc.weights, *act, acc, pool());
+    const std::uint64_t max_abs = lc.sim->run(*lc.bound, *act, acc, pool());
     run.weight_groups = lc.weight_groups;
     run.sim_cycles = lc.sim->stats().cycles;
     run.requant_shift = shift_for_max(max_abs, opt.target_magnitude_bits);

@@ -41,15 +41,6 @@ Layouts layouts_of(const nn::Layer& l) {
   }
 }
 
-/// Allocation-free on success.
-void check_tensors(const std::string& name, const Layouts& layouts,
-                   const nn::Tensor16& weights, const nn::Tensor16& input) {
-  if (input.dims() != layouts.input)
-    throw ConfigError(name + ": input tensor layout mismatch");
-  if (weights.dims() != layouts.weights)
-    throw ConfigError(name + ": weight tensor layout mismatch");
-}
-
 /// DRAM transfer time in whole CLKh cycles, in exact integer arithmetic:
 /// ceil(bytes / (bytes_per_sec / clk_hz)) == ceil(bytes * clk_hz /
 /// bytes_per_sec). The rates are configured as whole numbers (26e9, 650e6),
@@ -343,18 +334,38 @@ CachedLayerSim& CachedLayerSim::operator=(CachedLayerSim&&) noexcept = default;
 
 const SimStats& CachedLayerSim::stats() const { return impl_->stats; }
 
+BoundWeights CachedLayerSim::bind(const nn::Tensor16& weights) const {
+  const Impl& im = *impl_;
+  if (weights.dims() != im.layouts.weights)
+    throw ConfigError(im.name + ": weight tensor layout mismatch");
+  BoundWeights b;
+  b.tables_ = im.tables;
+  b.engine_ = detail::bind_weights(im.tables, weights.data());
+  return b;
+}
+
 std::uint64_t CachedLayerSim::run(const nn::Tensor16& weights,
                                   const nn::Tensor16& input, nn::AccTensor& out,
                                   ThreadPool* pool) const {
+  return run(bind(weights), input, out, pool);
+}
+
+std::uint64_t CachedLayerSim::run(const BoundWeights& weights,
+                                  const nn::Tensor16& input, nn::AccTensor& out,
+                                  ThreadPool* pool) const {
   const Impl& im = *impl_;
-  check_tensors(im.name, im.layouts, weights, input);
+  // Allocation-free on success.
+  if (input.dims() != im.layouts.input)
+    throw ConfigError(im.name + ": input tensor layout mismatch");
+  if (weights.tables_ != im.tables)
+    throw ConfigError(im.name + ": weights bound for another layer shape");
   // The engine writes every element, so new storage skips the zero fill
   // (and is pooled under an installed arena).
   if (out.dims() != im.layouts.output)
     out = nn::AccTensor(im.layouts.output, no_init);
 
   const detail::EngineResult r = detail::run_functional(
-      im.tables, weights.data(), input.data(), out.data(), pool);
+      im.tables, weights.engine_, input.data(), out.data(), pool);
   check_coverage(im.name, r.maccs, im.stats.valid_maccs);
 
   count_stats(im.stats);

@@ -28,10 +28,7 @@
 #include "compiler/codegen.h"
 #include "dram/trace.h"
 #include "nn/tensor.h"
-
-namespace ftdl {
-class ThreadPool;
-}
+#include "sim/sim_engine.h"
 
 namespace ftdl::sim {
 
@@ -98,11 +95,25 @@ SimResult simulate_layer_stats(const compiler::LayerProgram& program,
                                const arch::OverlayConfig& config,
                                const SimOptions& options = {});
 
+/// A layer's weights bound for its runners (CachedLayerSim::bind): the
+/// weight layout checked, and every value a run derives from the weights
+/// alone computed once. Refers to the weight tensor, which must outlive it
+/// unmutated. Immutable, so runs on several threads may share one.
+class BoundWeights {
+ private:
+  friend class CachedLayerSim;
+  BoundWeights() = default;
+  detail::EngineTables tables_;  ///< the layer geometry bound for
+  detail::WeightBinding engine_;
+};
+
 /// Reusable functional runner for one compiled overlay layer — the only
 /// functional path, and the steady state of the serving runtime. All
 /// input-independent work (instruction stream decode and cross-check,
 /// engine tables, the timing pass, the valid-MACC count) happens once at
-/// construction; run() executes only the functional pass, as one engine
+/// construction, and all weight-derived work (the layout check, max |w|,
+/// a strided conv's phase-split kernel) once per weight tensor, at bind();
+/// run() on a binding executes only the functional pass, as one engine
 /// call over the whole layer, so a warm runner allocates nothing beyond
 /// what the calling thread's TensorArena pools.
 class CachedLayerSim {
@@ -125,20 +136,32 @@ class CachedLayerSim {
   /// summed over the parts.
   const SimStats& stats() const;
 
-  /// Functional pass: validates layouts (conv weights {out_c, in_c, kh, kw}
-  /// and input {in_c, h, w}; depthwise weights {c, kh, kw}; MM weights
-  /// {N, M} and input {M, P}; else ftdl::ConfigError), reshapes `out` to
+  /// Binds the layer's full weight tensor (a weight group is a contiguous
+  /// channel range of it) for run(): checks its layout (conv {out_c, in_c,
+  /// kh, kw}; depthwise {c, kh, kw}; MM {N, M}; else ftdl::ConfigError),
+  /// takes a conv's max |w| and, for a strided conv whose phase split moves
+  /// taps, its phase-split kernel (drawn from the calling thread's
+  /// TensorArena, or the heap). The binding serves every runner of this
+  /// layer geometry.
+  BoundWeights bind(const nn::Tensor16& weights) const;
+
+  /// Functional pass over bound weights: validates the input layout (conv
+  /// and depthwise {in_c, h, w}; MM {M, P}) and that `weights` was bound
+  /// for this layer geometry (else ftdl::ConfigError), reshapes `out` to
   /// the layer's output shape if it does not already match (the only
   /// potential allocation — pooled under an installed TensorArena) and
-  /// computes the whole layer over its full weight tensor (a weight group
-  /// is a contiguous channel range of it), overwriting every element of
-  /// `out`. Returns max |acc| over the output, as a magnitude (2^63 for
-  /// INT64_MIN): the requantisation's calibration input. The pass fans out
-  /// over `pool`, each task zeroing its own channel range and scanning it
-  /// for that maximum; nullptr runs serially on the caller, and the output
-  /// is bit-identical at every pool size. Throws ftdl::InternalError when
-  /// the parts' mappings leave part of a loop uncovered (the coverage
+  /// computes the whole layer, overwriting every element of `out`. Returns
+  /// max |acc| over the output, as a magnitude (2^63 for INT64_MIN): the
+  /// requantisation's calibration input. The pass fans out over `pool`,
+  /// each task zeroing its own channel range and scanning it for that
+  /// maximum; nullptr runs serially on the caller, and the output is
+  /// bit-identical at every pool size. Throws ftdl::InternalError when the
+  /// parts' mappings leave part of a loop uncovered (the coverage
   /// cross-check, docs/simulator.md).
+  std::uint64_t run(const BoundWeights& weights, const nn::Tensor16& input,
+                    nn::AccTensor& out, ThreadPool* pool = nullptr) const;
+
+  /// run(bind(weights), input, out, pool).
   std::uint64_t run(const nn::Tensor16& weights, const nn::Tensor16& input,
                     nn::AccTensor& out, ThreadPool* pool = nullptr) const;
 

@@ -237,42 +237,49 @@ void split_weights(const EngineTables& tb, const PhaseShape& ps,
 /// products of at most max|w| * max|x| each, K = the phase shape's
 /// reduction length rounded up to the pairs the tile multiplies (taps of
 /// one phase plane, or planes when a phase has one tap). The zero taps and
-/// zero padding add nothing. Scans both tensors.
-bool fits_int32(const EngineTables& tb, const std::int16_t* weights,
+/// zero padding add nothing. Scans the input; max|w| is the binding's.
+bool fits_int32(const EngineTables& tb, const WeightBinding& bound,
                 const std::int16_t* input) {
   const PhaseShape ps = phase_shape(tb);
   const std::int64_t taps = ps.kh * ps.kw;
   const std::int64_t k = taps == 1 ? round_up(ps.in_c, 2)
                                    : ps.in_c * round_up(taps, 2);
-  const std::int64_t mw =
-      simd::max_abs_i16(weights, tb.out_c * tb.in_c * tb.kh * tb.kw);
   const std::int64_t mx =
       simd::max_abs_i16(input, tb.in_c * tb.in_h * tb.in_w);
-  return k * mw * mx <= std::numeric_limits<std::int32_t>::max();
+  return k * bound.max_abs * mx <= std::numeric_limits<std::int32_t>::max();
 }
 
-/// The conv on int32 register tiles: one zero-padded, phase-split copy of
-/// the input (and, when the split moves taps, of the weights) drawn from
-/// the calling thread's TensorArena, then (channel tile x position block)
-/// units fanned across the pool. Each tile stores its outputs, so nothing
-/// is zeroed first.
-EngineResult run_tiles(const EngineTables& tb, const std::int16_t* weights,
+/// The conv on int32 register tiles over the bound kernel: one zero-padded,
+/// phase-split copy of the input drawn from the calling thread's
+/// TensorArena, then (channel tile x position block) units fanned across
+/// the pool. Each tile stores its outputs, so nothing is zeroed first.
+EngineResult run_tiles(const EngineTables& tb, const WeightBinding& bound,
                        const std::int16_t* input, acc_t* out,
                        ThreadPool* pool) {
   const PhaseShape ps = phase_shape(tb);
   const simd::ConvTileShape tile = simd::conv_tile_shape();
   const std::int64_t plane = ps.ph * ps.pw;
-  ArenaVec<std::int16_t> xp(ps.in_c * plane + ps.kw + tile.positions);
-  split_phases(tb, ps, input, xp.data());  // into the zeroed copy
-  // The split moves taps unless there is one phase (stride 1 or a 1x1
-  // kernel) or one tap per phase (a kernel within the stride).
-  const bool moved = ps.rows * ps.cols > 1 && ps.kh * ps.kw > 1;
-  ArenaVec<std::int16_t> wq(moved ? tb.out_c * ps.in_c * ps.kh * ps.kw
-                                  : 0);  // zeroed
-  if (moved) split_weights(tb, ps, weights, wq.data());
+  const std::int64_t slack = ps.kw + tile.positions;
   simd::PaddedConv conv;
-  conv.xp = xp.data();
-  conv.w = moved ? wq.data() : weights;
+  // A stride-1, pad-0 1x1 conv's planes are its input channels. When a
+  // plane holds a whole tile, a tile over channel n reads at most into
+  // channel n + 1, so the input is read in place and only the last plane,
+  // whose tail tile reads past the tensor, is copied with slack.
+  const bool in_place = tb.stride == 1 && tb.pad == 0 && tb.kh == 1 &&
+                        tb.kw == 1 && plane >= tile.positions;
+  ArenaVec<std::int16_t> xp(in_place ? plane + slack
+                                     : ps.in_c * plane + slack);  // zeroed
+  if (in_place) {
+    std::memcpy(xp.data(), input + (tb.in_c - 1) * plane,
+                static_cast<std::size_t>(plane) * sizeof(std::int16_t));
+    conv.xp = input;
+    conv.last = xp.data();
+  } else {
+    split_phases(tb, ps, input, xp.data());
+    conv.xp = xp.data();
+    conv.last = xp.data() + (ps.in_c - 1) * plane;
+  }
+  conv.w = bound.tile_weights();
   conv.out = out;
   conv.in_c = ps.in_c;
   conv.kh = ps.kh;
@@ -366,21 +373,37 @@ EngineTables build_tables(const compiler::LayerProgram& program) {
   return tb;
 }
 
-bool uses_int32_tiles(const EngineTables& tb, const std::int16_t* weights,
-                      const std::int16_t* input) {
-  return tb.kind == WorkloadKind::Conv && simd::has_conv_tile() &&
-         fits_int32(tb, weights, input);
+WeightBinding bind_weights(const EngineTables& tb,
+                           const std::int16_t* weights) {
+  WeightBinding b;
+  b.weights = weights;
+  if (tb.kind != WorkloadKind::Conv) return b;
+  b.max_abs = simd::max_abs_i16(weights, tb.out_c * tb.in_c * tb.kh * tb.kw);
+  // The split moves taps unless there is one phase (stride 1 or a 1x1
+  // kernel) or one tap per phase (a kernel within the stride).
+  const PhaseShape ps = phase_shape(tb);
+  if (ps.rows * ps.cols > 1 && ps.kh * ps.kw > 1) {
+    b.phase_split = ArenaVec<std::int16_t>(tb.out_c * ps.in_c * ps.kh * ps.kw);
+    split_weights(tb, ps, weights, b.phase_split.data());  // into the zeros
+  }
+  return b;
 }
 
-EngineResult run_functional(const EngineTables& tb, const std::int16_t* weights,
+bool uses_int32_tiles(const EngineTables& tb, const WeightBinding& bound,
+                      const std::int16_t* input) {
+  return tb.kind == WorkloadKind::Conv && simd::has_conv_tile() &&
+         fits_int32(tb, bound, input);
+}
+
+EngineResult run_functional(const EngineTables& tb, const WeightBinding& bound,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool) {
-  if (uses_int32_tiles(tb, weights, input))
-    return run_tiles(tb, weights, input, out, pool);
+  if (uses_int32_tiles(tb, bound, input))
+    return run_tiles(tb, bound, input, out, pool);
   const std::int64_t channels =
       tb.kind == WorkloadKind::MatMul ? tb.mm_n : tb.out_c;
   return fan_out(pool, channels, [&](std::int64_t c0, std::int64_t c1) {
-    return run_channels(tb, weights, input, out, c0, c1);
+    return run_channels(tb, bound.weights, input, out, c0, c1);
   });
 }
 

@@ -17,9 +17,11 @@
 //     (the requantisation's calibration input), so no serial pass over the
 //     output precedes or follows the engine;
 //   * int32 register tiles: a conv whose operands satisfy
-//     K * max|w| * max|x| <= 2^31 - 1 (checked by scanning both tensors on
-//     every call) runs as an implicit GEMM over one zero-padded copy of its
-//     input, one int32 register tile of simd::conv_tile_shape() at a time
+//     K * max|w| * max|x| <= 2^31 - 1 (max|w| taken once, when the weights
+//     are bound; max|x| scanned on every call) runs as an implicit GEMM over
+//     one zero-padded copy of its input (a stride-1, pad-0 1x1 conv whose
+//     plane holds a whole tile reads its input in place and copies only its
+//     last plane), one int32 register tile of simd::conv_tile_shape() at a time
 //     (simd::conv_tile_i16: 4 output channels x 16 output positions on
 //     AVX2, 6 x 32 on AVX-512 VNNI), widened and stored to acc_t once per
 //     tile, its magnitudes taken from the int32 values on the way. It fans
@@ -29,8 +31,9 @@
 //     conv first splits that copy by phase: plane (a, b) of a channel holds
 //     the padded rows = a and columns = b (mod s), the phases become input
 //     channels (those without taps dropped), and the kernel becomes the
-//     ceil(kh/s) x ceil(kw/s) taps of one phase, the missing ones zero; K
-//     is that phase shape's reduction length. Under the bound every int32
+//     ceil(kh/s) x ceil(kw/s) taps of one phase, the missing ones zero (the
+//     binding holds that rearranged kernel); K is that phase shape's
+//     reduction length. Under the bound every int32
 //     partial sum is exact, so the result is bit-identical to the acc_t
 //     sweeps below, which run everything else: depthwise, MatMul, operands
 //     past the bound, and builds or runs without the vector tile;
@@ -52,12 +55,14 @@
 // part of a loop is refused instead of silently computed.
 //
 // Pinned bit-identical to the nn:: reference kernels (conv2d, depthwise,
-// matmul) by tests/test_sim_engine.cpp. Internal header: only ftdl_sim.cpp
-// and the tests include it.
+// matmul) by tests/test_sim_engine.cpp. Internal header: ftdl_sim.h includes
+// it for the binding CachedLayerSim::bind returns; only ftdl_sim.cpp and the
+// tests call into it.
 #pragma once
 
 #include <cstdint>
 
+#include "common/arena.h"
 #include "common/fixed_point.h"
 #include "common/thread_pool.h"
 #include "compiler/codegen.h"
@@ -93,11 +98,34 @@ EngineTables build_tables(const nn::Layer& layer);
 /// layer.
 EngineTables build_tables(const compiler::LayerProgram& program);
 
-/// True when run_functional computes these tensors on int32 register
-/// tiles: a conv of any stride, a vector tile kernel available (simd::
+/// What the engine derives from a layer's weights, once per weight tensor:
+/// every run over the same weights reads it instead of the weights' values.
+struct WeightBinding {
+  const std::int16_t* weights = nullptr;  ///< the layer's weights, in place
+  /// Conv: max |w|, the weight factor of the int32 tile bound.
+  std::int32_t max_abs = 0;
+  /// Conv whose phase split moves taps (stride > 1 with several phases of
+  /// several taps): the weights as [M, N * phases, kh', kw'] over the phase
+  /// planes, missing taps zero. Empty otherwise: the tiles read `weights`.
+  ArenaVec<std::int16_t> phase_split;
+
+  /// The kernel the int32 tiles read.
+  const std::int16_t* tile_weights() const {
+    return phase_split.size() > 0 ? phase_split.data() : weights;
+  }
+};
+
+/// Derives the binding of `weights` (laid out as the tables' layer expects)
+/// for runs of these tables. The phase-split copy comes from the calling
+/// thread's TensorArena, or the heap.
+WeightBinding bind_weights(const EngineTables& tables,
+                           const std::int16_t* weights);
+
+/// True when run_functional computes this input on int32 register tiles: a
+/// conv of any stride, a vector tile kernel available (simd::
 /// has_conv_tile), and operands within the bound K * max|w| * max|x| <=
-/// 2^31 - 1, K from the phase-split shape. Scans both tensors.
-bool uses_int32_tiles(const EngineTables& tables, const std::int16_t* weights,
+/// 2^31 - 1, K from the phase-split shape. Scans the input.
+bool uses_int32_tiles(const EngineTables& tables, const WeightBinding& bound,
                       const std::int16_t* input);
 
 /// What one functional run reports besides the accumulators.
@@ -109,17 +137,17 @@ struct EngineResult {
   std::uint64_t max_abs = 0;
 };
 
-/// Computes every MAC of the layer, fanned across `pool` by output-channel
-/// range, or by (channel tile x position block) on the int32 tiles (nullptr
-/// or jobs()==1 runs serially on the caller). The only
-/// allocations are the int32 tile path's padded, phase-split input copy and
-/// rearranged weights, drawn from the calling thread's TensorArena.
-/// Writes every element of `out` (the layer's AccTensor storage; its prior
-/// contents are ignored, so the caller need not zero it): each task zeroes
-/// or overwrites the channels it owns and takes their max |acc| while they
-/// are in cache, and the tasks' results are combined.
+/// Computes every MAC of the layer over the bound weights, fanned across
+/// `pool` by output-channel range, or by (channel tile x position block) on
+/// the int32 tiles (nullptr or jobs()==1 runs serially on the caller). The
+/// only allocation is the int32 tile path's padded, phase-split input copy
+/// (for an in-place 1x1, its last plane), drawn from the calling thread's
+/// TensorArena. Writes every element of `out` (the layer's AccTensor
+/// storage; its prior contents are ignored, so the caller need not zero
+/// it): each task zeroes or overwrites the channels it owns and takes their
+/// max |acc| while they are in cache, and the tasks' results are combined.
 EngineResult run_functional(const EngineTables& tables,
-                            const std::int16_t* weights,
+                            const WeightBinding& bound,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool);
 

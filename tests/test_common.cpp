@@ -338,6 +338,23 @@ TEST(TensorArena, OutsideScopeFallsBackToHeap) {
   EXPECT_EQ(s.bytes_allocated, 0);
 }
 
+// An unscoped block is exactly its request, so a sanitizer bounds every
+// access to an unscoped ArenaVec or tensor; a scoped one is its size class.
+TEST(TensorArena, UnscopedCapacityEqualsRequest) {
+  for (const std::size_t bytes : {std::size_t{1}, std::size_t{100},
+                                  std::size_t{4097}, std::size_t{12345}}) {
+    arena_detail::Buffer b = arena_detail::acquire(bytes);
+    EXPECT_EQ(b.cap, bytes);
+    EXPECT_EQ(b.owner, nullptr);
+    arena_detail::release(b);
+  }
+  TensorArena arena;
+  TensorArena::Scope scope(arena);
+  arena_detail::Buffer b = arena_detail::acquire(100);
+  EXPECT_EQ(b.cap, 128U);
+  arena_detail::release(b);
+}
+
 TEST(TensorArena, BlocksRecycleWithinScope) {
   TensorArena arena;
   TensorArena::Scope scope(arena);

@@ -110,8 +110,10 @@ SweepCase sweep_case(int seed) {
 }
 
 bool takes_tiles(const compiler::LayerProgram& prog, const LayerData& data) {
-  return sim::detail::uses_int32_tiles(sim::detail::build_tables(prog),
-                                       data.weights.data(), data.input.data());
+  const sim::detail::EngineTables tb = sim::detail::build_tables(prog);
+  return sim::detail::uses_int32_tiles(
+      tb, sim::detail::bind_weights(tb, data.weights.data()),
+      data.input.data());
 }
 
 /// One functional run of `prog` fanned over a pool of `jobs` workers (1 runs
@@ -468,51 +470,50 @@ arch::OverlayConfig bench_overlay() {
 // (dot) and P > 1 (axpy). Each runs at zoo scale and as a reduced copy;
 // both must equal the nn:: golden kernels at jobs {1, 4}, with SIMD on and
 // off, and every conv takes the int32 tiles exactly when SIMD has them.
+/// Each sweep shape at zoo scale followed by its reduced copy.
+std::vector<nn::Layer> zoo_shape_layers() {
+  return {
+      nn::make_conv("zoo_stem", 3, 224, 224, 8, 7, 2, 3),
+      nn::make_conv("zoo_stem_small", 3, 30, 30, 4, 7, 2, 3),
+      nn::make_conv("zoo_shortcut_s2", 256, 56, 56, 8, 1, 2, 0),
+      nn::make_conv("zoo_shortcut_s2_small", 12, 11, 9, 6, 1, 2, 0),
+      nn::make_conv("zoo_5x5", 16, 28, 28, 24, 5, 1, 2),
+      nn::make_conv("zoo_5x5_small", 4, 12, 12, 6, 5, 1, 2),
+      nn::make_conv("zoo_1x1", 64, 28, 28, 32, 1, 1, 0),
+      nn::make_conv("zoo_1x1_small", 8, 10, 10, 6, 1, 1, 0),
+      // One of the four weight groups the executor splits conv_w5 into.
+      nn::make_conv2("zoo_conv_w5", 128, 75, 1, 25, 5, 1, 1, 0),
+      nn::make_conv2("zoo_conv_w5_small", 8, 20, 1, 6, 5, 1, 1, 0),
+      nn::make_depthwise("zoo_dw_s2", 32, 28, 28, 3, 2, 1),
+      nn::make_depthwise("zoo_dw_s2_small", 6, 11, 11, 3, 2, 1),
+      nn::make_matmul("zoo_fc_p1", 1024, 12, 1),
+      nn::make_matmul("zoo_fc_p1_small", 40, 30, 1),
+      nn::make_matmul("zoo_mm_p", 96, 64, 20),
+      nn::make_matmul("zoo_mm_p_small", 17, 9, 6),
+  };
+}
+
 TEST(SimEngine, ZooShapesMatchNnReference) {
   const arch::OverlayConfig cfg = bench_overlay();
-  struct Case {
-    nn::Layer full, reduced;
-  };
-  const Case cases[] = {
-      {nn::make_conv("zoo_stem", 3, 224, 224, 8, 7, 2, 3),
-       nn::make_conv("zoo_stem_small", 3, 30, 30, 4, 7, 2, 3)},
-      {nn::make_conv("zoo_shortcut_s2", 256, 56, 56, 8, 1, 2, 0),
-       nn::make_conv("zoo_shortcut_s2_small", 12, 11, 9, 6, 1, 2, 0)},
-      {nn::make_conv("zoo_5x5", 16, 28, 28, 24, 5, 1, 2),
-       nn::make_conv("zoo_5x5_small", 4, 12, 12, 6, 5, 1, 2)},
-      {nn::make_conv("zoo_1x1", 64, 28, 28, 32, 1, 1, 0),
-       nn::make_conv("zoo_1x1_small", 8, 10, 10, 6, 1, 1, 0)},
-      // One of the four weight groups the executor splits conv_w5 into.
-      {nn::make_conv2("zoo_conv_w5", 128, 75, 1, 25, 5, 1, 1, 0),
-       nn::make_conv2("zoo_conv_w5_small", 8, 20, 1, 6, 5, 1, 1, 0)},
-      {nn::make_depthwise("zoo_dw_s2", 32, 28, 28, 3, 2, 1),
-       nn::make_depthwise("zoo_dw_s2_small", 6, 11, 11, 3, 2, 1)},
-      {nn::make_matmul("zoo_fc_p1", 1024, 12, 1),
-       nn::make_matmul("zoo_fc_p1_small", 40, 30, 1)},
-      {nn::make_matmul("zoo_mm_p", 96, 64, 20),
-       nn::make_matmul("zoo_mm_p_small", 17, 9, 6)},
-  };
-  for (const Case& c : cases) {
-    for (const nn::Layer* layer : {&c.full, &c.reduced}) {
-      const compiler::LayerProgram prog =
-          compiler::compile_layer(*layer, cfg, Objective::Performance, 4'000);
-      ASSERT_EQ(prog.weight_groups, 1) << layer->name;
-      const LayerData data = make_data(*layer, 17);
-      const nn::AccTensor golden = nn_golden(*layer, data);
-      const bool conv = layer->kind == nn::LayerKind::Conv;
-      auto expect_fast_matches = [&](const char* kernels) {
-        EXPECT_EQ(takes_tiles(prog, data), conv && simd::has_conv_tile())
-            << layer->name << " " << kernels;
-        for (int jobs : {1, 4}) {
-          EXPECT_EQ(run_jobs(prog, cfg, data, jobs).output, golden)
-              << layer->name << " " << kernels << " jobs=" << jobs;
-        }
-      };
-      expect_fast_matches("simd");
-      {
-        ScopedScalarOnly scalar_only;
-        expect_fast_matches("scalar");
+  for (const nn::Layer& layer : zoo_shape_layers()) {
+    const compiler::LayerProgram prog =
+        compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
+    ASSERT_EQ(prog.weight_groups, 1) << layer.name;
+    const LayerData data = make_data(layer, 17);
+    const nn::AccTensor golden = nn_golden(layer, data);
+    const bool conv = layer.kind == nn::LayerKind::Conv;
+    auto expect_fast_matches = [&](const char* kernels) {
+      EXPECT_EQ(takes_tiles(prog, data), conv && simd::has_conv_tile())
+          << layer.name << " " << kernels;
+      for (int jobs : {1, 4}) {
+        EXPECT_EQ(run_jobs(prog, cfg, data, jobs).output, golden)
+            << layer.name << " " << kernels << " jobs=" << jobs;
       }
+    };
+    expect_fast_matches("simd");
+    {
+      ScopedScalarOnly scalar_only;
+      expect_fast_matches("scalar");
     }
   }
 }
@@ -534,15 +535,14 @@ void expect_fast_matches_golden(const compiler::LayerProgram& prog,
 // exactly; just outside (and at the (-32768)^2 corner), the acc_t path runs,
 // where a 1x1 layer's sums would overflow int32. All equal the nn
 // reference.
-TEST(SimEngine, Int32TileBoundBothSides) {
-  const arch::OverlayConfig cfg = bench_overlay();
-  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-  constexpr std::int64_t kW = 32767;
-  struct Case {
-    nn::Layer layer;
-    std::int64_t k;  ///< phase-split reduction length rounded up to pairs
-  };
-  const Case cases[] = {
+/// A layer next to the int32 tile bound, and its reduction length K.
+struct TileBoundCase {
+  nn::Layer layer;
+  std::int64_t k;  ///< phase-split reduction length rounded up to pairs
+};
+
+std::vector<TileBoundCase> tile_bound_cases() {
+  return {
       // 1x1 pairs channels: K = in_c.
       {nn::make_conv("tile_bound_1x1", 4, 5, 5, 6, 1, 1, 0), 4},
       // 3x3 pairs taps: 9 round up to 10 per channel.
@@ -554,36 +554,105 @@ TEST(SimEngine, Int32TileBoundBothSides) {
       // pair as planes: 27 round up to 28.
       {nn::make_conv("tile_bound_3x3_s3", 3, 10, 8, 6, 3, 3, 1), 28},
   };
-  for (const Case& c : cases) {
+}
+
+/// Same-sign operands filling a layer's tensors: w = 32767 with x just
+/// inside the bound (the tiles run where SIMD has them), then just outside
+/// it, then the (-32768)^2 corner (both on the acc_t path).
+struct BoundOperands {
+  std::int16_t w, x;
+  bool tiles;
+};
+
+std::vector<BoundOperands> bound_sides(std::int64_t k) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kW = 32767;
+  const std::int64_t inside = kMax / (k * kW);
+  EXPECT_LE(k * kW * inside, kMax);
+  EXPECT_GT(k * kW * (inside + 1), kMax);
+  return {
+      {static_cast<std::int16_t>(kW), static_cast<std::int16_t>(inside),
+       simd::has_conv_tile()},
+      {static_cast<std::int16_t>(kW), static_cast<std::int16_t>(inside + 1),
+       false},
+      {std::numeric_limits<std::int16_t>::min(),
+       std::numeric_limits<std::int16_t>::min(), false},
+  };
+}
+
+LayerData filled_data(const nn::Layer& layer, const BoundOperands& side) {
+  LayerData data = make_data(layer, 7);
+  std::fill(data.weights.data(), data.weights.data() + data.weights.size(),
+            side.w);
+  std::fill(data.input.data(), data.input.data() + data.input.size(), side.x);
+  return data;
+}
+
+TEST(SimEngine, Int32TileBoundBothSides) {
+  const arch::OverlayConfig cfg = bench_overlay();
+  for (const TileBoundCase& c : tile_bound_cases()) {
     const compiler::LayerProgram prog =
         compiler::compile_layer(c.layer, cfg, Objective::Performance, 4'000);
     ASSERT_EQ(prog.weight_groups, 1) << c.layer.name;
-    const std::int64_t inside = kMax / (c.k * kW);
-    ASSERT_LE(c.k * kW * inside, kMax);
-    ASSERT_GT(c.k * kW * (inside + 1), kMax);
-    struct Operands {
-      std::int16_t w, x;
-      bool tiles;
-    };
-    const Operands sides[] = {
-        {static_cast<std::int16_t>(kW), static_cast<std::int16_t>(inside),
-         simd::has_conv_tile()},
-        {static_cast<std::int16_t>(kW), static_cast<std::int16_t>(inside + 1),
-         false},
-        {std::numeric_limits<std::int16_t>::min(),
-         std::numeric_limits<std::int16_t>::min(), false},
-    };
-    for (const Operands& side : sides) {
-      LayerData data = make_data(c.layer, 7);
-      std::fill(data.weights.data(), data.weights.data() + data.weights.size(),
-                side.w);
-      std::fill(data.input.data(), data.input.data() + data.input.size(),
-                side.x);
+    for (const BoundOperands& side : bound_sides(c.k)) {
+      const LayerData data = filled_data(c.layer, side);
       EXPECT_EQ(takes_tiles(prog, data), side.tiles)
           << c.layer.name << " x=" << side.x;
       expect_fast_matches_golden(prog, cfg, data, "bound");
     }
   }
+}
+
+// Weights bound once (CachedLayerSim::bind, as the executor's warm-up does)
+// run bit-identically to the unbound run, which binds on every call: the
+// zoo sweep shapes (their strided 7x7 stem is the shape whose phase split
+// moves taps, so the binding holds the rearranged kernel) and both sides of
+// the int32 tile bound, at jobs 1 and 4, outputs and max |acc|. A weight
+// tensor of the wrong layout is refused at bind, and a binding is refused
+// by a runner of another layer geometry, even one whose weight layout is
+// the same.
+TEST(SimEngine, BoundWeightsMatchUnboundRun) {
+  const arch::OverlayConfig cfg = bench_overlay();
+  ThreadPool four(4);
+  auto expect_bound_matches = [&](const nn::Layer& layer,
+                                  const LayerData& data, const char* what) {
+    const compiler::LayerProgram prog =
+        compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
+    const sim::CachedLayerSim runner(prog, cfg);
+    const sim::BoundWeights bound = runner.bind(data.weights);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+      nn::AccTensor unbound_out, bound_out;
+      const std::uint64_t unbound_max =
+          runner.run(data.weights, data.input, unbound_out, pool);
+      EXPECT_EQ(runner.run(bound, data.input, bound_out, pool), unbound_max)
+          << layer.name << " " << what;
+      EXPECT_EQ(bound_out, unbound_out) << layer.name << " " << what;
+    }
+  };
+  for (const nn::Layer& layer : zoo_shape_layers())
+    expect_bound_matches(layer, make_data(layer, 17), "zoo");
+  for (const TileBoundCase& c : tile_bound_cases())
+    for (const BoundOperands& side : bound_sides(c.k))
+      expect_bound_matches(c.layer, filled_data(c.layer, side), "bound");
+
+  const nn::Layer conv1x1 = nn::make_conv("bind_1x1", 8, 10, 10, 6, 1, 1, 0);
+  const nn::Layer conv3x3 = nn::make_conv("bind_3x3", 8, 10, 10, 6, 3, 1, 1);
+  const nn::Layer wider = nn::make_conv("bind_1x1_wide", 8, 10, 12, 6, 1, 1, 0);
+  auto runner_for = [&](const nn::Layer& layer) {
+    return sim::CachedLayerSim(
+        compiler::compile_layer(layer, cfg, Objective::Performance, 4'000),
+        cfg);
+  };
+  const sim::CachedLayerSim r1 = runner_for(conv1x1);
+  const LayerData d1 = make_data(conv1x1, 3);
+  EXPECT_THROW(r1.bind(make_data(conv3x3, 3).weights), ConfigError);
+  const sim::BoundWeights bound = r1.bind(d1.weights);
+  nn::AccTensor out;
+  EXPECT_THROW(runner_for(conv3x3).run(bound, make_data(conv3x3, 3).input, out),
+               ConfigError);
+  EXPECT_THROW(runner_for(wider).run(bound, make_data(wider, 3).input, out),
+               ConfigError);
+  EXPECT_EQ(r1.run(bound, d1.input, out), max_abs_of(nn_golden(conv1x1, d1)));
 }
 
 // Tile geometry: odd in_c (a channel pair with zero), odd kh*kw (a tap pair
@@ -681,18 +750,68 @@ TEST(SimEngine, TileTailGeometriesMatchReference) {
         const nn::AccTensor golden =
             nn::conv2d_reference(layer, data.input, data.weights);
         const sim::detail::EngineTables tb = sim::detail::build_tables(layer);
-        EXPECT_EQ(sim::detail::uses_int32_tiles(tb, data.weights.data(),
-                                                data.input.data()),
+        const sim::detail::WeightBinding bound =
+            sim::detail::bind_weights(tb, data.weights.data());
+        EXPECT_EQ(sim::detail::uses_int32_tiles(tb, bound, data.input.data()),
                   simd::has_conv_tile())
             << layer.name;
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
           nn::AccTensor out({out_c, oh, ow});
           std::fill(out.data(), out.data() + out.size(), acc_t{0x5a5a5a5a5a});
           const sim::detail::EngineResult r = sim::detail::run_functional(
-              tb, data.weights.data(), data.input.data(), out.data(), p);
+              tb, bound, data.input.data(), out.data(), p);
           EXPECT_EQ(out, golden) << layer.name << " jobs=" << (p ? 4 : 1);
           EXPECT_EQ(r.max_abs, max_abs_of(golden)) << layer.name;
         }
+      }
+    }
+  }
+}
+
+// A stride-1, pad-0 1x1 conv reads its input in place when a plane holds
+// at least one tile of positions; only the last plane's tail tile reads past
+// the tensor, from a slack-padded copy of that plane. Planes just below, at
+// and just above 16 and 32 positions (so both tiles read in place and copy
+// whole), and one of 7, under half of either tile, where a tile over
+// channel n would read past channel n + 1 (a read in place would overrun the
+// tensor), in_c 1, 2, 7 and 8 (a lone last channel, or a pair ending in it),
+// out_c 1-13. No arena is installed, so every tensor is exactly its size and
+// a sanitizer build bounds the reads. Serially and on a 4-job pool, over an
+// output that starts as garbage, the engine must equal
+// nn::conv2d_reference and report its max |acc|.
+TEST(SimEngine, InPlace1x1TileReadsStayInBounds) {
+  ThreadPool pool(4);
+  const int planes[][2] = {{1, 7},  {3, 5}, {4, 4},
+                           {1, 17}, {1, 31}, {4, 8}, {3, 11}};
+  int idx = 0;
+  for (const auto& hw : planes) {
+    for (int in_c : {1, 2, 7, 8}) {
+      const int out_c = 1 + idx % 13;
+      const nn::Layer layer =
+          nn::make_conv2("in_place_" + std::to_string(idx), in_c, hw[0], hw[1],
+                         out_c, 1, 1, 1, 0);
+      ++idx;
+      Rng rng(static_cast<std::uint64_t>(idx) * 6151);
+      LayerData data;
+      data.input = nn::Tensor16({in_c, hw[0], hw[1]});
+      data.weights = nn::Tensor16({out_c, in_c, 1, 1});
+      data.input.fill_random(rng, 1000);
+      data.weights.fill_random(rng, 1000);
+      const nn::AccTensor golden =
+          nn::conv2d_reference(layer, data.input, data.weights);
+      const sim::detail::EngineTables tb = sim::detail::build_tables(layer);
+      const sim::detail::WeightBinding bound =
+          sim::detail::bind_weights(tb, data.weights.data());
+      EXPECT_EQ(sim::detail::uses_int32_tiles(tb, bound, data.input.data()),
+                simd::has_conv_tile())
+          << layer.name;
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        nn::AccTensor out({out_c, hw[0], hw[1]});
+        std::fill(out.data(), out.data() + out.size(), acc_t{0x5a5a5a5a5a});
+        const sim::detail::EngineResult r = sim::detail::run_functional(
+            tb, bound, data.input.data(), out.data(), p);
+        EXPECT_EQ(out, golden) << layer.name << " jobs=" << (p ? 4 : 1);
+        EXPECT_EQ(r.max_abs, max_abs_of(golden)) << layer.name;
       }
     }
   }
