@@ -229,22 +229,14 @@ AnalysisResult analyze_graph(const nn::Network& net,
 
   // Sinks: outputs nothing consumes. The artifact's output is the
   // last-declared sink; any other unconsumed output is dead work.
-  std::set<std::string> consumed;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    for (const std::string& name : net.resolved_inputs(i)) consumed.insert(name);
-  }
-  std::vector<std::string> sinks;
-  for (const nn::Layer& l : layers) {
-    if (consumed.count(l.name) == 0) sinks.push_back(l.name);
-  }
+  const std::vector<std::string> sinks = net.sink_names();
   if (sinks.size() > 1) {
-    std::string list;
-    for (const std::string& s : sinks) list += (list.empty() ? "" : ", ") + s;
     report(r,
            strictness == GraphStrictness::Serving ? Severity::Error
                                                   : Severity::Warning,
            Check::MultipleSinks, net.name(),
-           std::to_string(sinks.size()) + " unconsumed outputs (" + list +
+           std::to_string(sinks.size()) + " unconsumed outputs (" +
+               join(sinks, ", ") +
                "); the feed-forward runtime needs exactly one");
     for (std::size_t s = 0; s + 1 < sinks.size(); ++s) {
       report(r, Severity::Warning, Check::DeadLayer, sinks[s],
@@ -315,23 +307,6 @@ struct Interval {
   }
 };
 
-Interval liveness_of(const nn::Network& net, const std::string& producer) {
-  const std::int64_t n = static_cast<std::int64_t>(net.layers().size());
-  std::int64_t def = 0;  // the input tensor exists before step 0
-  if (producer != nn::kNetworkInput) {
-    const int j = net.find(producer);
-    if (j < 0) return Interval{0, n};  // unknown: pessimistically always live
-    def = j;
-  }
-  std::int64_t last = -1;
-  for (std::size_t i = 0; i < net.layers().size(); ++i) {
-    for (const std::string& name : net.resolved_inputs(i)) {
-      if (name == producer) last = std::max(last, static_cast<std::int64_t>(i));
-    }
-  }
-  return Interval{def, last < 0 ? n : std::max(last, def)};
-}
-
 }  // namespace
 
 MemoryPlan plan_memory(const nn::Network& net,
@@ -350,14 +325,9 @@ MemoryPlan plan_memory(const nn::Network& net,
 
   // Activations: liveness-driven first-fit with reuse of dead tensors'
   // ranges. Deterministic: tensors are defined in execution order and the
-  // free list is kept sorted by base.
-  struct Live {
-    std::string producer;
-    MemRange range;
-    std::int64_t last = 0;
-  };
-  std::vector<Live> live;
-  std::vector<MemRange> free_list;  // sorted by base, coalesced
+  // free list is kept sorted by base and coalesced, so the ranges freed
+  // before one step leave the same holes in any order.
+  std::vector<MemRange> free_list;
 
   auto release = [&](const MemRange& range) {
     if (range.words == 0) return;
@@ -391,28 +361,23 @@ MemoryPlan plan_memory(const nn::Network& net,
     return got;
   };
 
-  const std::int64_t n = static_cast<std::int64_t>(net.layers().size());
+  // A tensor is freed before the first step after both its definition and
+  // its last use; sinks (last use n) survive the frame for readback.
+  const std::size_t n = net.layers().size();
+  const std::vector<std::size_t> last_use = net.last_uses();
+  std::vector<std::vector<MemRange>> freed_before(n + 2);
   auto place = [&](const std::string& producer, std::int64_t elems,
-                   std::int64_t last) {
+                   std::size_t last) {
     const MemRange range =
         allocate(static_cast<std::uint64_t>(std::max<std::int64_t>(elems, 0)));
     plan.tensors.push_back(TensorPlan{producer, range, 1});
-    live.push_back(Live{producer, range, last});
+    freed_before[last + 1].push_back(range);
   };
-
-  place(nn::kNetworkInput, network_input_elems(net),
-        liveness_of(net, nn::kNetworkInput).last);
-  for (std::int64_t i = 0; i < n; ++i) {
-    // Free everything whose last use is strictly before this step.
-    for (std::size_t k = live.size(); k-- > 0;) {
-      if (live[k].last < i) {
-        release(live[k].range);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-      }
-    }
-    const nn::Layer& l = net.layers()[static_cast<std::size_t>(i)];
-    place(l.name, tensor_elems(net, static_cast<std::size_t>(i)),
-          liveness_of(net, l.name).last);
+  place(nn::kNetworkInput, network_input_elems(net), last_use[0]);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const MemRange& range : freed_before[i]) release(range);
+    place(net.layers()[i].name, tensor_elems(net, i),
+          std::max(last_use[i + 1], i));
   }
 
   plan.image_words = top;
@@ -589,11 +554,21 @@ AnalysisResult analyze_network(const ScheduledNetwork& sn) {
     MemRange range;
     Interval live;
   };
+  // A producer is defined at the first layer of its name (step 0 for the
+  // network input) and lives to its last use, or to step n when unknown.
+  const std::int64_t always = static_cast<std::int64_t>(net.layers().size());
+  const std::vector<std::size_t> last_use = net.last_uses();
+  const auto live_of = [&](const std::string& producer) {
+    const bool input = producer == nn::kNetworkInput;
+    const int t = input ? 0 : net.find(producer) + 1;  // index into last_use
+    if (t == 0 && !input) return Interval{0, always};
+    const std::int64_t def = std::max(t - 1, 0);
+    return Interval{def, std::max<std::int64_t>(last_use[t], def)};
+  };
   std::vector<Entry> entries;
   for (const TensorPlan& t : mem.tensors) {
-    entries.push_back(Entry{t.producer, t.range, liveness_of(net, t.producer)});
+    entries.push_back(Entry{t.producer, t.range, live_of(t.producer)});
   }
-  const std::int64_t always = static_cast<std::int64_t>(net.layers().size());
   for (const WeightPlan& w : mem.weights) {
     entries.push_back(
         Entry{"weights/" + w.layer, w.range, Interval{0, always}});

@@ -78,4 +78,13 @@ std::string join_x(const std::vector<std::int64_t>& v) {
   return out;
 }
 
+std::string join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i != 0) out += sep;
+    out += parts[i];
+  }
+  return out;
+}
+
 }  // namespace ftdl

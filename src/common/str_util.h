@@ -25,6 +25,9 @@ std::string format_percent(double ratio, int decimals = 1);
 /// Join a vector of int64 as "a x b x c".
 std::string join_x(const std::vector<std::int64_t>& v);
 
+/// Join strings with `sep` between them: join({"a", "b"}, ", ") == "a, b".
+std::string join(const std::vector<std::string>& parts, const char* sep);
+
 /// Strict base-10 integer parsing for CLI flags: the whole string must be a
 /// number in [min_v, max_v] — garbage, trailing text, empty input and
 /// overflow all return false (std::atoi silently returns 0 for all four).

@@ -133,19 +133,10 @@ Layer make_conv(const std::string& name, int in_c, int in_h, int in_w,
 
 Layer make_depthwise(const std::string& name, int channels, int in_h,
                      int in_w, int k, int stride, int pad, bool relu) {
-  Layer l;
-  l.name = name;
+  // A square conv of the same geometry, one filter per channel.
+  Layer l = make_conv2(name, channels, in_h, in_w, channels, k, k, stride, pad,
+                       relu);
   l.kind = LayerKind::Depthwise;
-  l.in_c = channels;
-  l.out_c = channels;  // one filter per channel
-  l.in_h = in_h;
-  l.in_w = in_w;
-  l.kh = k;
-  l.kw = k;
-  l.stride = stride;
-  l.pad = pad;
-  l.relu = relu;
-  validate(l);
   return l;
 }
 

@@ -1,5 +1,6 @@
 #include "nn/network.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -22,15 +23,24 @@ std::vector<std::string> Network::resolved_inputs(std::size_t i) const {
   return {layers_[i - 1].name};
 }
 
+std::vector<std::size_t> Network::last_uses() const {
+  std::unordered_map<std::string, std::size_t> last;
+  for (std::size_t i = 0; i < layers_.size(); ++i)
+    for (const std::string& in : resolved_inputs(i)) last[in] = i;
+  const auto of = [&](const std::string& name) {
+    const auto it = last.find(name);
+    return it == last.end() ? layers_.size() : it->second;
+  };
+  std::vector<std::size_t> uses{of(kNetworkInput)};
+  for (const Layer& l : layers_) uses.push_back(of(l.name));
+  return uses;
+}
+
 std::vector<std::string> Network::sink_names() const {
-  std::unordered_set<std::string> consumed;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    for (const std::string& in : resolved_inputs(i)) consumed.insert(in);
-  }
+  const std::vector<std::size_t> last = last_uses();
   std::vector<std::string> sinks;
-  for (const Layer& l : layers_) {
-    if (!consumed.contains(l.name)) sinks.push_back(l.name);
-  }
+  for (std::size_t i = 0; i < layers_.size(); ++i)
+    if (last[i + 1] == layers_.size()) sinks.push_back(layers_[i].name);
   return sinks;
 }
 

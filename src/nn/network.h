@@ -47,6 +47,13 @@ class Network {
   /// Index of the layer named `name`; -1 if absent.
   int find(const std::string& name) const;
 
+  /// The one liveness derivation (the DRAM planner and the executor's
+  /// release lists both read it): entry 0 for the network input and entry
+  /// i + 1 for layer i hold the index of the last layer whose resolved
+  /// inputs name it, or layers().size() when none does (sinks). Names match
+  /// by value, so layers sharing a name share an entry's value.
+  std::vector<std::size_t> last_uses() const;
+
   /// Names of the graph's sink layers — layers whose output no other layer
   /// consumes — in declaration order. A non-empty network always has at
   /// least one sink (the last-declared layer can never be consumed, since

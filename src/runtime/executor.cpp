@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "compiler/session.h"
 #include "obs/obs.h"
@@ -68,10 +69,14 @@ void note_host_kernel(const Layer& layer) {
   obs::count("host/ewop_ops", layer.ewop_ops());
 }
 
-/// One layer of a compiled model.
+/// One layer of a compiled model. Its output goes to the slot after its
+/// index; slot 0 is the network input.
 struct CompiledLayer {
   const Layer* layer = nullptr;
-  std::vector<std::string> inputs;       ///< resolved dataflow inputs
+  std::vector<std::size_t> inputs;       ///< resolved dataflow input slots
+  /// The slots whose last use is this layer, freed right after it runs:
+  /// each once, and never the network input or the sink.
+  std::vector<std::size_t> release;
   const Tensor16* weights = nullptr;     ///< overlay layers only
   int weight_groups = 1;
   /// Overlay layers only: one runner over all weight groups, and the
@@ -80,13 +85,13 @@ struct CompiledLayer {
   std::optional<sim::BoundWeights> bound;
 };
 
-/// What the warm-up resolves once: the sink, each layer's inputs, weights and
-/// runner. Immutable after construction, so the copies of a context share it
-/// without locking (CachedLayerSim::run is const).
+/// What the warm-up resolves once: the sink slot, each layer's input slots,
+/// release list, weights and runner. Immutable after construction, so the
+/// copies of a context share it without locking (CachedLayerSim::run is
+/// const).
 struct CompiledModel {
   const ExecOptions opt;
-  std::string sink;
-  const std::string input_key{nn::kNetworkInput};
+  std::size_t sink = 0;
   std::vector<CompiledLayer> layers;
 
   CompiledModel(const nn::Network& net, const WeightStore& wstore,
@@ -100,31 +105,33 @@ struct CompiledModel {
     // layers unconsumed (multi-output heads) and silently returning one of
     // them would drop the rest.
     const std::vector<std::string> sinks = net.sink_names();
-    if (sinks.size() != 1) {
-      std::string names;
-      for (const std::string& s : sinks) {
-        if (!names.empty()) names += ", ";
-        names += s;
-      }
+    if (sinks.size() != 1)
       throw ConfigError(net.name() +
                         ": ambiguous network output — feed-forward execution "
                         "needs exactly one sink layer, found " +
-                        std::to_string(sinks.size()) + " (" + names + ")");
-    }
-    sink = sinks.front();
+                        std::to_string(sinks.size()) + " (" +
+                        join(sinks, ", ") + ")");
 
-    layers.reserve(net.layers().size());
-    for (std::size_t i = 0; i < net.layers().size(); ++i) {
+    // The graph is validated: names are unique and every input names an
+    // earlier layer, so one pass resolves each name to its slot.
+    const std::vector<std::size_t> last_use = net.last_uses();
+    std::unordered_map<std::string, std::size_t> slot_of{{nn::kNetworkInput, 0}};
+    layers.resize(net.layers().size());
+    for (std::size_t i = 0; i < layers.size(); ++i) {
       const Layer& layer = net.layers()[i];
       if (layer.repeat != 1)
         throw ConfigError(layer.name +
                           ": recurrent (repeat>1) layers are not executable "
                           "feed-forward");
-      CompiledLayer lc;
+      CompiledLayer& lc = layers[i];
       lc.layer = &layer;
-      lc.inputs = net.resolved_inputs(i);
+      for (const std::string& in : net.resolved_inputs(i))
+        lc.inputs.push_back(slot_of.at(in));
       if (layer.on_overlay()) lc.weights = &wstore.get(layer);
-      layers.push_back(std::move(lc));
+      slot_of[layer.name] = i + 1;
+      if (layer.name == sinks.front()) sink = i + 1;
+      if (last_use[i + 1] < layers.size())
+        layers[last_use[i + 1]].release.push_back(i + 1);
     }
     // Compile only once every layer is known to be executable.
     for (CompiledLayer& lc : layers) {
@@ -150,20 +157,21 @@ struct CompiledModel {
 }  // namespace
 
 /// A context's scratch over its shared compiled model: run() touches only
-/// the arena, the tensor map and the pool.
+/// the arena, the slots and the pool.
 struct ExecContext::Impl {
   const std::shared_ptr<const CompiledModel> model;
   const ExecOptions& opt;
   TensorArena arena;
   /// sim_jobs > 1: a dedicated pool, built by the first run.
   std::unique_ptr<ThreadPool> own_pool;
-  /// Persistent name -> tensor map: keys are inserted by the first run and
-  /// overwritten (move-assigned) on later runs, so steady-state execution
-  /// never allocates map nodes or key strings.
-  std::unordered_map<std::string, Tensor16> tensors;
+  /// Slot i + 1 holds layer i's output from its run to its last consumer's
+  /// release list; the sink's moves into the result. Slot 0 stays empty: a
+  /// run reads the caller's tensor through `input`. Sized once, here.
+  std::vector<Tensor16> slots;
+  const Tensor16* input = nullptr;
 
   explicit Impl(std::shared_ptr<const CompiledModel> m)
-      : model(std::move(m)), opt(model->opt) {}
+      : model(std::move(m)), opt(model->opt), slots(model->layers.size() + 1) {}
 
   ThreadPool* pool() {
     if (opt.sim_jobs == 1) return nullptr;
@@ -172,62 +180,61 @@ struct ExecContext::Impl {
     return own_pool.get();
   }
 
-  const Tensor16& tensor(const std::string& name) const {
-    auto it = tensors.find(name);
-    if (it == tensors.end())
-      throw ConfigError("no tensor produced for " + name);
-    return it->second;
+  const Tensor16& slot(std::size_t s) const {
+    if (s == 0) return *input;
+    if (slots[s].size() == 0)
+      throw InternalError("dataflow slot " + std::to_string(s) +
+                          " read while empty");
+    return slots[s];
   }
 
-  ExecResult run(const Tensor16& input) {
+  ExecResult run(const Tensor16& in) {
     // Every tensor built below draws from the pool for the rest of the call
     // (and frees back into it, even from tensors that escape in the result).
     TensorArena::Scope scope(arena);
-    tensors[model->input_key] = input;
+    input = &in;
 
     ExecResult result;
-    for (const CompiledLayer& lc : model->layers) {
+    for (std::size_t i = 0; i < model->layers.size(); ++i) {
+      const CompiledLayer& lc = model->layers[i];
       const Layer& layer = *lc.layer;
       LayerRun run;
       run.kind = layer.kind;
       if (opt.collect_runs) run.name = layer.name;
-      Tensor16 out;
       if (obs::enabled()) {
         obs::ScopedSpan span("runtime", "execute_layer",
                              {{"layer", layer.name},
                               {"kind", nn::to_string(layer.kind)}});
-        out = execute_layer(lc, run);
+        slots[i + 1] = execute_layer(lc, run);
         if (run.sim_cycles > 0)
           span.add_arg("cycles", std::to_string(run.sim_cycles));
         obs::count("runtime/layers_executed");
         if (run.sim_cycles > 0) obs::count("runtime/sim_cycles", run.sim_cycles);
       } else {
-        out = execute_layer(lc, run);
+        slots[i + 1] = execute_layer(lc, run);
       }
+      for (const std::size_t s : lc.release) slots[s] = Tensor16();
       result.total_sim_cycles += run.sim_cycles;
       if (opt.collect_runs) result.runs.push_back(std::move(run));
-      tensors[layer.name] = std::move(out);
     }
-    result.output = tensors.at(model->sink);
+    result.output = std::move(slots[model->sink]);
     return result;
   }
 
   Tensor16 execute_layer(const CompiledLayer& lc, LayerRun& run) {
     const Layer& layer = *lc.layer;
+    if (!layer.on_overlay()) note_host_kernel(layer);
     switch (layer.kind) {
       case LayerKind::Conv:
       case LayerKind::Depthwise:
       case LayerKind::MatMul:
-        return execute_overlay(lc, tensor(lc.inputs.at(0)), run);
+        return execute_overlay(lc, slot(lc.inputs.at(0)), run);
       case LayerKind::Pool:
-        note_host_kernel(layer);
-        return pool_layer(layer, tensor(lc.inputs.at(0)), pool());
+        return pool_layer(layer, slot(lc.inputs.at(0)), pool());
       case LayerKind::Concat:
-        note_host_kernel(layer);
-        return concat(layer, lc.inputs);
+        return concat(lc);
       case LayerKind::Ewop:
-        note_host_kernel(layer);
-        return ewop(layer, lc.inputs);
+        return ewop(lc);
     }
     throw InternalError("unhandled layer kind");
   }
@@ -254,37 +261,45 @@ struct ExecContext::Impl {
     return requantize_layer(layer, acc, max_abs, run.requant_shift, pool());
   }
 
-  Tensor16 concat(const Layer& layer,
-                  const std::vector<std::string>& inputs) const {
+  Tensor16 concat(const CompiledLayer& lc) const {
+    const Layer& layer = *lc.layer;
     int channels = 0;
-    const Tensor16& first = tensor(inputs.front());
+    const Tensor16& first = slot(lc.inputs.front());
     if (first.dims().size() != 3)
       throw ConfigError(layer.name + ": concat expects CHW inputs");
     const int h = first.dims()[1], w = first.dims()[2];
-    for (const std::string& in : inputs) {
-      const Tensor16& t = tensor(in);
+    for (std::size_t k = 0; k < lc.inputs.size(); ++k) {
+      const Tensor16& t = slot(lc.inputs[k]);
+      // Only an explicit input k >= 1 can mismatch: the first sets h and w.
       if (t.dims().size() != 3 || t.dims()[1] != h || t.dims()[2] != w)
-        throw ConfigError(layer.name + ": concat input shape mismatch at " + in);
+        throw ConfigError(layer.name + ": concat input shape mismatch at " +
+                          layer.input_names[k]);
       channels += t.dims()[0];
     }
     // A CHW tensor's channels are one contiguous block: one copy per input.
     Tensor16 out({channels, h, w});
     std::int16_t* dst = out.data();
-    for (const std::string& in : inputs) {
-      const Tensor16& t = tensor(in);
+    for (const std::size_t in : lc.inputs) {
+      const Tensor16& t = slot(in);
       dst = std::copy(t.data(), t.data() + t.size(), dst);
     }
     return out;
   }
 
-  Tensor16 ewop(const Layer& layer, const std::vector<std::string>& inputs) {
-    switch (layer.ewop_op) {
-      case nn::EwopOp::Generic:
-        // Op-count-only stage: identity over its (single) input.
-        return tensor(inputs.at(0));
+  Tensor16 ewop(const CompiledLayer& lc) {
+    const std::size_t a = lc.inputs.at(0);
+    switch (lc.layer->ewop_op) {
+      case nn::EwopOp::Generic: {
+        // Op-count-only stage: identity over its (single) input, which it
+        // takes over when no later layer reads it.
+        const Tensor16& x = slot(a);
+        if (std::ranges::find(lc.release, a) != lc.release.end())
+          return std::move(slots[a]);
+        return x;
+      }
       case nn::EwopOp::AddRelu:
-        return add_relu_layer(layer, tensor(inputs.at(0)),
-                              tensor(inputs.at(1)), pool());
+        return add_relu_layer(*lc.layer, slot(a), slot(lc.inputs.at(1)),
+                              pool());
     }
     throw InternalError("unhandled ewop op");
   }

@@ -87,8 +87,8 @@ int shift_for_max(std::uint64_t maxabs, int target_bits);
 /// Reusable execution context for repeated inference over one network — the
 /// steady-state engine behind run_network and serve::Server.
 ///
-/// Construction is the warm-up: the graph is validated, the sink and
-/// per-layer dataflow inputs are resolved, weights are looked up, and every
+/// Construction is the warm-up: the graph is validated, each layer's input
+/// slots and release list are resolved, weights are looked up, and every
 /// overlay layer is compiled into one program that carries all its
 /// weight-group parts. Each program becomes one sim::CachedLayerSim: its
 /// cycles are the sum of the parts', and each request runs the whole layer
@@ -96,7 +96,9 @@ int shift_for_max(std::uint64_t maxabs, int target_bits);
 /// a contiguous channel range of it, so no per-group weights or outputs
 /// exist. run() then re-executes the network with all tensor storage (the
 /// simulator's padded input copies included) drawn from an owned
-/// TensorArena, so a warm context performs zero heap allocations per request
+/// TensorArena, each intermediate freed back to it after its last consumer
+/// (the arena holds the largest live set, not every tensor of the frame),
+/// so a warm context performs zero heap allocations per request
 /// with collect_runs off and observability disabled (pinned by the
 /// allocation-counter test in tests/test_serve.cpp).
 ///
@@ -111,8 +113,8 @@ class ExecContext {
   ExecContext(const nn::Network& net, const WeightStore& weights,
               const ExecOptions& options);
   /// A context over `warm`'s compiled model, with its own empty arena and
-  /// tensor map (and, at sim_jobs > 1, a pool its first run builds): no
-  /// warm-up runs.
+  /// slots (and, at sim_jobs > 1, a pool its first run builds): no warm-up
+  /// runs.
   ExecContext(const ExecContext& warm);
   ~ExecContext();
   ExecContext(ExecContext&&) noexcept;

@@ -154,7 +154,7 @@ struct Server::Impl {
 
   void worker_loop(int w) {
     obs::set_thread_track_name("serve-" + std::to_string(w));
-    // Own arena and tensor map over the shared compiled model. The span puts
+    // Own arena and slots over the shared compiled model. The span puts
     // every worker on the trace, even when the others drain the whole queue.
     runtime::ExecContext exec = [this] {
       const obs::ScopedSpan warmup("serve", "warmup");

@@ -187,8 +187,14 @@ PhaseShape phase_shape(const EngineTables& tb) {
   return p;
 }
 
+/// Sets n int16 values at p to zero.
+void zero_i16(std::int16_t* p, std::int64_t n) {
+  std::memset(p, 0, static_cast<std::size_t>(n) * sizeof(std::int16_t));
+}
+
 /// Writes the zero-padded phase planes of `input`, channel-major with the
-/// phases (a, b) row-major inside a channel, into the zeroed `xp`.
+/// phases (a, b) row-major inside a channel, into `xp`: each byte once, the
+/// interior from the input and only the pad border zeroed.
 void split_phases(const EngineTables& tb, const PhaseShape& ps,
                   const std::int16_t* input, std::int16_t* xp) {
   const std::int64_t st = tb.stride;
@@ -207,13 +213,23 @@ void split_phases(const EngineTables& tb, const PhaseShape& ps,
       for (std::int64_t b = 0; b < ps.cols; ++b, xp += ps.ph * ps.pw) {
         const Span xs = clip(b, tb.pad, st, tb.in_w, ps.pw);
         const std::int64_t nx = xs.size();
+        std::int16_t* const end = xp + ps.ph * ps.pw;
+        if (ys.size() == 0 || nx == 0) {
+          zero_i16(xp, end - xp);
+          continue;
+        }
         const std::int16_t* src =
             input + (n * tb.in_h + ys.lo * st + a - tb.pad) * tb.in_w +
             xs.lo * st + b - tb.pad;
         std::int16_t* row = xp + ys.lo * ps.pw + xs.lo;
+        zero_i16(xp, row - xp);  // the top border and the first left pad
         for (std::int64_t y = ys.lo; y < ys.hi;
-             ++y, src += st * tb.in_w, row += ps.pw)
+             ++y, src += st * tb.in_w, row += ps.pw) {
           for (std::int64_t j = 0; j < nx; ++j) row[j] = src[j * st];
+          // This row's right pad and the next row's left pad, or the
+          // bottom border after the last row.
+          zero_i16(row + nx, y + 1 < ys.hi ? ps.pw - nx : end - (row + nx));
+        }
       }
     }
   }
@@ -267,8 +283,11 @@ EngineResult run_tiles(const EngineTables& tb, const WeightBinding& bound,
   // whose tail tile reads past the tensor, is copied with slack.
   const bool in_place = tb.stride == 1 && tb.pad == 0 && tb.kh == 1 &&
                         tb.kw == 1 && plane >= tile.positions;
-  ArenaVec<std::int16_t> xp(in_place ? plane + slack
-                                     : ps.in_c * plane + slack);  // zeroed
+  // Every element is written once below: the planes by the copy, the
+  // trailing slack (read only by discarded tail positions) by this zero.
+  const std::int64_t copied = in_place ? plane : ps.in_c * plane;
+  ArenaVec<std::int16_t> xp(copied + slack, no_init);
+  zero_i16(xp.data() + copied, slack);
   if (in_place) {
     std::memcpy(xp.data(), input + (tb.in_c - 1) * plane,
                 static_cast<std::size_t>(plane) * sizeof(std::int16_t));

@@ -524,6 +524,143 @@ TEST(Executor, ZooOutputsMatchReferenceDigests) {
   }
 }
 
+/// A random input of `net`'s input shape ({C,H,W}, or {M,P} for an MM-first
+/// network) at magnitude 3.
+nn::Tensor16 network_input_for(const nn::Network& net, std::uint64_t seed) {
+  const nn::Layer& first = net.layers().front();
+  nn::Tensor16 input =
+      first.kind == nn::LayerKind::MatMul
+          ? nn::Tensor16({static_cast<int>(first.mm_m),
+                          static_cast<int>(first.mm_p)})
+          : nn::Tensor16({first.in_c, first.in_h, first.in_w});
+  Rng rng(seed);
+  input.fill_random(rng, 3);
+  return input;
+}
+
+TEST(Executor, ReleasesEachIntermediateAfterItsLastUse) {
+  // Each intermediate is freed right after its last consumer, so the arena
+  // holds the largest live set rather than every tensor of the frame. The
+  // ceilings are 60 % of the high water measured when every intermediate
+  // lived until the run ended (27.8 / 53.6 / 24.2 MB and 182 kB). From the
+  // second frame on the pooled blocks cover every request: the third frame
+  // draws no new heap block. Outputs meet the reference digests of
+  // ZooOutputsMatchReferenceDigests (same weights, input and options).
+  struct Case {
+    nn::Network net;
+    std::uint64_t digest;
+    std::int64_t all_live_bytes;
+  };
+  const Case cases[] = {
+      {nn::googlenet(), 0x69e28f2b6fb38cf1ull, 27'762'688},
+      {nn::resnet50(), 0x2abcebab24b59506ull, 53'614'592},
+      {nn::mobilenet_v1(), 0xb6449252e474ae5bull, 24'186'880},
+      {nn::sentimental_seqcnn(), 0x26d55c485ddfc883ull, 182'272},
+  };
+  ExecOptions opt;
+  opt.config = small_config();
+  opt.search_budget_per_layer = 1'000;
+  for (const auto& [net, digest, all_live_bytes] : cases) {
+    SCOPED_TRACE(net.name());
+    const WeightStore ws = WeightStore::random_for(net, 5, /*magnitude=*/3);
+    const nn::Tensor16 input = network_input_for(net, 23);
+    ExecContext ctx(net, ws, opt);
+    std::int64_t fallbacks = 0;
+    for (int frame = 1; frame <= 3; ++frame) {
+      EXPECT_EQ(output_digest(ctx.run(input).output), digest) << frame;
+      const ArenaStats s = ctx.arena_stats();
+      if (frame == 3) {
+        EXPECT_EQ(s.fallback_allocs, fallbacks);
+      }
+      fallbacks = s.fallback_allocs;
+      EXPECT_LE(s.high_water_bytes, all_live_bytes * 6 / 10) << frame;
+    }
+  }
+}
+
+TEST(Executor, DataflowEdgeCasesMatchReferenceForwardPass) {
+  // Graph shapes that stress the slot dataflow: which slot a layer reads,
+  // when it is freed, and which tensors a layer takes over. Each runs twice
+  // in one context (the second run reuses the slots and the arena's blocks)
+  // and meets the nn-reference pass both times.
+  const auto conv = [](const std::string& name, int in_c, int out_c, int k,
+                       std::vector<std::string> inputs) {
+    return nn::with_inputs(nn::make_conv(name, in_c, 8, 8, out_c, k, 1, k / 2),
+                           std::move(inputs));
+  };
+  const std::string in = nn::kNetworkInput;
+  std::vector<nn::Network> nets;
+  {
+    // The network input feeds the first layer, a non-adjacent later one and
+    // the last layer, which reads it after every other consumer has run.
+    nn::Network net("input-fan-out");
+    net.add(conv("a", 3, 4, 3, {in}));
+    net.add(conv("b", 4, 4, 1, {"a"}));
+    net.add(conv("c", 3, 4, 3, {in}));
+    net.add(nn::make_concat("cat", {"b", "c", in}));
+    nets.push_back(std::move(net));
+  }
+  {
+    // A residual add of one tensor with itself frees it once.
+    nn::Network net("self-add");
+    net.add(conv("x", 3, 4, 3, {in}));
+    net.add(nn::make_add_relu("add", 4 * 8 * 8, {"x", "x"}));
+    net.add(conv("y", 4, 4, 3, {"add"}));
+    nets.push_back(std::move(net));
+  }
+  {
+    // A branch output read by a concat and again, as a skip edge, after it.
+    nn::Network net("skip-after-concat");
+    net.add(conv("stem", 3, 4, 3, {in}));
+    net.add(conv("b1", 4, 4, 1, {"stem"}));
+    net.add(conv("b3", 4, 4, 3, {"stem"}));
+    net.add(nn::make_concat("cat", {"b1", "b3"}));
+    net.add(conv("proj", 8, 4, 1, {"cat"}));
+    net.add(nn::make_add_relu("add", 4 * 8 * 8, {"proj", "b1"}));
+    nets.push_back(std::move(net));
+  }
+  {
+    // A Generic ewop copies an input a later layer still reads ("g1") and
+    // takes over one it is the last to read ("g2").
+    nn::Network net("generic-copy-and-move");
+    net.add(conv("x", 3, 4, 3, {in}));
+    net.add(nn::with_inputs(nn::make_ewop("g1", 4 * 8 * 8), {"x"}));
+    net.add(conv("y", 4, 4, 3, {"x"}));
+    net.add(nn::with_inputs(nn::make_ewop("g2", 4 * 8 * 8), {"y"}));
+    net.add(nn::make_add_relu("add", 4 * 8 * 8, {"g1", "g2"}));
+    nets.push_back(std::move(net));
+  }
+  {
+    // A sink that is not the last-declared layer. Inputs name only earlier
+    // layers, so the last-declared layer is consumed only when its name is
+    // the network input's: the first layer reads that name, so "y" is the
+    // unique sink, and the trailing layer's last use comes before it runs.
+    nn::Network net("sink-before-last");
+    net.add(conv("x", 3, 4, 3, {in}));
+    net.add(conv("y", 4, 4, 3, {"x"}));
+    net.add(conv(in, 4, 4, 1, {"x"}));
+    nets.push_back(std::move(net));
+  }
+  ExecOptions opt;
+  opt.config = small_config();
+  opt.search_budget_per_layer = 1'000;
+  for (const nn::Network& net : nets) {
+    SCOPED_TRACE(net.name());
+    net.validate_graph();
+    ASSERT_EQ(net.sink_names().size(), 1u);
+    const WeightStore ws = WeightStore::random_for(net, 41);
+    const nn::Tensor16 input = network_input_for(net, 43);
+    const ReferenceForward ref = reference_forward(net, ws, input);
+    ExecContext ctx(net, ws, opt);
+    for (int frame = 1; frame <= 2; ++frame) {
+      const ExecResult r = ctx.run(input);
+      EXPECT_EQ(r.output, ref.output) << frame;
+      for (std::size_t i = 0; i < ref.requant_shifts.size(); ++i)
+        EXPECT_EQ(r.runs[i].requant_shift, ref.requant_shifts[i]) << i;
+    }
+  }
+}
+
 // ---- host kernels vs the nn:: oracles -------------------------------------
 
 /// Runs `body(pool)` with SIMD on and off, serially and on a 4-job pool.
@@ -728,6 +865,37 @@ TEST(Graph, ValidateCatchesBadReferences) {
   dup.add(nn::make_conv("a", 3, 8, 8, 4, 3, 1, 1));
   dup.add(nn::make_conv("a", 4, 8, 8, 4, 3, 1, 1));
   EXPECT_THROW(dup.validate_graph(), ConfigError);
+}
+
+TEST(Graph, LastUsesMatchConsumers) {
+  // last_uses() against the quadratic scan it replaces: for the network
+  // input and each layer, the last layer whose resolved inputs name it, or
+  // n. Layers sharing a name share one; an unknown name counts for none.
+  const auto naive = [](const nn::Network& net) {
+    const std::size_t n = net.layers().size();
+    std::vector<std::string> names{nn::kNetworkInput};
+    for (const nn::Layer& l : net.layers()) names.push_back(l.name);
+    std::vector<std::size_t> last(names.size(), n);
+    for (std::size_t s = 0; s < names.size(); ++s)
+      for (std::size_t i = 0; i < n; ++i)
+        for (const std::string& in : net.resolved_inputs(i))
+          if (in == names[s]) last[s] = i;
+    return last;
+  };
+  std::vector<nn::Network> nets = nn::mlperf_models();
+  nets.push_back(nn::mobilenet_v1());
+  nn::Network dup("dup");
+  dup.add(nn::make_conv("a", 3, 8, 8, 4, 3, 1, 1));
+  dup.add(nn::make_conv("b", 4, 8, 8, 4, 3, 1, 1));
+  dup.add(nn::make_conv("a", 4, 8, 8, 4, 3, 1, 1));
+  dup.add(nn::make_ewop("g", 4 * 8 * 8));
+  dup.add(nn::make_concat("cat", {"a", "b", "nope"}));
+  nets.push_back(dup);
+  for (const nn::Network& net : nets) {
+    EXPECT_EQ(net.last_uses(), naive(net)) << net.name();
+  }
+  const std::size_t n = dup.layers().size();
+  EXPECT_EQ(dup.last_uses(), (std::vector<std::size_t>{0, 4, 4, 4, n, n}));
 }
 
 TEST(Graph, AllZooModelsValidate) {

@@ -142,6 +142,24 @@ TEST(ToolsCli, FtdlProfReportsSearchBudget) {
       << r.output;
 }
 
+// The cycle-sim phase reports the executor's steady-state arena footprint.
+TEST(ToolsCli, FtdlProfReportsArenaHighWater) {
+  TempDir out;
+  const RunResult r =
+      run(std::string(FTDL_PROF_PATH) + " Sentimental-seqCNN --budget 500 " +
+          "--trace " + out.path + "/trace.json --metrics " + out.path +
+          "/metrics.json");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::size_t at = r.output.find("  cycle sim: ");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  const std::string line = r.output.substr(at, r.output.find('\n', at) - at);
+  EXPECT_NE(line.find(" cycles over "), std::string::npos) << line;
+  const std::size_t hw = line.find(", arena high water ");
+  ASSERT_NE(hw, std::string::npos) << line;
+  EXPECT_GT(std::stod(line.substr(hw + 19)), 0.0) << line;
+  EXPECT_EQ(line.substr(line.size() - 3), " MB") << line;
+}
+
 TEST(ToolsCli, FtdlInfoRejectsGarbageConfigDims) {
   for (const char* dims : {"x12 5 20", "12 5x 20", "12 5 0"}) {
     const RunResult r = run(std::string(FTDL_INFO_PATH) + " config " +
