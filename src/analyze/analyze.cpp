@@ -158,12 +158,14 @@ AnalysisResult analyze_graph(const nn::Network& net,
   AnalysisResult r;
   const std::vector<nn::Layer>& layers = net.layers();
 
-  // Duplicate names (first declaration wins for every lookup below).
-  std::set<std::string> seen;
+  // Duplicate names (first declaration wins for every lookup below). The
+  // network input's name counts as taken.
+  std::set<std::string> seen{nn::kNetworkInput};
   for (const nn::Layer& l : layers) {
     if (!seen.insert(l.name).second) {
       report(r, Severity::Error, Check::DuplicateLayer, l.name,
-             "two layers share this name; references are ambiguous");
+             "another layer or the network input has this name; references "
+             "are ambiguous");
     }
   }
 

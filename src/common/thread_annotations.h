@@ -61,9 +61,3 @@
 /// Function returns a reference to the given capability (accessor for a
 /// member mutex).
 #define FTDL_RETURN_CAPABILITY(mu) FTDL_THREAD_ANNOTATION_(lock_returned(mu))
-
-/// Escape hatch: turns the analysis off for one function. Reserved for
-/// intentionally-unsynchronized accessors whose safety argument is
-/// documented at the declaration (e.g. obs::Registry::events()).
-#define FTDL_NO_THREAD_SAFETY_ANALYSIS \
-  FTDL_THREAD_ANNOTATION_(no_thread_safety_analysis)

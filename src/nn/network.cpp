@@ -52,7 +52,9 @@ int Network::find(const std::string& name) const {
 }
 
 void Network::validate_graph() const {
-  std::unordered_set<std::string> seen;
+  // The network input's name is taken: a layer named so would make every
+  // reference to it ambiguous.
+  std::unordered_set<std::string> seen{kNetworkInput};
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Layer& l = layers_[i];
     if (!seen.insert(l.name).second)
@@ -67,7 +69,6 @@ void Network::validate_graph() const {
                         std::to_string(arity) + " input(s), has " +
                         std::to_string(inputs.size()));
     for (const std::string& in : inputs) {
-      if (in == kNetworkInput) continue;
       if (!seen.contains(in))
         throw ConfigError(name_ + ": layer " + l.name +
                           " references unknown or later layer " + in);

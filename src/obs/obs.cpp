@@ -172,90 +172,59 @@ void Registry::begin(std::uint32_t track, std::string name, double ts,
                      const char* cat, SpanArgs args) {
   MutexLock lock(mu_);
   FTDL_ASSERT(track < tracks_.size());
-  TrackInfo& t = tracks_[track];
-  if (stream_) {
-    // The log records every span, including ones the in-memory store is
-    // about to drop at its capacity cap — that is the point of streaming.
-    std::vector<stream::Record> group(1 + args.size());
-    group[0].kind = static_cast<std::uint8_t>(stream::RecordKind::SpanBegin);
-    group[0].argc = static_cast<std::uint8_t>(
-        std::min<std::size_t>(args.size(), 255));
-    group[0].track = track;
-    group[0].payload = stream::double_bits(ts);
-    group[0].name_id = stream_->intern(name);
-    group[0].aux_id = stream_->intern(cat);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      group[1 + i].kind = static_cast<std::uint8_t>(stream::RecordKind::SpanArg);
-      group[1 + i].track = track;
-      group[1 + i].name_id = stream_->intern(args[i].first);
-      group[1 + i].aux_id = stream_->intern(args[i].second);
-    }
-    stream_->publish(group.data(), group.size());
+  ++tracks_[track].open;
+  ++event_count_;
+  if (!stream_) return;
+  std::vector<stream::Record> group(1 + args.size());
+  group[0].kind = static_cast<std::uint8_t>(stream::RecordKind::SpanBegin);
+  group[0].argc =
+      static_cast<std::uint8_t>(std::min<std::size_t>(args.size(), 255));
+  group[0].track = track;
+  group[0].payload = stream::double_bits(ts);
+  group[0].name_id = stream_->intern(name);
+  group[0].aux_id = stream_->intern(cat);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    group[1 + i].kind = static_cast<std::uint8_t>(stream::RecordKind::SpanArg);
+    group[1 + i].track = track;
+    group[1 + i].name_id = stream_->intern(args[i].first);
+    group[1 + i].aux_id = stream_->intern(args[i].second);
   }
-  // +1 leaves room for the matching end() so exports stay balanced.
-  if (events_.size() + 1 >= capacity_) {
-    bump_counter_locked("obs/dropped_events", 2);
-    t.open.push_back(-1);
-    return;
-  }
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = cat;
-  e.ph = 'B';
-  e.ts = ts;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  e.args = std::move(args);
-  t.open.push_back(static_cast<std::int64_t>(events_.size()));
-  events_.push_back(std::move(e));
+  stream_->publish(group.data(), group.size());
 }
 
 void Registry::end(std::uint32_t track, double ts) {
   MutexLock lock(mu_);
   FTDL_ASSERT(track < tracks_.size());
   TrackInfo& t = tracks_[track];
-  if (t.open.empty()) {
+  if (t.open == 0) {
     bump_counter_locked("obs/unbalanced_ends", 1);
     return;
   }
-  if (stream_) {
-    stream::Record r;
-    r.kind = static_cast<std::uint8_t>(stream::RecordKind::SpanEnd);
-    r.track = track;
-    r.payload = stream::double_bits(ts);
-    stream_->publish(&r, 1);
-  }
-  const std::int64_t kept = t.open.back();
-  t.open.pop_back();
-  if (kept < 0) return;
-  TraceEvent e;
-  e.ph = 'E';
-  e.ts = ts;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  events_.push_back(std::move(e));
+  --t.open;
+  ++event_count_;
+  if (!stream_) return;
+  stream::Record r;
+  r.kind = static_cast<std::uint8_t>(stream::RecordKind::SpanEnd);
+  r.track = track;
+  r.payload = stream::double_bits(ts);
+  stream_->publish(&r, 1);
 }
 
 void Registry::annotate(std::uint32_t track, const std::string& key,
                         const std::string& value) {
   MutexLock lock(mu_);
   FTDL_ASSERT(track < tracks_.size());
-  TrackInfo& t = tracks_[track];
-  if (t.open.empty()) {
+  if (tracks_[track].open == 0) {
     bump_counter_locked("obs/unbalanced_annotations", 1);
     return;
   }
-  if (stream_) {
-    stream::Record r;
-    r.kind = static_cast<std::uint8_t>(stream::RecordKind::Annotate);
-    r.track = track;
-    r.name_id = stream_->intern(key);
-    r.aux_id = stream_->intern(value);
-    stream_->publish(&r, 1);
-  }
-  const std::int64_t open = t.open.back();
-  if (open < 0) return;  // span itself was dropped at the capacity cap
-  events_[static_cast<std::size_t>(open)].args.emplace_back(key, value);
+  if (!stream_) return;
+  stream::Record r;
+  r.kind = static_cast<std::uint8_t>(stream::RecordKind::Annotate);
+  r.track = track;
+  r.name_id = stream_->intern(key);
+  r.aux_id = stream_->intern(value);
+  stream_->publish(&r, 1);
 }
 
 double Registry::now_us() {
@@ -268,11 +237,6 @@ double Registry::now_us() {
     epoch_set_ = true;
   }
   return double(ns - epoch_ns_) * 1e-3;
-}
-
-void Registry::set_capacity(std::size_t max_events) {
-  MutexLock lock(mu_);
-  capacity_ = max_events;
 }
 
 void Registry::attach_stream(std::shared_ptr<stream::StreamWriter> writer) {
@@ -330,6 +294,11 @@ stream::StreamStats Registry::detach_stream() {
 bool Registry::stream_attached() const {
   MutexLock lock(mu_);
   return stream_ != nullptr;
+}
+
+std::size_t Registry::event_count() const {
+  MutexLock lock(mu_);
+  return event_count_;
 }
 
 Metrics Registry::metrics() const {
@@ -413,20 +382,7 @@ std::string render_metrics_json(const Metrics& m) {
   return out;
 }
 
-std::string Registry::chrome_trace_json() const {
-  MutexLock lock(mu_);
-  std::vector<TrackNames> tracks;
-  tracks.reserve(tracks_.size());
-  for (const TrackInfo& t : tracks_)
-    tracks.push_back(TrackNames{t.process, t.thread, t.pid, t.tid});
-  return render_chrome_trace(tracks, events_);
-}
-
 std::string Registry::metrics_json() const { return render_metrics_json(metrics()); }
-
-void Registry::write_chrome_trace(const std::string& path) const {
-  write_file_atomic(path, chrome_trace_json());
-}
 
 void Registry::write_metrics(const std::string& path) const {
   write_file_atomic(path, metrics_json());
@@ -435,7 +391,7 @@ void Registry::write_metrics(const std::string& path) const {
 void Registry::reset() {
   detach_stream();
   MutexLock lock(mu_);
-  events_.clear();
+  event_count_ = 0;
   tracks_.clear();
   counters_.clear();
   gauges_.clear();

@@ -6,8 +6,8 @@
 //   * gauges    — last-written doubles ("host/frame_seconds");
 //   * spans     — begin/end intervals on named tracks, either on the wall
 //     clock (compiler phases, runtime layer execution) or on a *virtual*
-//     clock (the cycle-level simulator emits its LoopT bursts, ActBUF
-//     refills, PSumBUF drains and stall intervals in CLKh cycles).
+//     clock (the cycle-level simulator emits one span per timing pass, in
+//     CLKh cycles, carrying the pass's Eqn. 7/8/9/12 totals as args).
 //
 // Collection is globally gated by set_enabled(): every instrumentation site
 // first reads one global bool, so a build with observability compiled in
@@ -16,29 +16,25 @@
 // observability leaves compiler and simulator outputs bit-identical (pinned
 // by tests/test_obs.cpp).
 //
-// Backends. The registry records through one of two sinks, selected at
-// set_enabled() time:
-//   * in-memory (the fallback) — events buffer in one process-wide vector
-//     and whole spans are *dropped* past a capacity cap. Right for one
-//     bounded profiling run; wrong for a server under sustained traffic.
-//   * streaming — set_enabled(true, "run.stream") additionally attaches an
-//     append-only ftdl-stream-v1 binary event log (docs/obs-stream-format.md):
-//     instrumented threads publish fixed-size records into per-thread
-//     chunks and a background serializer flushes sealed chunks to disk, so
-//     no span is ever dropped regardless of run length. The in-memory
-//     store keeps recording alongside (same capacity rules) so live
-//     exports still work; the log is the durable, complete record.
+// Storage. The registry keeps counters, gauges, track names and an
+// open-span depth per track (for the obs/unbalanced_* counters). Spans are
+// stored in one place only: the append-only ftdl-stream-v1 event log
+// (docs/obs-stream-format.md) attached by set_enabled(true, "run.stream").
+// Instrumented threads publish fixed-size records into per-thread chunks
+// and a background serializer writes them, so no span is ever dropped
+// however long the run. With no log attached, spans are checked for
+// balance and counted (event_count()) but not kept.
 //
 // Exporters (schemas documented in docs/observability.md):
-//   * chrome_trace_json() — Chrome trace-event JSON ("JSON Object Format"
+//   * render_chrome_trace() — Chrome trace-event JSON ("JSON Object Format"
 //     with a traceEvents array of B/E pairs plus process/thread-name
-//     metadata), loadable in Perfetto / chrome://tracing;
-//   * metrics_json()      — flat {"counters": {...}, "gauges": {...}}
-//     snapshot, parseable back via parse_metrics_json().
-// Both are *renderings* of registry-shaped state (render_chrome_trace /
-// render_metrics_json below); the offline loader in obs/stream_reader.h
-// reconstructs that same shape from a recorded log, so exports derived
-// from the log are byte-identical to live ones for the same run.
+//     metadata), loadable in Perfetto / chrome://tracing. Every trace.json
+//     is rendered from a recorded log (obs/stream_reader.h: load_stream ->
+//     reconstruct -> render_chrome_trace);
+//   * metrics_json()        — flat {"counters": {...}, "gauges": {...}}
+//     snapshot, parseable back via parse_metrics_json(). The log replays to
+//     the same snapshot, so log-derived metrics are byte-identical to live
+//     ones for the same run.
 //
 // The registry is thread-safe: every mutating and reading operation takes
 // one internal mutex, so instrumentation from the compiler session's worker
@@ -74,10 +70,10 @@ extern bool g_enabled;
 inline bool enabled() { return detail::g_enabled; }
 void set_enabled(bool on);
 
-/// Backend-selecting overload: enables collection and attaches a streaming
-/// ftdl-stream-v1 event log on `stream_path` (empty = in-memory fallback
-/// only, identical to set_enabled(on)). Disabling detaches and finishes
-/// any attached stream. Throws ftdl::Error when the file cannot be opened.
+/// Enables collection and attaches an ftdl-stream-v1 event log on
+/// `stream_path`, where spans are kept (empty = counters and gauges only,
+/// identical to set_enabled(on)). Disabling detaches and finishes any
+/// attached stream. Throws ftdl::Error when the file cannot be opened.
 void set_enabled(bool on, const std::string& stream_path);
 
 /// Sets the calling thread's default ScopedSpan track ("main" unless set).
@@ -108,9 +104,8 @@ struct Metrics {
   std::map<std::string, double> gauges;
 };
 
-/// Names + Chrome trace ids of one track, in registration order. The
-/// public shape shared by the live registry and the offline stream loader
-/// so both can drive the same renderers below.
+/// Names + Chrome trace ids of one track, in registration order, as the
+/// offline stream loader rebuilds them for render_chrome_trace().
 struct TrackNames {
   std::string process;
   std::string thread;
@@ -119,9 +114,7 @@ struct TrackNames {
 };
 
 /// Renders the ftdl-trace-v1 Chrome trace-event document for the given
-/// tracks and event list. Registry::chrome_trace_json() and the offline
-/// log exporter both call this, which is what makes a log-derived export
-/// byte-identical to a live one for the same run.
+/// tracks and event list (a reconstructed log's).
 std::string render_chrome_trace(const std::vector<TrackNames>& tracks,
                                 const std::vector<TraceEvent>& events);
 
@@ -170,19 +163,19 @@ class Registry {
 
   // ---- streaming backend ----
 
-  /// Attaches `writer` as a streaming sink: from this call on, every track
+  /// Attaches `writer` as the span store: from this call on, every track
   /// definition, span begin/end/annotation, counter add and gauge set is
-  /// also published to the log. Attachment starts by snapshotting already-
+  /// published to the log. Attachment starts by snapshotting already-
   /// registered tracks and current counter/gauge values into the log, so a
-  /// log attached at t reflects all scalar state from t on; events
-  /// recorded before attachment live only in the in-memory store. Replaces
-  /// (and finishes) any previously attached writer.
+  /// log attached at t reflects all scalar state from t on; spans recorded
+  /// before attachment are not kept. Replaces (and finishes) any previously
+  /// attached writer.
   void attach_stream(std::shared_ptr<stream::StreamWriter> writer);
 
   /// Detaches the streaming sink, finishes the log (flush + close) and
   /// returns the writer's final stats; also accumulates them into the
-  /// in-memory counters as obs/stream_records, obs/stream_chunks,
-  /// obs/stream_strings and obs/stream_bytes (memory-only by construction
+  /// registry counters as obs/stream_records, obs/stream_chunks,
+  /// obs/stream_strings and obs/stream_bytes (never in the log by construction
   /// — the log is already closed when they are recorded). No-op returning
   /// zeros when nothing is attached.
   stream::StreamStats detach_stream();
@@ -192,33 +185,18 @@ class Registry {
   /// Wall-clock microseconds since the registry's first use (steady clock).
   double now_us();
 
-  /// Caps the recorded event count. Past the cap, whole spans are dropped
-  /// (a dropped begin() drops its end() too, so exports stay balanced) and
-  /// counted under "obs/dropped_events" — never silently.
-  void set_capacity(std::size_t max_events);
-
-  // Unsynchronized views for tests and exporters driven after parallel
-  // regions have completed; do not call while spans may still be recorded
-  // on other threads. Deliberately outside the thread-safety analysis —
-  // the safety argument is quiescence, not locking.
-  std::size_t event_count() const FTDL_NO_THREAD_SAFETY_ANALYSIS {
-    return events_.size();
-  }
-  const std::vector<TraceEvent>& events() const
-      FTDL_NO_THREAD_SAFETY_ANALYSIS {
-    return events_;
-  }
+  /// Span begin/end events accepted since reset() (an unmatched end() is
+  /// not accepted), whether or not a log was attached to keep them.
+  std::size_t event_count() const;
 
   Metrics metrics() const;
 
   // ---- exporters ----
-  std::string chrome_trace_json() const;
   std::string metrics_json() const;
-  void write_chrome_trace(const std::string& path) const;
   void write_metrics(const std::string& path) const;
 
-  /// Clears events, counters, gauges, tracks and the wall-clock epoch,
-  /// detaching (and finishing) any attached stream first.
+  /// Clears the event count, counters, gauges, tracks and the wall-clock
+  /// epoch, detaching (and finishing) any attached stream first.
   void reset();
 
  private:
@@ -227,10 +205,7 @@ class Registry {
     std::string thread;
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
-    /// Stack of open spans: index into events_ of the B record, or -1 when
-    /// the span was dropped at the capacity cap (annotations skip it and
-    /// the matching end() emits no E event).
-    std::vector<std::int64_t> open;
+    std::size_t open = 0;  ///< spans begun and not yet ended
   };
 
   void bump_counter_locked(const std::string& name, std::int64_t delta)
@@ -239,17 +214,16 @@ class Registry {
 
   // All state below is guarded by mu_ (one coarse lock; instrumentation
   // sites are far from any inner loop). Stream publication happens inside
-  // the same critical section that mutates the in-memory state, so record
+  // the same critical section that mutates the registry's state, so record
   // sequence numbers in the log reproduce the registry's event order
   // exactly; the writer's fast path is one uncontended per-thread mutex,
   // and all slow work (I/O, CRC, framing) lives on its serializer thread.
   mutable Mutex mu_;
-  std::vector<TraceEvent> events_ FTDL_GUARDED_BY(mu_);
+  std::size_t event_count_ FTDL_GUARDED_BY(mu_) = 0;
   std::vector<TrackInfo> tracks_ FTDL_GUARDED_BY(mu_);
   std::map<std::string, std::int64_t> counters_ FTDL_GUARDED_BY(mu_);
   std::map<std::string, double> gauges_ FTDL_GUARDED_BY(mu_);
   std::shared_ptr<stream::StreamWriter> stream_ FTDL_GUARDED_BY(mu_);
-  std::size_t capacity_ FTDL_GUARDED_BY(mu_) = 1u << 20;
   bool epoch_set_ FTDL_GUARDED_BY(mu_) = false;
   std::int64_t epoch_ns_ FTDL_GUARDED_BY(mu_) = 0;
 };

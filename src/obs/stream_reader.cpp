@@ -208,6 +208,18 @@ ReconstructedLog reconstruct(const LoadedLog& log) {
   return out;
 }
 
+RunFiles finish_run(const std::string& log_path, const std::string& trace_path,
+                    const std::string& metrics_path) {
+  Registry& reg = Registry::global();
+  reg.write_metrics(metrics_path);
+  RunFiles out;
+  out.log = reg.detach_stream();
+  const ReconstructedLog r = reconstruct(load_stream(log_path));
+  write_file_atomic(trace_path, render_chrome_trace(r.tracks, r.events));
+  out.trace_events = r.events.size();
+  return out;
+}
+
 CheckReport check_log(const LoadedLog& log) {
   CheckReport rep;
   rep.records_checked = log.records.size();
@@ -299,8 +311,8 @@ CheckReport check_log(const LoadedLog& log) {
   }
 
   // Span balance and per-track timestamp monotonicity over the
-  // reconstructed event list (the same invariants the Chrome-trace
-  // exporter guarantees for the in-memory backend).
+  // reconstructed event list (the invariants the Chrome-trace document
+  // promises).
   const ReconstructedLog rec = reconstruct(log);
   std::map<std::pair<std::uint32_t, std::uint32_t>, int> depth;
   std::map<std::pair<std::uint32_t, std::uint32_t>, double> last_ts;

@@ -10,9 +10,10 @@
 //     complete chunk, with `truncated` set and the exact byte offset of
 //     the incomplete tail; a CRC mismatch rejects only that chunk.
 //   * reconstruct()  — replay the records in global sequence order into
-//     the same TraceEvent / track / Metrics shapes the in-memory registry
-//     holds, so render_chrome_trace()/render_metrics_json() produce
-//     byte-identical exports to a live registry that saw the same run.
+//     TraceEvent / track / Metrics shapes for render_chrome_trace() and
+//     render_metrics_json(). This is the only way a trace.json is made, and
+//     the replayed metrics are byte-identical to the live registry's for
+//     the same run. finish_run() is that export for a tool's whole run.
 //   * check_log() / reconstruct_transactions() — the query/checker layer
 //     `ftdl-obsq` fronts: structural invariants (contiguous chunk and
 //     record sequences, balanced + monotonic spans per track, resolvable
@@ -27,6 +28,7 @@
 
 #include "obs/obs.h"
 #include "obs/stream_format.h"
+#include "obs/stream_writer.h"
 
 namespace ftdl::obs::stream {
 
@@ -54,10 +56,10 @@ struct LoadedLog {
 /// logs stay loadable.
 LoadedLog load_stream(const std::string& path);
 
-/// Registry-shaped view of a log: tracks, the global-order event list and
-/// the final counter/gauge state. Produced by replaying records in
-/// sequence order; feeding `tracks`/`events` to render_chrome_trace()
-/// yields byte-identical output to the live registry's export.
+/// Replayed view of a log: tracks, the global-order event list and the
+/// final counter/gauge state. Produced by replaying records in sequence
+/// order; feeding `tracks`/`events` to render_chrome_trace() gives the
+/// run's trace.json.
 struct ReconstructedLog {
   std::vector<TrackNames> tracks;
   std::vector<TraceEvent> events;
@@ -65,6 +67,20 @@ struct ReconstructedLog {
 };
 
 ReconstructedLog reconstruct(const LoadedLog& log);
+
+/// What finish_run() wrote.
+struct RunFiles {
+  StreamStats log;               ///< the finished log's writer stats
+  std::size_t trace_events = 0;  ///< B/E events in the trace
+};
+
+/// Ends a run recorded to `log_path` (set_enabled(true, log_path)) and
+/// exports it: writes the live metrics to `metrics_path` while the log is
+/// still attached (detaching adds obs/stream_* counters the log never
+/// sees, so this keeps them equal to the log-derived metrics), detaches
+/// and finishes the log, then renders `trace_path` from it.
+RunFiles finish_run(const std::string& log_path, const std::string& trace_path,
+                    const std::string& metrics_path);
 
 /// One structural-invariant violation found by check_log().
 struct CheckProblem {

@@ -1,6 +1,6 @@
-// Streaming event-log writer — the publishing half of the ftdl-stream-v1
-// backend (byte layout in stream_format.h, spec in
-// docs/obs-stream-format.md).
+// Streaming event-log writer — the publishing half of ftdl-stream-v1, the
+// one place the obs Registry stores spans (byte layout in stream_format.h,
+// spec in docs/obs-stream-format.md).
 //
 // Architecture: a lock-light pubsub split. Instrumented threads *publish*
 // fixed-size records into a per-thread chunk buffer (their Channel); a
@@ -10,8 +10,7 @@
 // uncontended except at the instant the serializer sweeps that channel —
 // so publishing threads never wait on each other and never perform file
 // I/O, allocation amortizes to the chunk granularity, and a server under
-// sustained load records every event instead of dropping at a capacity
-// cap (the failure mode of the in-memory fallback backend).
+// sustained load records every event: nothing is capped or dropped.
 //
 // Ordering: every record is stamped with a global sequence number from one
 // atomic counter at publish time. Chunks from different threads reach the

@@ -60,8 +60,8 @@ std::int64_t dram_cycles(std::int64_t bytes, double bytes_per_sec,
 /// Per-layer timing ingredients (shared with the analytical model so the
 /// two agree on tile geometry; the *schedule* in run_timing is simulated,
 /// not formulaic). Everything here is independent of the tensor data, which
-/// is what makes the stats-only path exact: timing, trace and obs spans are
-/// produced by the same code on every path.
+/// is what makes the stats-only path exact: timing, trace and the obs span
+/// are produced by the same code on every path.
 struct Timing {
   std::int64_t t_trip = 0, l_trip = 0, x_trip = 0;
   std::int64_t burst_cycles = 0;
@@ -103,59 +103,55 @@ Timing make_timing(const compiler::LayerProgram& program,
   return tm;
 }
 
+/// Publishes one timing pass as a single span [0, cycles] on a track of its
+/// own, timestamped in CLKh cycles (docs/observability.md). The schedule
+/// repeats every LoopL / LoopX iteration identically (only the first LoopX
+/// has no drain pending), so the pass totals and the per-iteration burst,
+/// fetch and drain times carry what per-iteration spans would.
+void publish_pass_span(const std::string& layer_name, const SimStats& st,
+                       std::int64_t burst, std::int64_t fetch,
+                       std::int64_t drain) {
+  obs::Registry& reg = obs::Registry::global();
+  // A fresh process per timing pass: re-simulating a layer (its tail part,
+  // repeated runs, cached warm-up passes) must not append earlier-than-last
+  // timestamps to an existing track. The disambiguator is a counter this
+  // function owns.
+  const std::int64_t inst = reg.counter("sim/timing_passes");
+  obs::count("sim/timing_passes");
+  std::string proc = "sim:" + layer_name;
+  if (inst > 0) proc += " #" + std::to_string(inst);
+  const std::uint32_t track = reg.track(proc, "timing");
+  const auto arg = [](const char* key, std::int64_t v) {
+    return std::make_pair(std::string(key), std::to_string(v));
+  };
+  reg.begin(track, "timing_pass", 0.0, "sim",
+            {arg("compute_cycles", st.compute_cycles),
+             arg("act_stall_cycles", st.act_stall_cycles),
+             arg("psum_stall_cycles", st.psum_stall_cycles),
+             arg("act_refills", st.act_refills),
+             arg("psum_drains", st.psum_drains), arg("burst_cycles", burst),
+             arg("fetch_cycles", fetch), arg("drain_cycles", drain)});
+  reg.end(track, double(st.cycles));
+}
+
 /// Simulates the Listing-1 control schedule: LoopT bursts overlapping ActBUF
 /// refills, LoopX overlapping PSumBUF drains, the slower side stalling —
 /// Eqn. 12's max() as emergent per-iteration behaviour. Fills the cycle /
-/// stall / refill / drain fields of `st`, the DRAM trace, and the obs
-/// timelines. CachedLayerSim and simulate_layer_stats both time a part
-/// here, so their stats are bit-identical by construction.
+/// stall / refill / drain fields of `st`, the DRAM trace, and the pass's obs
+/// span. CachedLayerSim and simulate_layer_stats both time a part here, so
+/// their stats are bit-identical by construction.
 void run_timing(const Timing& tm, const SimOptions& options,
                 const std::string& layer_name, SimStats& st,
                 dram::AccessTrace& trace) {
-  // Observability: one virtual-clock timeline per hardware unit for this
-  // layer, timestamped in CLKh cycles (docs/observability.md). Tracks are
-  // only registered when collection is on; when it is off the cost is one
-  // predicted branch per LoopL / LoopX iteration, far outside the MACC loop.
-  const bool obs_on = obs::enabled();
-  std::uint32_t tr_burst = 0, tr_refill = 0, tr_drain = 0, tr_stall = 0;
-  if (obs_on) {
-    obs::Registry& reg = obs::Registry::global();
-    // A fresh process per simulation instance: re-simulating a layer (its
-    // tail part, repeated runs, cached warm-up passes) must not append
-    // earlier-than-last timestamps to an existing track. The disambiguator
-    // is a dedicated counter this function owns — tying it to a caller-side
-    // counter breaks as soon as a caller (CachedLayerSim warm-up) runs
-    // several timing passes before any of its own counts.
-    const std::int64_t inst = reg.counter("sim/timing_passes");
-    obs::count("sim/timing_passes");
-    std::string proc = "sim:" + layer_name;
-    if (inst > 0) proc += " #" + std::to_string(inst);
-    tr_burst = reg.track(proc, "LoopT bursts");
-    tr_refill = reg.track(proc, "ActBUF refills");
-    tr_drain = reg.track(proc, "PSumBUF drains");
-    tr_stall = reg.track(proc, "stalls");
-  }
-
+  // ActBUF refill (double-buffered) overlaps each burst; a PSumBUF drain
+  // overlaps the next LoopX.
+  const std::int64_t fetch = std::max(tm.refill_cycles, tm.dram_rd_per_refill);
+  const std::int64_t step = std::max(tm.burst_cycles, fetch);
+  const std::int64_t drain = std::max(tm.drain_cycles, tm.dram_wr_per_x);
   std::int64_t pending_drain = 0;  // previous LoopX's psum drain in flight
   for (std::int64_t x = 0; x < tm.x_trip; ++x) {
     std::int64_t x_compute = 0;
     for (std::int64_t l = 0; l < tm.l_trip; ++l) {
-      // ActBUF refill (double-buffered): overlaps this burst.
-      const std::int64_t fetch =
-          std::max(tm.refill_cycles, tm.dram_rd_per_refill);
-      const std::int64_t step = std::max(tm.burst_cycles, fetch);
-      if (obs_on) {
-        obs::Registry& reg = obs::Registry::global();
-        const double t0 = double(st.cycles + x_compute);
-        reg.begin(tr_burst, "burst", t0, "sim");
-        reg.end(tr_burst, t0 + double(tm.burst_cycles));
-        reg.begin(tr_refill, "act_refill", t0, "sim");
-        reg.end(tr_refill, t0 + double(fetch));
-        if (step > tm.burst_cycles) {
-          reg.begin(tr_stall, "act_stall", t0 + double(tm.burst_cycles), "sim");
-          reg.end(tr_stall, t0 + double(step));
-        }
-      }
       st.act_stall_cycles += step - tm.burst_cycles;
       st.compute_cycles += tm.burst_cycles;
       x_compute += step;
@@ -175,19 +171,7 @@ void run_timing(const Timing& tm, const SimOptions& options,
     const std::int64_t advance = std::max(x_compute, pending_drain);
     st.psum_stall_cycles += advance - x_compute;
     st.cycles += advance;
-    if (obs_on && advance > x_compute) {
-      obs::Registry& reg = obs::Registry::global();
-      reg.begin(tr_stall, "psum_stall",
-                double(st.cycles - (advance - x_compute)), "sim");
-      reg.end(tr_stall, double(st.cycles));
-    }
-
-    pending_drain = std::max(tm.drain_cycles, tm.dram_wr_per_x);
-    if (obs_on) {
-      obs::Registry& reg = obs::Registry::global();
-      reg.begin(tr_drain, "psum_drain", double(st.cycles), "sim");
-      reg.end(tr_drain, double(st.cycles + pending_drain));
-    }
+    pending_drain = drain;
     ++st.psum_drains;
     if (options.collect_trace) {
       trace.add(static_cast<std::uint64_t>(st.cycles),
@@ -198,6 +182,8 @@ void run_timing(const Timing& tm, const SimOptions& options,
   // The final drain is not hidden by any compute.
   st.cycles += pending_drain;
   trace.total_cycles = static_cast<std::uint64_t>(st.cycles);
+  if (obs::enabled())
+    publish_pass_span(layer_name, st, tm.burst_cycles, fetch, drain);
 }
 
 /// Publishes one simulated layer's stats as sim/* observability counters.

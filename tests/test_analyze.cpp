@@ -197,6 +197,16 @@ TEST(Analyze, DuplicateLayerFires) {
   EXPECT_TRUE(fires(r, Check::DuplicateLayer)) << r.to_string();
 }
 
+TEST(Analyze, LayerNamedLikeTheNetworkInputFiresDuplicateLayer) {
+  nn::Network net("t_named_input");
+  net.add(nn::with_inputs(
+      nn::make_conv(nn::kNetworkInput, 1, 8, 8, 4, 3, 1, 1),
+      {nn::kNetworkInput}));
+  const AnalysisResult r = analyze::analyze_graph(net);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(fires(r, Check::DuplicateLayer)) << r.to_string();
+}
+
 TEST(Analyze, MissingProducerFires) {
   nn::Network net("t_missing");
   net.add(nn::with_inputs(nn::make_conv("c1", 1, 8, 8, 4, 3, 1, 1),

@@ -1,14 +1,19 @@
-// ftdl::obs — exporter schemas, round-tripping, and the zero-interference
-// guarantee (observability on/off leaves simulator outputs bit-identical).
+// ftdl::obs — exporter schemas, round-tripping, the simulator's one span per
+// timing pass, and the zero-interference guarantee (observability on/off
+// leaves simulator outputs bit-identical). Spans are read back through a
+// recorded log (obs_log.h), which also checks balance and monotonicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "compiler/codegen.h"
 #include "nn/layer.h"
 #include "obs/obs.h"
+#include "obs_log.h"
 #include "sim/ftdl_sim.h"
 #include "sim_run.h"
 
@@ -42,44 +47,21 @@ arch::OverlayConfig small_config() {
   return c;
 }
 
-SimRun simulate_small_conv() {
+compiler::LayerProgram small_conv_program() {
   const nn::Layer layer = nn::make_conv("obs_conv", 8, 10, 10, 12, 3, 1, 1);
+  return compiler::compile_layer(layer, small_config(),
+                                 compiler::Objective::Performance, 8'000);
+}
+
+SimRun simulate_small_conv() {
   const arch::OverlayConfig cfg = small_config();
-  const compiler::LayerProgram prog =
-      compiler::compile_layer(layer, cfg, compiler::Objective::Performance,
-                              8'000);
+  const compiler::LayerProgram prog = small_conv_program();
   Rng rng(7);
   nn::Tensor16 input({8, 10, 10});
   nn::Tensor16 weights({12, 8, 3, 3});
   input.fill_random(rng);
   weights.fill_random(rng);
   return simulate(prog, cfg, weights, input);
-}
-
-/// Walks recorded events and checks the Chrome trace-event invariants: on
-/// every track, timestamps are monotonic and B/E pairs nest and balance.
-void expect_balanced_monotonic(const std::vector<obs::TraceEvent>& events) {
-  std::map<std::pair<std::uint32_t, std::uint32_t>, int> depth;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> last_ts;
-  for (const obs::TraceEvent& e : events) {
-    const auto key = std::make_pair(e.pid, e.tid);
-    if (last_ts.count(key)) {
-      EXPECT_GE(e.ts, last_ts[key]) << "non-monotonic timestamp on track "
-                                    << e.pid << "/" << e.tid;
-    }
-    last_ts[key] = e.ts;
-    if (e.ph == 'B') {
-      ++depth[key];
-    } else {
-      ASSERT_EQ(e.ph, 'E');
-      ASSERT_GT(depth[key], 0) << "E without matching B";
-      --depth[key];
-    }
-  }
-  for (const auto& [key, d] : depth) {
-    EXPECT_EQ(d, 0) << "unclosed span on track " << key.first << "/"
-                    << key.second;
-  }
 }
 
 TEST_F(ObsTest, CountersAccumulateAndGaugesOverwrite) {
@@ -108,11 +90,12 @@ TEST_F(ObsTest, ConvenienceWrappersAreNoOpsWhenDisabled) {
 // hand-built trace. Pins the ftdl-trace-v1 schema — field names, metadata
 // records, B/E shape — so exporter changes are deliberate.
 TEST_F(ObsTest, GoldenChromeTraceDocument) {
-  obs::set_enabled(true);
-  obs::Registry& r = obs::Registry::global();
-  const std::uint32_t t = r.track("sim:layer0", "LoopT bursts");
-  r.begin(t, "burst", 10.0, "sim", {{"layer", "conv1"}});
-  r.end(t, 12.5);
+  const obs::stream::ReconstructedLog rec = record_log([] {
+    obs::Registry& r = obs::Registry::global();
+    const std::uint32_t t = r.track("sim:layer0", "LoopT bursts");
+    r.begin(t, "burst", 10.0, "sim", {{"layer", "conv1"}});
+    r.end(t, 12.5);
+  });
 
   const char* expected =
       "{\n"
@@ -128,7 +111,7 @@ TEST_F(ObsTest, GoldenChromeTraceDocument) {
       "{\"ph\":\"E\",\"ts\":12.5,\"pid\":1,\"tid\":1}\n"
       "]\n"
       "}\n";
-  EXPECT_EQ(r.chrome_trace_json(), expected);
+  EXPECT_EQ(obs::render_chrome_trace(rec.tracks, rec.events), expected);
 }
 
 // Golden test: the exact metrics document. Pins the ftdl-metrics-v1 schema.
@@ -173,28 +156,86 @@ TEST_F(ObsTest, ParseRejectsForeignDocuments) {
   EXPECT_THROW(obs::parse_metrics_json("not json"), Error);
 }
 
-TEST_F(ObsTest, SimulatorTraceIsBalancedAndMonotonic) {
-  obs::set_enabled(true);
-  simulate_small_conv();
-  obs::Registry& r = obs::Registry::global();
-  ASSERT_GT(r.event_count(), 0u);
-  expect_balanced_monotonic(r.events());
+/// The `sim:` process spans of a replayed log, B events only.
+std::vector<obs::TraceEvent> sim_spans(const obs::stream::ReconstructedLog& rec) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : rec.events) {
+    if (e.ph != 'B') continue;
+    for (const obs::TrackNames& t : rec.tracks)
+      if (t.pid == e.pid && t.process.rfind("sim:", 0) == 0) out.push_back(e);
+  }
+  return out;
+}
 
-  // The per-unit timelines and the summary counters both landed.
+TEST_F(ObsTest, SimulatorTraceIsBalancedAndMonotonic) {
+  const obs::stream::ReconstructedLog rec =
+      record_log([] { simulate_small_conv(); });
+  EXPECT_EQ(sim_spans(rec).size(), 1u);
+
+  // The pass span and the summary counters both landed.
+  obs::Registry& r = obs::Registry::global();
   EXPECT_GT(r.counter("sim/layers_simulated"), 0);
   EXPECT_GT(r.counter("sim/cycles"), 0);
   EXPECT_GT(r.counter("compiler/layers_compiled"), 0);
-  const std::string json = r.chrome_trace_json();
+  const std::string json = obs::render_chrome_trace(rec.tracks, rec.events);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("LoopT bursts"), std::string::npos);
-  EXPECT_NE(json.find("PSumBUF drains"), std::string::npos);
+  EXPECT_NE(json.find("\"timing_pass\""), std::string::npos);
 }
 
 TEST_F(ObsTest, ResimulatingALayerKeepsTracksMonotonic) {
-  obs::set_enabled(true);
-  simulate_small_conv();
-  simulate_small_conv();  // same layer name: must land on fresh tracks
-  expect_balanced_monotonic(obs::Registry::global().events());
+  // Same layer name twice: each pass must land on a fresh track.
+  const obs::stream::ReconstructedLog rec = record_log([] {
+    simulate_small_conv();
+    simulate_small_conv();
+  });
+  const std::vector<obs::TraceEvent> spans = sim_spans(rec);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_NE(spans[0].pid, spans[1].pid);
+}
+
+TEST_F(ObsTest, EachTimingPassIsOneSpanCarryingItsStats) {
+  const arch::OverlayConfig cfg = small_config();
+  const compiler::LayerProgram prog = small_conv_program();
+  ASSERT_EQ(prog.weight_groups, 1);  // one part: the runner times one pass
+  std::vector<sim::SimStats> passes;
+  const obs::stream::ReconstructedLog rec = record_log([&] {
+    passes.push_back(sim::CachedLayerSim(prog, cfg).stats());
+    passes.push_back(sim::simulate_layer_stats(prog, cfg).stats);
+  });
+  EXPECT_EQ(obs::Registry::global().counter("sim/timing_passes"), 2);
+
+  const std::vector<obs::TraceEvent> spans = sim_spans(rec);
+  ASSERT_EQ(spans.size(), passes.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    SCOPED_TRACE(i);
+    const obs::TraceEvent& b = spans[i];
+    const sim::SimStats& st = passes[i];
+    EXPECT_EQ(b.name, "timing_pass");
+    EXPECT_EQ(b.cat, "sim");
+    EXPECT_EQ(b.ts, 0.0);
+    std::map<std::string, std::int64_t> arg;
+    for (const auto& [k, v] : b.args) arg[k] = std::stoll(v);
+    EXPECT_EQ(arg.size(), 8u);
+    EXPECT_EQ(arg["compute_cycles"], st.compute_cycles);
+    EXPECT_EQ(arg["act_stall_cycles"], st.act_stall_cycles);
+    EXPECT_EQ(arg["psum_stall_cycles"], st.psum_stall_cycles);
+    EXPECT_EQ(arg["act_refills"], st.act_refills);
+    EXPECT_EQ(arg["psum_drains"], st.psum_drains);
+    // Every LoopL iteration repeats one burst and one fetch.
+    EXPECT_EQ(st.compute_cycles, st.act_refills * arg["burst_cycles"]);
+    EXPECT_EQ(st.act_stall_cycles,
+              st.act_refills *
+                  std::max<std::int64_t>(
+                      0, arg["fetch_cycles"] - arg["burst_cycles"]));
+    EXPECT_GT(arg["drain_cycles"], 0);
+    // The span closes at the pass's cycle count, on its own track.
+    const auto end = std::find_if(
+        rec.events.begin(), rec.events.end(), [&](const obs::TraceEvent& e) {
+          return e.ph == 'E' && e.pid == b.pid && e.tid == b.tid;
+        });
+    ASSERT_NE(end, rec.events.end());
+    EXPECT_EQ(end->ts, double(st.cycles));
+  }
 }
 
 TEST_F(ObsTest, DisablingObservabilityLeavesSimOutputsBitIdentical) {
@@ -217,21 +258,6 @@ TEST_F(ObsTest, DisablingObservabilityLeavesSimOutputsBitIdentical) {
   EXPECT_EQ(off.stats.padded_maccs, on.stats.padded_maccs);
 }
 
-TEST_F(ObsTest, CapacityDropsWholeSpansAndCountsThem) {
-  obs::set_enabled(true);
-  obs::Registry& r = obs::Registry::global();
-  r.set_capacity(16);
-  const std::uint32_t t = r.track("cap", "spans");
-  for (int i = 0; i < 100; ++i) {
-    r.begin(t, "s", double(i), "test");
-    r.end(t, double(i));
-  }
-  expect_balanced_monotonic(r.events());
-  EXPECT_LT(r.event_count(), 32u);
-  EXPECT_GT(r.counter("obs/dropped_events"), 0);
-  r.set_capacity(1u << 20);
-}
-
 TEST_F(ObsTest, UnmatchedEndIsDroppedAndCounted) {
   obs::set_enabled(true);
   obs::Registry& r = obs::Registry::global();
@@ -242,16 +268,17 @@ TEST_F(ObsTest, UnmatchedEndIsDroppedAndCounted) {
 }
 
 TEST_F(ObsTest, ScopedSpansNestOnTheHostTrack) {
-  obs::set_enabled(true);
-  {
+  const obs::stream::ReconstructedLog rec = record_log([] {
     obs::ScopedSpan outer("compiler", "outer");
     obs::ScopedSpan inner("compiler", "inner");
-  }
-  obs::Registry& r = obs::Registry::global();
-  ASSERT_EQ(r.event_count(), 4u);
-  expect_balanced_monotonic(r.events());
-  EXPECT_EQ(r.events()[0].name, "outer");
-  EXPECT_EQ(r.events()[1].name, "inner");
+  });
+  EXPECT_EQ(obs::Registry::global().event_count(), 4u);
+  ASSERT_EQ(rec.events.size(), 4u);
+  EXPECT_EQ(rec.events[0].name, "outer");
+  EXPECT_EQ(rec.events[1].name, "inner");
+  ASSERT_EQ(rec.tracks.size(), 1u);
+  EXPECT_EQ(rec.tracks[0].process, "host");
+  EXPECT_EQ(rec.tracks[0].thread, "main");
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "obs/obs.h"
 #include "obs/stream_reader.h"
 #include "obs/stream_writer.h"
+#include "obs_log.h"
 
 namespace {
 
@@ -358,30 +359,40 @@ void record_workload(obs::Registry& r) {
 }
 
 TEST_F(ObsStreamTest, LogDerivedExportsAreByteIdenticalToLiveOnes) {
-  const std::string path = log_path("obs_stream_registry.stream");
-  obs::set_enabled(true, path);
   obs::Registry& r = obs::Registry::global();
-  record_workload(r);
-
-  // Live exports from the in-memory backend (still recording alongside).
-  const std::string live_trace = r.chrome_trace_json();
-  const std::string live_metrics = r.metrics_json();
-
-  const StreamStats s = r.detach_stream();
-  EXPECT_GT(s.records, 0u);
-  EXPECT_GT(s.bytes_written, 0u);
-
-  const LoadedLog log = load_stream(path);
-  EXPECT_TRUE(check_log(log).ok()) << check_log(log).to_string();
-  const ReconstructedLog rec = reconstruct(log);
-  EXPECT_EQ(obs::render_chrome_trace(rec.tracks, rec.events), live_trace);
+  std::string live_metrics;
+  const ReconstructedLog rec = record_log([&] {
+    record_workload(r);
+    live_metrics = r.metrics_json();
+  });
   EXPECT_EQ(obs::render_metrics_json(rec.metrics), live_metrics);
 
+  // The trace holds every span the workload made, in order, with its args
+  // and the annotation folded into its B event.
+  ASSERT_EQ(rec.events.size(), 8u);
+  EXPECT_EQ(r.event_count(), rec.events.size());
+  std::string phases, names;
+  for (const obs::TraceEvent& e : rec.events) {
+    phases += e.ph;
+    if (e.ph == 'B') names += e.name + " ";
+  }
+  EXPECT_EQ(phases, "BBEEBEBE");
+  EXPECT_EQ(names, "compile schedule burst enqueue ");
+  using Args = obs::SpanArgs;
+  EXPECT_EQ(rec.events[0].args, (Args{{"layer", "conv1"}}));
+  EXPECT_EQ(rec.events[1].args, (Args{{"budget", "8000"}}));
+  EXPECT_EQ(rec.events[6].args, (Args{{"request", "7"}}));
+  const std::vector<double> ts = {10.0, 11.0, 14.0, 15.5, 100.0, 140.0};
+  for (std::size_t i = 0; i < ts.size(); ++i)
+    EXPECT_EQ(rec.events[i].ts, ts[i]) << i;
+  ASSERT_EQ(rec.tracks.size(), 3u);
+  EXPECT_EQ(rec.tracks[2].thread, "client-0");
+
   // Detaching recorded the writer-side accounting as registry counters
-  // (memory-only: the log was already closed when they were written).
-  EXPECT_EQ(r.counter("obs/stream_records"),
-            static_cast<std::int64_t>(s.records));
+  // (never in the log: it was already closed when they were written).
+  EXPECT_GT(r.counter("obs/stream_records"), 0);
   EXPECT_GT(r.counter("obs/stream_bytes"), 0);
+  EXPECT_EQ(rec.metrics.counters.count("obs/stream_records"), 0u);
 }
 
 TEST_F(ObsStreamTest, SetEnabledOverloadAttachesAndDetaches) {
@@ -397,7 +408,7 @@ TEST_F(ObsStreamTest, SetEnabledOverloadAttachesAndDetaches) {
   EXPECT_TRUE(check_log(log).ok());
   EXPECT_EQ(reconstruct(log).metrics.counters.at("x/y"), 1);
 
-  // Empty path = in-memory fallback only, exactly like set_enabled(on).
+  // Empty path = counters and gauges only, exactly like set_enabled(on).
   obs::set_enabled(true, "");
   EXPECT_FALSE(r.stream_attached());
 }
@@ -425,30 +436,23 @@ TEST_F(ObsStreamTest, AttachmentSnapshotsExistingScalarState) {
 }
 
 TEST_F(ObsStreamTest, ConcurrentScopedSpansThroughRegistryCheckClean) {
-  const std::string path = log_path("obs_stream_registry_mt.stream");
-  obs::set_enabled(true, path);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([t] {
-      obs::set_thread_track_name("worker-" + std::to_string(t));
-      for (int i = 0; i < 200; ++i) {
-        obs::ScopedSpan span("test", "tick");
-        span.add_arg("i", std::to_string(i));
-        obs::count("mt/ticks");
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  obs::Registry& r = obs::Registry::global();
-  const std::string live_trace = r.chrome_trace_json();
-  r.detach_stream();
-
-  const LoadedLog log = load_stream(path);
-  const CheckReport rep = check_log(log);
-  EXPECT_TRUE(rep.ok()) << rep.to_string();
-  const ReconstructedLog rec = reconstruct(log);
-  EXPECT_EQ(obs::render_chrome_trace(rec.tracks, rec.events), live_trace);
+  const ReconstructedLog rec = record_log([] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([t] {
+        obs::set_thread_track_name("worker-" + std::to_string(t));
+        for (int i = 0; i < 200; ++i) {
+          obs::ScopedSpan span("test", "tick");
+          span.add_arg("i", std::to_string(i));
+          obs::count("mt/ticks");
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  });
+  EXPECT_EQ(rec.tracks.size(), 4u);
+  EXPECT_EQ(rec.events.size(), 1600u);
+  EXPECT_EQ(obs::Registry::global().event_count(), 1600u);
   EXPECT_EQ(rec.metrics.counters.at("mt/ticks"), 800);
 }
 

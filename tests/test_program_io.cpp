@@ -107,10 +107,6 @@ TEST(ProgramIo, SaveToUnwritablePathThrows) {
        [&](const std::string& p) { analyze::save_network(sn, p); }},
       {"write_rtl_bundle",
        [&](const std::string& p) { rtlgen::write_rtl_bundle(rtl, p); }},
-      {"write_chrome_trace",
-       [](const std::string& p) {
-         obs::Registry::global().write_chrome_trace(p);
-       }},
       {"write_metrics",
        [](const std::string& p) { obs::Registry::global().write_metrics(p); }},
   };

@@ -273,13 +273,11 @@ TEST(Executor, ColdGoogLeNetWarmUpSearchesEachSliceShapeOnce) {
   const std::int64_t before = session.stats().misses;
   obs::Registry& reg = obs::Registry::global();
   reg.reset();
-  reg.set_capacity(1'024);  // only the counters are read
   obs::set_enabled(true);
   { const ExecContext ctx(net, ws, opt); }
   obs::set_enabled(false);
   const std::int64_t passes = reg.counter("sim/timing_passes");
   reg.reset();
-  reg.set_capacity(std::size_t{1} << 20);
   const std::int64_t misses = session.stats().misses - before;
 
   std::set<std::uint64_t> shapes;
@@ -630,17 +628,6 @@ TEST(Executor, DataflowEdgeCasesMatchReferenceForwardPass) {
     net.add(nn::make_add_relu("add", 4 * 8 * 8, {"g1", "g2"}));
     nets.push_back(std::move(net));
   }
-  {
-    // A sink that is not the last-declared layer. Inputs name only earlier
-    // layers, so the last-declared layer is consumed only when its name is
-    // the network input's: the first layer reads that name, so "y" is the
-    // unique sink, and the trailing layer's last use comes before it runs.
-    nn::Network net("sink-before-last");
-    net.add(conv("x", 3, 4, 3, {in}));
-    net.add(conv("y", 4, 4, 3, {"x"}));
-    net.add(conv(in, 4, 4, 1, {"x"}));
-    nets.push_back(std::move(net));
-  }
   ExecOptions opt;
   opt.config = small_config();
   opt.search_budget_per_layer = 1'000;
@@ -659,6 +646,16 @@ TEST(Executor, DataflowEdgeCasesMatchReferenceForwardPass) {
         EXPECT_EQ(r.runs[i].requant_shift, ref.requant_shifts[i]) << i;
     }
   }
+  // A sink before the last-declared layer needs a consumer of that layer,
+  // and inputs name only earlier layers: only a layer named like the
+  // network input would be one, and that name is refused.
+  nn::Network net("sink-before-last");
+  net.add(conv("x", 3, 4, 3, {in}));
+  net.add(conv("y", 4, 4, 3, {"x"}));
+  net.add(conv(in, 4, 4, 1, {"x"}));
+  EXPECT_THROW(net.validate_graph(), ConfigError);
+  const WeightStore ws = WeightStore::random_for(net, 41);
+  EXPECT_THROW(ExecContext(net, ws, opt), ConfigError);
 }
 
 // ---- host kernels vs the nn:: oracles -------------------------------------
@@ -865,6 +862,15 @@ TEST(Graph, ValidateCatchesBadReferences) {
   dup.add(nn::make_conv("a", 3, 8, 8, 4, 3, 1, 1));
   dup.add(nn::make_conv("a", 4, 8, 8, 4, 3, 1, 1));
   EXPECT_THROW(dup.validate_graph(), ConfigError);
+}
+
+TEST(Graph, ValidateRejectsALayerNamedLikeTheNetworkInput) {
+  // Every reference to nn::kNetworkInput would name both tensors.
+  nn::Network net("named-input");
+  net.add(nn::make_conv("a", 3, 8, 8, 4, 3, 1, 1));
+  net.add(nn::with_inputs(nn::make_conv(nn::kNetworkInput, 3, 8, 8, 4, 3, 1, 1),
+                          {nn::kNetworkInput}));
+  EXPECT_THROW(net.validate_graph(), ConfigError);
 }
 
 TEST(Graph, LastUsesMatchConsumers) {

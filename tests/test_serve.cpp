@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
+#include "obs_log.h"
 #include "runtime/executor.h"
 #include "serve/serve.h"
 
@@ -85,31 +86,6 @@ class ServeObsTest : public ::testing::Test {
   }
 };
 
-/// Chrome trace-event invariants: per-track monotonic timestamps and
-/// balanced, nesting B/E pairs (same walk as tests/test_obs.cpp).
-void expect_balanced_monotonic(const std::vector<obs::TraceEvent>& events) {
-  std::map<std::pair<std::uint32_t, std::uint32_t>, int> depth;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> last_ts;
-  for (const obs::TraceEvent& e : events) {
-    const auto key = std::make_pair(e.pid, e.tid);
-    if (last_ts.count(key)) {
-      EXPECT_GE(e.ts, last_ts[key])
-          << "non-monotonic timestamp on track " << e.pid << "/" << e.tid;
-    }
-    last_ts[key] = e.ts;
-    if (e.ph == 'B') {
-      ++depth[key];
-    } else {
-      ASSERT_EQ(e.ph, 'E');
-      ASSERT_GT(depth[key], 0) << "E without matching B";
-      --depth[key];
-    }
-  }
-  for (const auto& [key, d] : depth) {
-    EXPECT_EQ(d, 0) << "unclosed span on track " << key.first << "/"
-                    << key.second;
-  }
-}
 
 // ---- latency histogram ----------------------------------------------------
 
@@ -414,7 +390,7 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
     return s.result.get();
   };
 
-  // Warm-up: populate the compile caches, the tensor map and the arena
+  // Warm-up: populate the compile caches, the tensor slots and the arena
   // pools (a couple of rounds lets every free list reach steady capacity).
   for (std::uint64_t seed = 0; seed < 3; ++seed) infer(seed);
 
@@ -564,16 +540,18 @@ TEST(Server, StopUnderLoadResolvesEveryAcceptedRequest) {
 // ---- observability --------------------------------------------------------
 
 TEST_F(ServeObsTest, CountersBalanceAndTracksNest) {
-  obs::set_enabled(true);
   const nn::Network net = tiny_net();
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 13);
   ServerOptions opt;
   opt.workers = 3;
-  Server server(net, ws, opt);
   constexpr int kRequests = 16;
-  const auto out = serve_all(server, kRequests, 4);
-  server.stop();
-  EXPECT_EQ(out.size(), static_cast<std::size_t>(kRequests));
+  // The log checker pins per-track balance and monotonic timestamps.
+  const obs::stream::ReconstructedLog rec = record_log([&] {
+    Server server(net, ws, opt);
+    const auto out = serve_all(server, kRequests, 4);
+    server.stop();
+    EXPECT_EQ(out.size(), static_cast<std::size_t>(kRequests));
+  });
 
   obs::Registry& r = obs::Registry::global();
   EXPECT_EQ(r.counter("serve/requests_accepted"), kRequests);
@@ -587,14 +565,13 @@ TEST_F(ServeObsTest, CountersBalanceAndTracksNest) {
   EXPECT_LE(r.gauge("serve/latency_p95_us"), r.gauge("serve/latency_p99_us"));
   EXPECT_LE(r.gauge("serve/latency_p99_us"), r.gauge("serve/latency_max_us"));
 
-  expect_balanced_monotonic(r.events());
   // One top-level execute span per request.
   int executes = 0;
-  for (const obs::TraceEvent& e : r.events())
+  for (const obs::TraceEvent& e : rec.events)
     if (e.ph == 'B' && e.name == "execute") ++executes;
   EXPECT_EQ(executes, kRequests);
   // Per-worker serve tracks and the metrics export both exist.
-  const std::string trace = r.chrome_trace_json();
+  const std::string trace = obs::render_chrome_trace(rec.tracks, rec.events);
   EXPECT_NE(trace.find("serve-0"), std::string::npos);
   const obs::Metrics parsed = obs::parse_metrics_json(r.metrics_json());
   EXPECT_EQ(parsed.counters.at("serve/requests_completed"), kRequests);

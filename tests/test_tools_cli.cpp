@@ -160,6 +160,30 @@ TEST(ToolsCli, FtdlProfReportsArenaHighWater) {
   EXPECT_EQ(line.substr(line.size() - 3), " MB") << line;
 }
 
+// trace.json is rendered from the event log the run records beside it, the
+// same way ftdl-obsq --trace renders it.
+TEST(ToolsCli, FtdlProfTraceIsRenderedFromTheLogBesideIt) {
+  TempDir out;
+  const RunResult r = run("cd " + out.path + " && " +
+                          std::string(FTDL_PROF_PATH) +
+                          " Sentimental-seqCNN --budget 500");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string log = out.path + "/trace.stream";
+  ASSERT_TRUE(fs::exists(log)) << r.output;
+  const std::string obsq = std::string(FTDL_OBSQ_PATH) + " " + log;
+  const RunResult check = run(obsq + " --check");
+  EXPECT_EQ(check.exit_code, 0) << check.output;
+  ASSERT_EQ(run(obsq + " --trace " + out.path + "/from_log.json").exit_code, 0);
+  const auto text = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string trace = text(out.path + "/trace.json");
+  EXPECT_NE(trace.find("\"timing_pass\""), std::string::npos);
+  EXPECT_EQ(trace, text(out.path + "/from_log.json"));
+}
+
 TEST(ToolsCli, FtdlInfoRejectsGarbageConfigDims) {
   for (const char* dims : {"x12 5 20", "12 5x 20", "12 5 0"}) {
     const RunResult r = run(std::string(FTDL_INFO_PATH) + " config " +

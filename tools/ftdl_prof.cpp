@@ -4,9 +4,11 @@
 // ftdl::obs collection enabled — compile + schedule (wall-clock compiler
 // spans), host-pipeline evaluation, multi-FPGA pipeline planning, and a
 // cycle-level simulation of the whole network on a scaled-down overlay
-// (virtual-clock timelines of LoopT bursts, ActBUF refills, PSumBUF drains
-// and stalls) — then writes
-//   trace.json    Chrome trace-event JSON (open in https://ui.perfetto.dev)
+// (one virtual-clock span per timing pass, carrying its compute, stall,
+// refill and drain totals) — then writes
+//   trace.stream  the ftdl-stream-v1 event log the run recorded
+//   trace.json    Chrome trace-event JSON rendered from that log (open in
+//                 https://ui.perfetto.dev)
 //   metrics.json  flat counters/gauges snapshot (schema ftdl-metrics-v1)
 //
 //   ftdl-prof [MODEL] [options]
@@ -15,8 +17,9 @@
 //     --list              list the model zoo and exit
 //     --trace FILE        trace output path    (default trace.json)
 //     --metrics FILE      metrics output path  (default metrics.json)
-//     --stream FILE       also record an ftdl-stream-v1 binary event log
-//                         (docs/obs-stream-format.md; query with ftdl-obsq)
+//     --stream FILE       ftdl-stream-v1 event log the trace is rendered
+//                         from (default: the trace path with .stream;
+//                         docs/obs-stream-format.md, query with ftdl-obsq)
 //     --budget N          mapping-search budget per layer (default 8000)
 //     --jobs N            compiler parallelism (default: FTDL_JOBS env, else
 //                         the hardware thread count; results bit-identical)
@@ -28,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -43,7 +47,7 @@
 #include "multifpga/partition.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
-#include "obs/stream_writer.h"
+#include "obs/stream_reader.h"
 #include "runtime/executor.h"
 
 namespace {
@@ -54,7 +58,7 @@ struct Args {
   std::string model = "Sentimental-seqCNN";
   std::string trace_path = "trace.json";
   std::string metrics_path = "metrics.json";
-  std::string stream_path;  ///< empty = no binary event log
+  std::string stream_path;  ///< empty = the trace path with .stream
   std::int64_t budget = 8'000;
   std::int64_t sim_macs_limit = 500'000'000;
   std::string cache_dir;
@@ -111,6 +115,10 @@ Args parse_args(int argc, char** argv) {
     else if (a[0] == '-') usage(("unknown option " + std::string(a)).c_str());
     else args.model = a;
   }
+  if (args.stream_path.empty()) {
+    args.stream_path =
+        std::filesystem::path(args.trace_path).replace_extension(".stream");
+  }
   return args;
 }
 
@@ -162,8 +170,8 @@ int main(int argc, char** argv) {
   try {
     obs::Registry& reg = obs::Registry::global();
     reg.reset();
-    // Attach the streaming backend (when requested) after the reset so the
-    // log sees the run from its first event.
+    // Attach the log after the reset so it sees the run from its first
+    // event; trace.json is rendered from it at the end.
     obs::set_enabled(true, args.stream_path);
 
     compiler::CompilerSession& session = compiler::CompilerSession::global();
@@ -259,21 +267,19 @@ int main(int argc, char** argv) {
                   static_cast<long long>(ss.disk_bytes));
     }
 
-    reg.write_chrome_trace(args.trace_path);
-    reg.write_metrics(args.metrics_path);
+    const obs::Metrics m = reg.metrics();
+    const obs::stream::RunFiles out = obs::stream::finish_run(
+        args.stream_path, args.trace_path, args.metrics_path);
     std::printf("wrote %s (%zu events) and %s (%zu counters, %zu gauges)\n",
-                args.trace_path.c_str(), reg.event_count(),
-                args.metrics_path.c_str(), reg.metrics().counters.size(),
-                reg.metrics().gauges.size());
-    if (reg.stream_attached()) {
-      const obs::stream::StreamStats ss = reg.detach_stream();
-      std::printf("wrote %s (%llu records, %llu chunks, %llu bytes)\n",
-                  args.stream_path.c_str(),
-                  static_cast<unsigned long long>(ss.records),
-                  static_cast<unsigned long long>(
-                      ss.data_chunks + ss.string_chunks),
-                  static_cast<unsigned long long>(ss.bytes_written));
-    }
+                args.trace_path.c_str(), out.trace_events,
+                args.metrics_path.c_str(), m.counters.size(),
+                m.gauges.size());
+    std::printf("wrote %s (%llu records, %llu chunks, %llu bytes)\n",
+                args.stream_path.c_str(),
+                static_cast<unsigned long long>(out.log.records),
+                static_cast<unsigned long long>(out.log.data_chunks +
+                                                out.log.string_chunks),
+                static_cast<unsigned long long>(out.log.bytes_written));
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "ftdl-prof: %s\n", e.what());

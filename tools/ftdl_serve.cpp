@@ -4,8 +4,10 @@
 // spec), drives it with a multi-client load generator — closed-loop by
 // default, fixed-rate with --rate — and reports throughput, peak queue
 // depth and latency percentiles. Requests run on the cycle-level simulator
-// over a scaled-down 4x2x3 overlay. With observability on it also writes
-//   trace.json    enqueue/execute spans on client and worker tracks
+// over a scaled-down 4x2x3 overlay. It also writes
+//   trace.stream  the ftdl-stream-v1 event log the run recorded
+//   trace.json    enqueue/execute spans on client and worker tracks,
+//                 rendered from that log
 //   metrics.json  serve/* counters, queue-depth and latency gauges
 //
 //   ftdl-serve [MODEL] [options]
@@ -21,8 +23,9 @@
 //     --check          verify outputs bit-identical to a workers=1 rerun
 //     --trace FILE     trace output path               (default trace.json)
 //     --metrics FILE   metrics output path             (default metrics.json)
-//     --stream FILE    also record an ftdl-stream-v1 binary event log
-//                      (docs/obs-stream-format.md); replay/verify it with
+//     --stream FILE    ftdl-stream-v1 event log the trace is rendered from
+//                      (default: the trace path with .stream;
+//                      docs/obs-stream-format.md); replay/verify it with
 //                      ftdl-obsq (docs/operations.md)
 //     --cache-dir DIR  persistent program cache (FTDL_CACHE_DIR env); a
 //                      restarted server warm-starts its compiles from disk
@@ -31,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,7 +48,7 @@
 #include "frontend/spec_parser.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
-#include "obs/stream_writer.h"
+#include "obs/stream_reader.h"
 #include "serve/serve.h"
 
 namespace {
@@ -55,7 +59,7 @@ struct Args {
   std::string model = "Sentimental-seqCNN";
   std::string trace_path = "trace.json";
   std::string metrics_path = "metrics.json";
-  std::string stream_path;  ///< empty = no binary event log
+  std::string stream_path;  ///< empty = the trace path with .stream
   int requests = 16;
   int clients = 4;
   int workers = 2;
@@ -135,6 +139,10 @@ Args parse_args(int argc, char** argv) {
   }
   if (args.requests < 1) usage("--requests must be >= 1");
   if (args.clients < 1) usage("--clients must be >= 1");
+  if (args.stream_path.empty()) {
+    args.stream_path =
+        std::filesystem::path(args.trace_path).replace_extension(".stream");
+  }
   return args;
 }
 
@@ -235,10 +243,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    obs::Registry& reg = obs::Registry::global();
-    reg.reset();
-    // Attach the streaming backend (when requested) after the reset so the
-    // log sees the run from its first event.
+    obs::Registry::global().reset();
+    // Attach the log after the reset so it sees the run from its first
+    // event; trace.json is rendered from it at the end.
     obs::set_enabled(true, args.stream_path);
 
     const std::string cache_dir = compiler::resolve_cache_dir(args.cache_dir);
@@ -306,19 +313,16 @@ int main(int argc, char** argv) {
                   static_cast<long long>(checked));
     }
 
-    reg.write_chrome_trace(args.trace_path);
-    reg.write_metrics(args.metrics_path);
+    const obs::stream::RunFiles out = obs::stream::finish_run(
+        args.stream_path, args.trace_path, args.metrics_path);
     std::printf("wrote %s (%zu events) and %s\n", args.trace_path.c_str(),
-                reg.event_count(), args.metrics_path.c_str());
-    if (reg.stream_attached()) {
-      const obs::stream::StreamStats ss = reg.detach_stream();
-      std::printf("wrote %s (%llu records, %llu chunks, %llu bytes)\n",
-                  args.stream_path.c_str(),
-                  static_cast<unsigned long long>(ss.records),
-                  static_cast<unsigned long long>(
-                      ss.data_chunks + ss.string_chunks),
-                  static_cast<unsigned long long>(ss.bytes_written));
-    }
+                out.trace_events, args.metrics_path.c_str());
+    std::printf("wrote %s (%llu records, %llu chunks, %llu bytes)\n",
+                args.stream_path.c_str(),
+                static_cast<unsigned long long>(out.log.records),
+                static_cast<unsigned long long>(out.log.data_chunks +
+                                                out.log.string_chunks),
+                static_cast<unsigned long long>(out.log.bytes_written));
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "ftdl-serve: %s\n", e.what());
