@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -29,6 +30,8 @@ LoadedLog parse_stream_bytes(const std::string& bytes,
   if (header_bytes < kFileHeaderBytes || header_bytes > bytes.size())
     throw Error(origin + ": corrupt file header");
 
+  // An upper bound (every byte a record): no regrowth copies on big logs.
+  log.records.reserve((bytes.size() - header_bytes) / kRecordBytes);
   std::size_t off = header_bytes;
   while (off < bytes.size()) {
     if (bytes.size() - off < kChunkHeaderBytes) {
@@ -105,6 +108,8 @@ LoadedLog parse_stream_bytes(const std::string& bytes,
     }
     off += kChunkHeaderBytes + h.payload_bytes;
   }
+  std::sort(log.records.begin(), log.records.end(),
+            [](const Record& a, const Record& b) { return a.seq < b.seq; });
   return log;
 }
 
@@ -113,13 +118,6 @@ std::string lookup(const std::map<std::uint32_t, std::string>& strings,
   if (id == 0) return "";
   auto it = strings.find(id);
   return it == strings.end() ? "" : it->second;
-}
-
-std::vector<Record> records_in_seq_order(const LoadedLog& log) {
-  std::vector<Record> sorted = log.records;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Record& a, const Record& b) { return a.seq < b.seq; });
-  return sorted;
 }
 
 }  // namespace
@@ -132,7 +130,7 @@ LoadedLog load_stream(const std::string& path) {
 
 ReconstructedLog reconstruct(const LoadedLog& log) {
   ReconstructedLog out;
-  const std::vector<Record> sorted = records_in_seq_order(log);
+  const std::vector<Record>& sorted = log.records;
   // Per-track stack of indexes into out.events of open SpanBegins.
   std::unordered_map<std::uint32_t, std::vector<std::size_t>> open;
   for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -220,6 +218,20 @@ RunFiles finish_run(const std::string& log_path, const std::string& trace_path,
   return out;
 }
 
+bool run_paths_distinct(const std::string& log_path,
+                        const std::string& trace_path,
+                        const std::string& metrics_path) {
+  auto resolved = [](const std::string& p) {
+    std::error_code ec;
+    const std::filesystem::path a = std::filesystem::absolute(p, ec);
+    const std::filesystem::path r = std::filesystem::weakly_canonical(a, ec);
+    return ec ? a.lexically_normal() : r;
+  };
+  const auto log = resolved(log_path), trace = resolved(trace_path),
+             metrics = resolved(metrics_path);
+  return log != trace && log != metrics && trace != metrics;
+}
+
 CheckReport check_log(const LoadedLog& log) {
   CheckReport rep;
   rep.records_checked = log.records.size();
@@ -232,14 +244,10 @@ CheckReport check_log(const LoadedLog& log) {
 
   // Record sequence contiguity: the writer stamps every published record
   // from one atomic counter, so a complete log covers exactly [0, N).
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(log.records.size());
-  for (const Record& r : log.records) seqs.push_back(r.seq);
-  std::sort(seqs.begin(), seqs.end());
-  std::uint64_t first_missing = seqs.size();
+  std::uint64_t first_missing = log.records.size();
   bool gap = false;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    if (seqs[i] != i) {
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
+    if (log.records[i].seq != i) {
       first_missing = i;
       gap = true;
       break;
@@ -278,7 +286,7 @@ CheckReport check_log(const LoadedLog& log) {
   }
 
   // String resolution and SpanArg adjacency over the replay order.
-  const std::vector<Record> sorted = records_in_seq_order(log);
+  const std::vector<Record>& sorted = log.records;
   auto resolved = [&](std::uint32_t id) {
     return id == 0 || log.strings.count(id) != 0;
   };

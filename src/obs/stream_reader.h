@@ -37,8 +37,8 @@ struct LoadedChunk {
   std::uint64_t file_offset = 0;  ///< of the chunk header
 };
 
-/// A parsed log file. `records` is in file order (sort key for replay is
-/// Record::seq); reconstruct() below does the sorting.
+/// A parsed log file. `records` is in replay order: sorted by Record::seq,
+/// not in file order (each chunk holds one publishing thread's records).
 struct LoadedLog {
   std::uint32_t version = 0;
   std::uint64_t file_bytes = 0;
@@ -78,9 +78,17 @@ struct RunFiles {
 /// exports it: writes the live metrics to `metrics_path` while the log is
 /// still attached (detaching adds obs/stream_* counters the log never
 /// sees, so this keeps them equal to the log-derived metrics), detaches
-/// and finishes the log, then renders `trace_path` from it.
+/// and finishes the log, then renders `trace_path` from it. The render
+/// holds the whole log in memory (about 2.5x its file size at peak).
 RunFiles finish_run(const std::string& log_path, const std::string& trace_path,
                     const std::string& metrics_path);
+
+/// True when the three finish_run() paths name three different files
+/// (compared after resolving them against the working directory). A log
+/// sharing the trace's path would be overwritten by the trace it renders.
+bool run_paths_distinct(const std::string& log_path,
+                        const std::string& trace_path,
+                        const std::string& metrics_path);
 
 /// One structural-invariant violation found by check_log().
 struct CheckProblem {

@@ -359,12 +359,19 @@ void record_workload(obs::Registry& r) {
 }
 
 TEST_F(ObsStreamTest, LogDerivedExportsAreByteIdenticalToLiveOnes) {
+  const std::string path = log_path("obs_stream_registry.stream");
+  obs::set_enabled(true, path);
   obs::Registry& r = obs::Registry::global();
-  std::string live_metrics;
-  const ReconstructedLog rec = record_log([&] {
-    record_workload(r);
-    live_metrics = r.metrics_json();
-  });
+  record_workload(r);
+  const std::string live_metrics = r.metrics_json();
+
+  const StreamStats s = r.detach_stream();
+  EXPECT_GT(s.records, 0u);
+  EXPECT_GT(s.bytes_written, 0u);
+
+  const LoadedLog log = load_stream(path);
+  EXPECT_TRUE(check_log(log).ok()) << check_log(log).to_string();
+  const ReconstructedLog rec = reconstruct(log);
   EXPECT_EQ(obs::render_metrics_json(rec.metrics), live_metrics);
 
   // The trace holds every span the workload made, in order, with its args
@@ -390,7 +397,8 @@ TEST_F(ObsStreamTest, LogDerivedExportsAreByteIdenticalToLiveOnes) {
 
   // Detaching recorded the writer-side accounting as registry counters
   // (never in the log: it was already closed when they were written).
-  EXPECT_GT(r.counter("obs/stream_records"), 0);
+  EXPECT_EQ(r.counter("obs/stream_records"),
+            static_cast<std::int64_t>(s.records));
   EXPECT_GT(r.counter("obs/stream_bytes"), 0);
   EXPECT_EQ(rec.metrics.counters.count("obs/stream_records"), 0u);
 }

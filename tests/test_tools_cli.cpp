@@ -130,6 +130,24 @@ TEST(ToolsCli, FtdlProfRejectsGarbageNumericFlags) {
   }
 }
 
+// trace.json is rendered from the log at the end of a run, so an output path
+// shared by two of the files would lose one of them: refuse it up front.
+TEST(ToolsCli, FtdlProfAndServeRejectCollidingOutputPaths) {
+  TempDir dir;
+  for (const char* tool : {FTDL_PROF_PATH, FTDL_SERVE_PATH}) {
+    for (const char* flags :
+         {"--trace x.stream", "--stream t.json --trace t.json",
+          "--stream ./m.json --metrics m.json", "--trace m.json --metrics m.json"}) {
+      const RunResult r =
+          run("cd " + dir.path + " && " + std::string(tool) + " " + flags);
+      EXPECT_EQ(r.exit_code, 2) << tool << " " << flags << "\n" << r.output;
+      EXPECT_NE(r.output.find("must name different files"), std::string::npos)
+          << r.output;
+    }
+  }
+  EXPECT_TRUE(fs::is_empty(dir.path));
+}
+
 // The search budget moves modeled FPS, so a profile must say which it used.
 TEST(ToolsCli, FtdlProfReportsSearchBudget) {
   TempDir out;

@@ -143,6 +143,9 @@ Args parse_args(int argc, char** argv) {
     args.stream_path =
         std::filesystem::path(args.trace_path).replace_extension(".stream");
   }
+  if (!obs::stream::run_paths_distinct(args.stream_path, args.trace_path,
+                                       args.metrics_path))
+    usage("--stream, --trace and --metrics must name different files");
   return args;
 }
 
